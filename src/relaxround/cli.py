@@ -13,15 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gibbs import AnnealSchedule, ChainState, gibbs_sweep
-from .instances import InstanceFormatError, dump_instance, load_instance
+from .gibbs import AnnealSchedule, annealed_gibbs, rrr_ag
+from .instances import InstanceFormatError, dump_instance, load_instance, write_atomic
 from .models import (
     CapExceededError,
     Domain,
@@ -39,7 +37,7 @@ from .models import (
 )
 from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_is_exact, rrr_low
 from .relaxation import LrpOptions, solve_lrp
-from .rounding import SampleBatch, rrr_map_sample
+from .rounding import rrr_map_sample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +57,6 @@ _TAG_AG_INIT = 21
 _TAG_AG_RUN = 22
 _TAG_RRRAG_LRP = 31
 _TAG_RRRAG_SAMPLE = 32
-_TAG_RRRAG_CHAIN = 33
 _TAG_LOGZ_AIS = 41
 _TAG_LOGZ_LRP = 51
 _TAG_LOGZ_LOW_SAMPLE = 52
@@ -79,19 +76,6 @@ class _Parser(argparse.ArgumentParser):
 def _derive_seed(*entropy) -> int:
     state = np.random.SeedSequence(list(entropy)).generate_state(1, dtype=np.uint64)
     return int(state[0])
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass
@@ -173,23 +157,6 @@ def _parse_methods(raw: str, allowed) -> list:
     return methods
 
 
-def _anneal_best(
-    mrf: MrfParams, schedule: AnnealSchedule, init: np.ndarray, rng
-) -> tuple[np.ndarray, float, list]:
-    """Run one annealed chain, tracking the best state ever visited."""
-    state = ChainState.initial(init)
-    best_x = state.x.copy()
-    best_score = float(state.x @ mrf.A @ state.x)
-    trace = []
-    for temperature in schedule.temperatures:
-        state = gibbs_sweep(mrf, state, float(temperature), rng)
-        trace.append(state.score_trace[-1])
-        if state.score_trace[-1] > best_score:
-            best_score = state.score_trace[-1]
-            best_x = state.x.copy()
-    return best_x, best_score, trace
-
-
 def _run_map(args) -> int:
     inst = load_instance(args.instance)
     prob = _embed(inst)
@@ -197,6 +164,8 @@ def _run_map(args) -> int:
     n = mrf.n
     methods = _parse_methods(args.methods, MAP_METHODS)
     seed = args.seed
+    if args.chains < 1:
+        raise UsageError("--chains must be >= 1")
     chain_sweeps = args.chain_sweeps
     if chain_sweeps is None:
         chain_sweeps = max(1, args.sweeps // args.chains)
@@ -229,13 +198,14 @@ def _run_map(args) -> int:
             init_rng = np.random.default_rng(_derive_seed(seed, _TAG_AG_INIT))
             init = (2 * init_rng.integers(0, 2, size=n) - 1).astype(np.int8)
             schedule = AnnealSchedule.linear(args.t_high, args.sweeps)
-            run_rng = np.random.default_rng(_derive_seed(seed, _TAG_AG_RUN))
-            best_x, best_score, trace = _anneal_best(mrf, schedule, init, run_rng)
+            state = annealed_gibbs(
+                mrf, schedule, init, _derive_seed(seed, _TAG_AG_RUN)
+            )
             entries[method] = {
-                "best_score": best_score + prob.offset,
-                "best_assignment": prob.to_native(prob.canonical(best_x)),
+                "best_score": state.best_score + prob.offset,
+                "best_assignment": prob.to_native(prob.canonical(state.best_x)),
                 "cost_sweep_equivalents": len(schedule),
-                "score_trace": [v + prob.offset for v in trace],
+                "score_trace": [v + prob.offset for v in state.score_trace],
             }
         elif method == "rrr-ag":
             opts = LrpOptions(
@@ -244,25 +214,13 @@ def _run_map(args) -> int:
                 seed=_derive_seed(seed, _TAG_RRRAG_LRP),
             )
             sol = solve_lrp(mrf, opts)
-            batch = rrr_map_sample(
-                mrf, sol.X, args.chains, _derive_seed(seed, _TAG_RRRAG_SAMPLE)
-            )
             schedule = AnnealSchedule.linear(args.t_high, chain_sweeps)
-            best_score = -np.inf
-            best_x = None
-            best_trace = []
-            for idx in range(args.chains):
-                rng = np.random.default_rng(
-                    _derive_seed(seed, _TAG_RRRAG_CHAIN, idx)
-                )
-                x, chain_best, trace = _anneal_best(
-                    mrf, schedule, batch.samples[idx], rng
-                )
-                if chain_best > best_score:
-                    best_score, best_x, best_trace = chain_best, x, trace
+            state = rrr_ag(
+                mrf, sol.X, schedule, args.chains, _derive_seed(seed, _TAG_RRRAG_SAMPLE)
+            )
             entries[method] = {
-                "best_score": best_score + prob.offset,
-                "best_assignment": prob.to_native(prob.canonical(best_x)),
+                "best_score": state.best_score + prob.offset,
+                "best_assignment": prob.to_native(prob.canonical(state.best_x)),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,
                 "cost_sweep_equivalents": sol.iterations * args.k
@@ -270,7 +228,7 @@ def _run_map(args) -> int:
                 + args.chains * len(schedule),
                 "chains": args.chains,
                 "chain_sweeps": len(schedule),
-                "score_trace": [v + prob.offset for v in best_trace],
+                "score_trace": [v + prob.offset for v in state.score_trace],
             }
         elif method == "brute":
             x, value = brute_force_map(mrf)
@@ -311,17 +269,6 @@ def _map_csv(doc: dict) -> str:
             f"{name},{entry['best_score']!r},{entry['cost_sweep_equivalents']}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _canonical_batch(prob: _Embedded, batch: SampleBatch) -> SampleBatch:
-    """Flip every sample so the auxiliary coordinate is +1. Scores are
-    invariant under a global sign flip, so they carry over."""
-    if not prob.has_aux:
-        return batch
-    samples = batch.samples.copy()
-    flip = samples[:, 0] < 0
-    samples[flip] *= -1
-    return SampleBatch(samples=samples, scores=batch.scores, seed=batch.seed)
 
 
 def _run_logz(args) -> int:
@@ -371,7 +318,9 @@ def _run_logz(args) -> int:
             batch = rrr_map_sample(
                 emb.mrf, sol.X, args.samples, _derive_seed(seed, _TAG_LOGZ_LOW_SAMPLE)
             )
-            report = rrr_low(emb.mrf, _canonical_batch(emb, batch))
+            report = rrr_low(
+                emb.mrf, replace(batch, samples=emb.canonical(batch.samples))
+            )
             entries[method] = {
                 "log_z": report.log_z + emb.offset,
                 "samples": args.samples,
@@ -419,9 +368,9 @@ def _logz_csv(doc: dict) -> str:
 
 def _write_report(args, doc: dict, to_csv) -> None:
     if args.format == "json":
-        _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
+        write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
     else:
-        _atomic_write(args.out, to_csv(doc))
+        write_atomic(args.out, to_csv(doc))
 
 
 def _run_gen(args) -> int:

@@ -7,7 +7,7 @@ a logistic in (score difference)/temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -23,7 +23,6 @@ __all__ = [
     "block_gibbs_rbm_sweep",
     "annealed_gibbs",
     "rrr_ag",
-    "chain_to_csv",
 ]
 
 
@@ -66,11 +65,19 @@ class AnnealSchedule:
 @dataclass(frozen=True, eq=False)
 class ChainState:
     """A chain position: current assignment, number of sweeps performed,
-    and the score after each sweep."""
+    and the score after each sweep.
+
+    States returned by `annealed_gibbs` and `rrr_ag` also carry the best
+    state visited, the start state included, and its score (for `rrr_ag`,
+    over all of its chains); the first visit wins ties. States advanced one
+    step at a time with `gibbs_sweep` leave both as None.
+    """
 
     x: np.ndarray
     sweep_count: int
     score_trace: tuple
+    best_x: np.ndarray | None = None
+    best_score: float | None = None
 
     def __post_init__(self):
         if self.sweep_count < 0 or len(self.score_trace) > self.sweep_count:
@@ -117,7 +124,8 @@ def gibbs_sweep(
     params: MrfParams, state: ChainState, temperature: float, rng: np.random.Generator
 ) -> ChainState:
     """One systematic single-site sweep. Returns the advanced chain state
-    with the new score appended to the trace."""
+    with the new score appended to the trace; the best state is not
+    tracked. Draws exactly what one step of `annealed_gibbs` draws."""
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("single-site sampling expects the {-1,+1} domain")
     if not temperature > 0.0:
@@ -127,6 +135,25 @@ def gibbs_sweep(
     _sweep_inplace(params.A, x, temperature, rng)
     new_score = float(x @ params.A @ x)
     return ChainState(x, state.sweep_count + 1, state.score_trace + (new_score,))
+
+
+def _tempered_block_sweep(
+    params: RbmParams,
+    V: np.ndarray,
+    H: np.ndarray,
+    beta: float,
+    rng: np.random.Generator,
+):
+    """Block sweep targeting exp(beta * score), vectorized over chains."""
+    gain = 2.0 if params.domain is Domain.PLUS_MINUS_ONE else 1.0
+    lo = -1 if params.domain is Domain.PLUS_MINUS_ONE else 0
+    zh = V @ params.W + params.b
+    ph = expit(gain * beta * zh)
+    H = np.where(rng.random(ph.shape) < ph, 1, lo).astype(np.int8)
+    zv = H @ params.W.T + params.a
+    pv = expit(gain * beta * zv)
+    V = np.where(rng.random(pv.shape) < pv, 1, lo).astype(np.int8)
+    return V, H
 
 
 def block_gibbs_rbm_sweep(
@@ -139,12 +166,11 @@ def block_gibbs_rbm_sweep(
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
     vv = check_assignment(v, params.m, params.domain)
-    check_assignment(h, params.p, params.domain)
-    ph = expit(2.0 * (vv @ params.W + params.b) / temperature)
-    h_new = np.where(rng.random(params.p) < ph, 1, -1).astype(np.int8)
-    pv = expit(2.0 * (params.W @ h_new + params.a) / temperature)
-    v_new = np.where(rng.random(params.m) < pv, 1, -1).astype(np.int8)
-    return v_new, h_new
+    hv = check_assignment(h, params.p, params.domain)
+    V, H = _tempered_block_sweep(
+        params, vv[None, :], hv[None, :], 1.0 / temperature, rng
+    )
+    return V[0], H[0]
 
 
 def _run_schedule(
@@ -153,18 +179,27 @@ def _run_schedule(
     x0: np.ndarray,
     rng: np.random.Generator,
 ) -> ChainState:
+    """The chain loop: one sweep per temperature from x0, recording the
+    score after each sweep and the best state visited (x0 included, first
+    visit wins ties)."""
+    A = params.A
     x = np.asarray(x0, dtype=np.int8).copy()
+    best_x, best_score = x.copy(), float(x @ A @ x)
     trace = []
     for temperature in temperatures:
-        _sweep_inplace(params.A, x, float(temperature), rng)
-        trace.append(float(x @ params.A @ x))
-    return ChainState(x, len(trace), tuple(trace))
+        _sweep_inplace(A, x, float(temperature), rng)
+        value = float(x @ A @ x)
+        trace.append(value)
+        if value > best_score:
+            best_x, best_score = x.copy(), value
+    return ChainState(x, len(trace), tuple(trace), best_x, best_score)
 
 
 def annealed_gibbs(
     params: MrfParams, schedule: AnnealSchedule, init, seed: int
 ) -> ChainState:
-    """Run one sweep per schedule temperature, starting from `init`."""
+    """Run one sweep per schedule temperature, starting from `init`. The
+    returned state carries the best state visited next to the final one."""
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("single-site sampling expects the {-1,+1} domain")
     if len(schedule) == 0:
@@ -179,41 +214,27 @@ def rrr_ag(
 ) -> ChainState:
     """Relax-and-round warm start for annealed Gibbs.
 
-    Draws `chains` rounded samples of X, anneals one chain from each along
-    `schedule`, and returns the final state with the best score (first
-    winner on ties). With an empty schedule the best initial sample is
-    returned unchanged. Seed derivation: the root seed spawns (sampling,
-    annealing); the annealing child spawns one generator per chain.
+    Draws `chains` rounded samples of X and anneals one chain from each
+    along `schedule`. Returns the final state of the chain that ended with
+    the best score; its `best_x` and `best_score` hold the best state
+    visited by any chain, starts included. The first chain wins ties in
+    both. With an empty schedule both are the best initial sample,
+    unchanged. Seed derivation: the root seed spawns (sampling, annealing);
+    the annealing child spawns one generator per chain.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("single-site sampling expects the {-1,+1} domain")
     if chains < 1:
         raise ValueError("chains must be >= 1")
     X = _check_feasible_rows(params, X)
-    root = np.random.SeedSequence(seed)
-    sample_ss, anneal_ss = root.spawn(2)
+    sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
     batch = _sample_batch(params, X, chains, np.random.default_rng(sample_ss), seed)
-    best = None
-    best_score = -np.inf
-    for idx, chain_ss in enumerate(anneal_ss.spawn(chains)):
-        if len(schedule) == 0:
-            state = ChainState.initial(batch.samples[idx])
-            final = float(batch.scores[idx])
-        else:
-            rng = np.random.default_rng(chain_ss)
-            state = _run_schedule(params, schedule.temperatures, batch.samples[idx], rng)
-            final = state.score_trace[-1]
-        if final > best_score:
-            best, best_score = state, final
-    return best
-
-
-def chain_to_csv(state: ChainState, schedule: AnnealSchedule) -> str:
-    """Chain trace as CSV with columns (sweep, temperature, score)."""
-    if len(schedule) != len(state.score_trace):
-        raise ValueError("schedule length does not match the score trace")
-    lines = ["sweep,temperature,score"]
-    rows = zip(schedule.temperatures, state.score_trace)
-    for i, (t, s) in enumerate(rows, start=1):
-        lines.append(f"{i},{float(t)!r},{float(s)!r}")
-    return "\n".join(lines) + "\n"
+    states = [
+        _run_schedule(params, schedule.temperatures, x0, np.random.default_rng(ss))
+        for x0, ss in zip(batch.samples, anneal_ss.spawn(chains))
+    ]
+    # max() keeps the first of equal keys; a chain without sweeps ends at
+    # its start, which is its best state
+    final = max(states, key=lambda s: s.final_score if s.sweep_count else s.best_score)
+    best = max(states, key=lambda s: s.best_score)
+    return replace(final, best_x=best.best_x, best_score=best.best_score)

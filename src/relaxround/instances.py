@@ -57,9 +57,9 @@ def dumps_instance(params) -> str:
     return "{\n" + body + "}\n"
 
 
-def dump_instance(params, path: str) -> None:
-    """Write an instance file atomically."""
-    text = dumps_instance(params)
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path as UTF-8 through a temporary file in the same
+    directory and a rename, so the path never holds a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -70,6 +70,11 @@ def dump_instance(params, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def dump_instance(params, path: str) -> None:
+    """Write an instance file atomically."""
+    write_atomic(path, dumps_instance(params))
 
 
 def _reject_constant(token: str):
@@ -147,6 +152,11 @@ def loads_instance(text: str):
 
 
 def load_instance(path: str):
-    """Read an instance file. Returns MrfParams or RbmParams."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+    """Read an instance file. Returns MrfParams or RbmParams. A directory
+    or a file that is not UTF-8 text raises InstanceFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
+    return loads_instance(text)

@@ -197,15 +197,16 @@ def rbm_to_mrf(params: RbmParams) -> MrfParams:
 def canonicalize_auxiliary(x) -> np.ndarray:
     """Flip the global sign so the auxiliary coordinate (index 0) is +1.
 
-    Pure quadratic scores are invariant under x -> -x, so this picks one
-    representative of each antipodal pair without changing the score.
+    Accepts one assignment or assignments stacked as rows, and flips each
+    one independently. Pure quadratic scores are invariant under x -> -x,
+    so this picks one representative of each antipodal pair without
+    changing the score. The input is never modified.
     """
-    xv = np.asarray(x)
-    if xv.ndim != 1 or xv.shape[0] < 1:
-        raise ValueError("expected a nonempty assignment vector")
-    if xv[0] < 0:
-        return -xv
-    return xv.copy()
+    out = np.array(x)
+    if out.ndim not in (1, 2) or out.shape[-1] < 1:
+        raise ValueError("expected nonempty assignment vectors")
+    out *= np.where(out[..., :1] < 0, -1, 1).astype(out.dtype)
+    return out
 
 
 def bits_to_hyp(params: MrfParams) -> tuple[MrfParams, LinearReduction]:

@@ -10,8 +10,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
+from .gibbs import _tempered_block_sweep
 from .models import (
     Domain,
     MrfParams,
@@ -140,25 +141,6 @@ def _rbm_score_batch(params: RbmParams, V: np.ndarray, H: np.ndarray) -> np.ndar
     )
 
 
-def _tempered_block_sweep(
-    params: RbmParams,
-    V: np.ndarray,
-    H: np.ndarray,
-    beta: float,
-    rng: np.random.Generator,
-):
-    """Block sweep targeting exp(beta * score), vectorized over chains."""
-    gain = 2.0 if params.domain is Domain.PLUS_MINUS_ONE else 1.0
-    lo = -1 if params.domain is Domain.PLUS_MINUS_ONE else 0
-    zh = V @ params.W + params.b
-    ph = expit(gain * beta * zh)
-    H = np.where(rng.random(ph.shape) < ph, 1, lo).astype(np.int8)
-    zv = H @ params.W.T + params.a
-    pv = expit(gain * beta * zv)
-    V = np.where(rng.random(pv.shape) < pv, 1, lo).astype(np.int8)
-    return V, H
-
-
 def ais_logz(
     params: RbmParams, num_temps: int, num_runs: int, seed: int
 ) -> EstimateReport:
@@ -275,33 +257,3 @@ def rrr_is_exact(params: MrfParams, X) -> EstimateReport:
         wall_clock=time.perf_counter() - start,
         details={"exact_support": True},
     )
-
-
-def report_to_json(report: EstimateReport) -> str:
-    """One report as a JSON document."""
-    import json
-
-    doc = {
-        "estimator": report.estimator.value,
-        "log_z": report.log_z,
-        "budget": {
-            "samples": report.budget.samples,
-            "temperatures": report.budget.temperatures,
-            "sweeps": report.budget.sweeps,
-        },
-        "seed": report.seed,
-        "wall_clock": report.wall_clock,
-        "details": report.details,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def reports_to_csv(reports) -> str:
-    """Estimates side by side as CSV, one row per estimator."""
-    lines = ["estimator,log_z,samples,temperatures,sweeps,seed"]
-    for r in reports:
-        lines.append(
-            f"{r.estimator.value},{r.log_z!r},{r.budget.samples},"
-            f"{r.budget.temperatures},{r.budget.sweeps},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"

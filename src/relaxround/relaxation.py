@@ -97,10 +97,14 @@ def project_rows(X: np.ndarray) -> np.ndarray:
 
 
 def estimate_lipschitz(A: np.ndarray, iters: int = 50, tol: float = 1e-6) -> float:
-    """Upper estimate of the gradient Lipschitz constant 2*||A||_2.
+    """Estimate of the gradient Lipschitz constant L = 2*||A||_2, at least L/2.
 
-    Runs power iteration from a fixed pseudorandom start and inflates the
-    converged norm estimate by 1 percent to compensate for truncation.
+    Projected gradient ascent with step 1/estimate is monotone whenever the
+    estimate is at least L/2 (a step of at most 2/L never decreases an
+    L-smooth objective), so that is the contract. Power iteration from a
+    fixed pseudorandom start approaches ||A||_2 from below, and the
+    converged value is inflated by 1 percent; truncation can still leave
+    the result a few percent under L, so it is not an upper bound.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -201,10 +205,3 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
             best = (X, f, trace)
     X, f, trace = best
     return RelaxedSolution(X=X, objective=f, iterations=total_steps, trace=trace)
-
-
-def trace_to_csv(solution: RelaxedSolution) -> str:
-    """Objective trace as CSV with columns (iteration, objective)."""
-    lines = ["iteration,objective"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(solution.trace)]
-    return "\n".join(lines) + "\n"

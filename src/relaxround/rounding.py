@@ -51,15 +51,16 @@ class RoundingDistributionK2:
     `angles` are the distinct boundary angles in [0, 2*pi) sorted
     increasingly, `multiplicity[i]` counts the row boundaries merged into
     angles[i], `thetas` holds each row's direction angle (NaN for
-    degenerate rows), and `row_order` lists the non-degenerate row indices
-    sorted by direction angle.
+    degenerate rows), `row_order` lists the non-degenerate row indices
+    sorted by direction angle, and `degenerate` is a read-only boolean
+    mask of the rows shorter than DEGENERATE_NORM.
     """
 
     angles: np.ndarray
     multiplicity: np.ndarray
     thetas: np.ndarray
     row_order: np.ndarray
-    degenerate_rows: frozenset
+    degenerate: np.ndarray
 
     @property
     def n(self) -> int:
@@ -171,20 +172,14 @@ def build_px_k2(X) -> RoundingDistributionK2:
         counts.pop()
 
     thetas.setflags(write=False)
+    degenerate.setflags(write=False)
     return RoundingDistributionK2(
         angles=np.asarray(angles),
         multiplicity=np.asarray(counts, dtype=int),
         thetas=thetas,
         row_order=row_order,
-        degenerate_rows=frozenset(int(i) for i in np.flatnonzero(degenerate)),
+        degenerate=degenerate,
     )
-
-
-def _live_mask(dist: RoundingDistributionK2) -> np.ndarray:
-    mask = np.ones(dist.n, dtype=bool)
-    for i in dist.degenerate_rows:
-        mask[i] = False
-    return mask
 
 
 def px_query(dist: RoundingDistributionK2, X, x) -> float:
@@ -199,7 +194,7 @@ def px_query(dist: RoundingDistributionK2, X, x) -> float:
     if X.shape[0] != dist.n:
         raise ValueError(f"X has {X.shape[0]} rows, distribution has {dist.n}")
     xv = check_assignment(x, dist.n, Domain.PLUS_MINUS_ONE)
-    mask = _live_mask(dist)
+    mask = ~dist.degenerate
     if not mask.any():
         return 1.0
     centers = dist.thetas[mask] + np.where(xv[mask] < 0.0, np.pi, 0.0)
@@ -211,7 +206,7 @@ def px_query(dist: RoundingDistributionK2, X, x) -> float:
 
 def _px_query_batch(dist: RoundingDistributionK2, S: np.ndarray) -> np.ndarray:
     """Vectorized px_query over sample rows; same arithmetic as px_query."""
-    mask = _live_mask(dist)
+    mask = ~dist.degenerate
     if not mask.any():
         return np.ones(S.shape[0])
     centers = dist.thetas[mask][None, :] + np.where(S[:, mask] < 0, np.pi, 0.0)
@@ -230,9 +225,6 @@ def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
     X = _check_width2(X)
     if X.shape[0] != dist.n:
         raise ValueError(f"X has {X.shape[0]} rows, distribution has {dist.n}")
-    degenerate = np.zeros(dist.n, dtype=bool)
-    for i in dist.degenerate_rows:
-        degenerate[i] = True
     if dist.angles.size == 0:
         return [(np.ones(dist.n, dtype=np.int8), 1.0)]
     out = []
@@ -246,13 +238,6 @@ def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
         mid = 0.5 * (a0 + a1)
         direction = np.array([np.cos(mid), np.sin(mid)])
         pattern = np.where(X @ direction >= 0.0, 1, -1).astype(np.int8)
-        pattern[degenerate] = 1
+        pattern[dist.degenerate] = 1
         out.append((pattern, width / _TWO_PI))
     return out
-
-
-def batch_to_csv(batch: SampleBatch) -> str:
-    """Sample scores as CSV with columns (sample, score)."""
-    lines = ["sample,score"]
-    lines += [f"{i},{s!r}" for i, s in enumerate(batch.scores)]
-    return "\n".join(lines) + "\n"

@@ -243,12 +243,21 @@ def test_exit_codes(tmp_path):
     assert run("map", "--instance", inst, "--methods", "rrr,rrr", "--seed", 0,
                "--out", out) == 1
     assert run("map", "--seed", 0, "--out", out) == 1
+    assert run("map", "--instance", inst, "--methods", "rrr-ag", "--seed", 0,
+               "--out", out, "--chains", 0) == 1
     # input format: missing file, malformed json
     assert run("map", "--instance", tmp_path / "absent.json", "--methods",
                "rrr", "--seed", 0, "--out", out) == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind":')
     assert run("map", "--instance", bad, "--methods", "rrr", "--seed", 0,
+               "--out", out) == 2
+    # input format: a directory, a file that is not UTF-8
+    assert run("map", "--instance", tmp_path, "--methods", "rrr", "--seed", 0,
+               "--out", out) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "rbm\xe9"}')
+    assert run("map", "--instance", latin1, "--methods", "rrr", "--seed", 0,
                "--out", out) == 2
     # cap: embedded n = 33 for brute force, m = 30 visible for exact logz
     assert run("map", "--instance", inst, "--methods", "brute", "--seed", 0,

@@ -317,6 +317,9 @@ def test_canonicalize_auxiliary():
     assert list(x) == [-1, 1, -1]  # input untouched
     same = canonicalize_auxiliary(np.array([1, -1, 1], dtype=np.int8))
     assert list(same) == [1, -1, 1]
+    rows = np.array([[-1, 1, -1], [1, 1, -1]], dtype=np.int8)
+    assert canonicalize_auxiliary(rows).tolist() == [[1, -1, 1], [1, 1, -1]]
+    assert rows.tolist() == [[-1, 1, -1], [1, 1, -1]]  # input untouched
 
 
 # ----------------------------------------------------------- brute force

@@ -1,7 +1,6 @@
 """Exact, annealed-importance, and relax-and-round partition estimates."""
 
 import itertools
-import json
 import math
 
 import mpmath
@@ -24,8 +23,6 @@ from relaxround import (
     exact_logz_rbm,
     gen_random_rbm,
     rbm_score,
-    report_to_json,
-    reports_to_csv,
     rrr_is,
     rrr_is_exact,
     rrr_low,
@@ -312,33 +309,6 @@ def test_rrr_is_requires_width_two():
 
 
 # ------------------------------------------------------------- reporting
-
-
-def test_report_json_round_trip():
-    report = EstimateReport(
-        estimator=Estimator.AIS,
-        log_z=1.25,
-        budget=Budget(samples=10, temperatures=100, sweeps=99),
-        seed=5,
-        wall_clock=0.125,
-        details={"weight_std": 0.5},
-    )
-    doc = json.loads(report_to_json(report))
-    assert doc["estimator"] == "ais"
-    assert doc["log_z"] == 1.25
-    assert doc["budget"] == {"samples": 10, "temperatures": 100, "sweeps": 99}
-    assert doc["details"]["weight_std"] == 0.5
-
-
-def test_reports_csv():
-    reports = [
-        EstimateReport(Estimator.EXACT, 2.0, Budget(), 0, 0.0),
-        EstimateReport(Estimator.RRR_LOW, 1.5, Budget(samples=100), 3, 0.0),
-    ]
-    lines = reports_to_csv(reports).strip().split("\n")
-    assert lines[0] == "estimator,log_z,samples,temperatures,sweeps,seed"
-    assert lines[1].startswith("exact,2.0")
-    assert lines[2].startswith("rrr-low,1.5,100")
 
 
 def test_budget_validation():

@@ -10,7 +10,6 @@ from scipy import stats
 from relaxround import (
     LrpOptions,
     MrfParams,
-    batch_to_csv,
     build_px_k2,
     enumerate_support_k2,
     px_query,
@@ -149,14 +148,6 @@ def test_sampler_input_validation():
         rrr_map_sample(m, 2.0 * X, 5, seed=0)
 
 
-def test_batch_csv_format():
-    m = MrfParams(np.zeros((2, 2)))
-    batch = rrr_map_sample(m, np.eye(2), 3, seed=11)
-    lines = batch_to_csv(batch).strip().split("\n")
-    assert lines[0] == "sample,score"
-    assert len(lines) == 4
-
-
 # ------------------------------------------------- distribution geometry
 
 
@@ -189,7 +180,8 @@ def test_boundary_count_bound():
 def test_degenerate_rows_tracked():
     X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     dist = build_px_k2(X)
-    assert dist.degenerate_rows == frozenset({1})
+    assert dist.degenerate.tolist() == [False, True, False]
+    assert not dist.degenerate.flags.writeable
     assert len(dist.angles) == 4
 
 
