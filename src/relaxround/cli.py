@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gibbs import AnnealSchedule, annealed_gibbs, rrr_ag
-from .instances import InstanceFormatError, dump_instance, load_instance, write_atomic
+from .instances import InstanceFormatError, dumps_instance, load_instance, write_atomic
 from .models import (
     CapExceededError,
     Domain,
@@ -318,9 +318,11 @@ def _run_logz(args) -> int:
             batch = rrr_map_sample(
                 emb.mrf, sol.X, args.samples, _derive_seed(seed, _TAG_LOGZ_LOW_SAMPLE)
             )
-            report = rrr_low(
-                emb.mrf, replace(batch, samples=emb.canonical(batch.samples))
-            )
+            batch = replace(batch, samples=emb.canonical(batch.samples))
+            report = rrr_low(emb.mrf, batch)
+            # samples x n int8: not kept alive through rrr-is, where the
+            # process peaks
+            del batch
             entries[method] = {
                 "log_z": report.log_z + emb.offset,
                 "samples": args.samples,
@@ -366,11 +368,18 @@ def _logz_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error
+    (exit 1), unlike a missing or unreadable input file (exit 2)."""
+    try:
+        write_atomic(path, text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_report(args, doc: dict, to_csv) -> None:
-    if args.format == "json":
-        write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
-    else:
-        write_atomic(args.out, to_csv(doc))
+    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else to_csv(doc)
+    _write_out(args.out, text)
 
 
 def _run_gen(args) -> int:
@@ -380,7 +389,7 @@ def _run_gen(args) -> int:
         params = gen_hard_rbm(
             args.m, args.p, args.pairs, args.couple, args.bias, args.seed
         )
-    dump_instance(params, args.out)
+    _write_out(args.out, dumps_instance(params))
     return EXIT_OK
 
 

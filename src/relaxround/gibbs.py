@@ -7,6 +7,8 @@ a logistic in (score difference)/temperature.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,6 +16,10 @@ from scipy.special import expit
 
 from .models import Domain, MrfParams, RbmParams, check_assignment
 from .rounding import _check_feasible_rows, _sample_batch
+
+# machine epsilon, and the largest argument math.exp takes without overflow
+_EPS = sys.float_info.epsilon
+_EXP_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "AnnealSchedule",
@@ -109,15 +115,68 @@ def gibbs_conditional(params: MrfParams, x, i: int, temperature: float = 1.0) ->
     return float(expit(4.0 * field / temperature))
 
 
+def _field_error(A: np.ndarray) -> float:
+    """Bound on how far the incremental field of `_sweep_inplace` can sit
+    from the per-site field `A[i] @ x - A[i, i] * x[i]`.
+
+    With x in {-1,+1}^n every product A_ij x_j is exact, so a field is off
+    only by its roundings, each at most u = eps/2 times a partial result no
+    larger than the row's absolute sum R_i. The per-site field takes n
+    roundings (a dot product of n terms in any summation order, then one
+    subtraction); the incremental one at most 2n - 1 (a matrix-vector
+    product of n terms, one subtraction, up to n - 1 flip updates). The two
+    therefore differ by at most about 3n u R_i = 1.5 n eps R_i; the bound is
+    4 (n + 1) eps times the largest R_i, over twice that.
+    """
+    n = A.shape[0]
+    return 4.0 * (n + 1) * _EPS * float(np.abs(A).sum(axis=1).max(initial=0.0))
+
+
 def _sweep_inplace(
-    A: np.ndarray, x: np.ndarray, temperature: float, rng: np.random.Generator
+    A: np.ndarray,
+    x: np.ndarray,
+    temperature: float,
+    rng: np.random.Generator,
+    field_error: float,
 ) -> None:
-    """One systematic scan over sites 0..n-1, drawing one uniform per site."""
+    """One systematic scan over sites 0..n-1, drawing one uniform per site.
+
+    Decides every site as `u < expit(4 * field / T)` with the per-site field
+    `A[i] @ x - A[i, i] * x[i]`, without computing that field: the fields
+    are refreshed with one matrix-vector product per sweep and moved by
+    2 s A[i] when site i flips to s (A is exactly symmetric). Uniforms come
+    from one `rng.random(n)`, the same stream as n scalar draws.
+
+    `field_error` (see `_field_error`) bounds the incremental field's
+    distance from the per-site one. The logistic is 1/T-Lipschitz in the
+    field, so the two probabilities differ by at most field_error / T plus
+    the rounding of the logistic itself (a few eps for either
+    implementation). Outside that guard width the comparison with u
+    cannot come out differently; inside it the site is decided with the
+    per-site expression, so every decision, and the chain, is bit for bit
+    that of the per-site kernel.
+    """
     n = x.shape[0]
-    for i in range(n):
-        field = A[i] @ x - A[i, i] * x[i]
-        prob = expit(4.0 * field / temperature)
-        x[i] = 1 if rng.random() < prob else -1
+    # half of each field, diagonal excluded, so a flip to s adds s * A[i]
+    # with no scaling; site i's own entry goes stale once visited, which no
+    # later site reads
+    half = 0.5 * (A @ x - A.diagonal() * x)
+    field_of = half.item
+    guard = field_error / temperature + 8.0 * _EPS
+    xs = x.tolist()
+    for i, u in enumerate(rng.random(n).tolist()):
+        z = 8.0 * field_of(i) / temperature
+        prob = 1.0 / (1.0 + math.exp(-z)) if -z <= _EXP_MAX else 0.0
+        if abs(u - prob) <= guard:
+            prob = expit(4.0 * (A[i] @ x - A[i, i] * x[i]) / temperature)
+        s = 1 if u < prob else -1
+        if s != xs[i]:
+            xs[i] = s
+            x[i] = s
+            if s > 0:
+                half += A[i]
+            else:
+                half -= A[i]
 
 
 def gibbs_sweep(
@@ -132,7 +191,7 @@ def gibbs_sweep(
         raise ValueError("temperature must be positive")
     check_assignment(state.x, params.n, params.domain)
     x = state.x.astype(np.int8).copy()
-    _sweep_inplace(params.A, x, temperature, rng)
+    _sweep_inplace(params.A, x, temperature, rng, _field_error(params.A))
     new_score = float(x @ params.A @ x)
     return ChainState(x, state.sweep_count + 1, state.score_trace + (new_score,))
 
@@ -185,9 +244,10 @@ def _run_schedule(
     A = params.A
     x = np.asarray(x0, dtype=np.int8).copy()
     best_x, best_score = x.copy(), float(x @ A @ x)
+    field_error = _field_error(A)
     trace = []
     for temperature in temperatures:
-        _sweep_inplace(A, x, float(temperature), rng)
+        _sweep_inplace(A, x, float(temperature), rng, field_error)
         value = float(x @ A @ x)
         trace.append(value)
         if value > best_score:

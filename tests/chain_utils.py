@@ -1,4 +1,5 @@
-"""Table-driven single-site chain for long stationarity runs.
+"""Chain helpers for the tests: the per-site reference kernel, and a
+table-driven single-site chain for long stationarity runs.
 
 For n small enough to enumerate, all 2^n conditional probabilities are
 precomputed and the chain walks integer state codes, which makes million-
@@ -10,6 +11,27 @@ import numpy as np
 from scipy.special import expit
 
 from relaxround import Domain, MrfParams, iter_corner_blocks, score_batch
+
+
+def reference_sweep(A, x, temperature, rng):
+    """The per-site kernel the library's incremental-field sweep must match
+    bit for bit: at each site the field A[i] @ x - A[i, i] * x[i], its
+    logistic through scipy, and one scalar uniform."""
+    for i in range(x.shape[0]):
+        field = A[i] @ x - A[i, i] * x[i]
+        prob = expit(4.0 * field / temperature)
+        x[i] = 1 if rng.random() < prob else -1
+
+
+def reference_chain(A, temperatures, x0, rng):
+    """One reference sweep per temperature from x0; returns the final state
+    and the score x'Ax after each sweep."""
+    x = np.asarray(x0, dtype=np.int8).copy()
+    trace = []
+    for temperature in temperatures:
+        reference_sweep(A, x, float(temperature), rng)
+        trace.append(float(x @ A @ x))
+    return x, trace
 
 
 def state_code(x) -> int:

@@ -234,7 +234,7 @@ def test_logz_rrr_is_requires_k2(tmp_path):
 # ------------------------------------------------------- codes and bytes
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     inst = gen_instance(tmp_path, m=20, p=12, seed=1)
     out = tmp_path / "r.json"
     # usage: unknown method, duplicate methods, missing required flag
@@ -259,6 +259,17 @@ def test_exit_codes(tmp_path):
     latin1.write_bytes(b'{"kind": "rbm\xe9"}')
     assert run("map", "--instance", latin1, "--methods", "rrr", "--seed", 0,
                "--out", out) == 2
+    # usage: an output path that names a directory or sits in a missing one
+    # ends in one error line, and leaves no temporary file behind
+    capsys.readouterr()
+    for bad_out in (tmp_path, tmp_path / "missing" / "r.json"):
+        for argv in (["map", "--instance", inst, "--methods", "rrr", "--seed", 0],
+                     ["gen", "--kind", "random", "--m", 3, "--p", 2]):
+            assert run(*argv, "--out", bad_out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"relaxround: error: cannot write {bad_out}")
+            assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.tmp"))
     # cap: embedded n = 33 for brute force, m = 30 visible for exact logz
     assert run("map", "--instance", inst, "--methods", "brute", "--seed", 0,
                "--out", out) == 3

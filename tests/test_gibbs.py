@@ -1,6 +1,7 @@
 """Single-site and block Gibbs, annealing schedules, and the warm start."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,11 +27,14 @@ from relaxround import (
     score,
     solve_lrp,
 )
+from relaxround import gibbs as gibbs_module
 
 from chain_utils import (
     conditional_table,
     exact_distribution,
     fast_chain_trajectory,
+    reference_chain,
+    reference_sweep,
     run_fast_chain,
     state_code,
 )
@@ -144,6 +148,67 @@ def test_fast_chain_follows_library_chain():
         conditional_table(m), 7, 50, np.random.default_rng(6), state_code(x0)
     )
     assert fast_codes == lib_codes
+
+
+@pytest.mark.parametrize(
+    "make, overflows",
+    [
+        (lambda: gen_hard_rbm(100, 60, 3, 50.0, 5.0), False),
+        (lambda: gen_hard_rbm(100, 60), True),
+        (lambda: gen_random_rbm(300, 200), False),
+    ],
+    ids=["hard-50-5", "hard-default", "random-300-200"],
+)
+def test_sweep_matches_reference_kernel(make, overflows):
+    # the incremental-field kernel must reproduce the per-site kernel bit
+    # for bit: same states, same score after every sweep
+    emb = rbm_to_mrf(make())
+    A = emb.A
+    x0 = (2 * np.random.default_rng(30).integers(0, 2, emb.n) - 1).astype(np.int8)
+    if overflows:
+        # fields large enough that exp(-4 * field) overflows at T = 1
+        fields = A @ x0 - np.diag(A) * x0
+        assert np.abs(4.0 * fields).max() > math.log(sys.float_info.max)
+    sched = AnnealSchedule.linear(10.0, 2000)
+    state = annealed_gibbs(emb, sched, x0, seed=31)
+    x_ref, trace_ref = reference_chain(A, sched.temperatures, x0,
+                                       np.random.default_rng(31))
+    assert np.array_equal(state.x, x_ref)
+    assert list(state.score_trace) == trace_ref
+
+
+class _FixedUniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        out, self._values = self._values[:size], self._values[size:]
+        return np.array(out)
+
+
+@pytest.mark.parametrize("unary, fallbacks", [(0.0, 1), (1e3, 3)])
+def test_sweep_near_tie_decided_exactly(monkeypatch, unary, fallbacks):
+    # zero coupling: every conditional is exactly 1/2, so a uniform at 1/2
+    # gives -1, one 1e-12 below gives +1 and one 1e-12 above gives -1.
+    # Without unary weights only the exact tie falls inside the guard;
+    # unary weights leave the conditionals alone but widen the guard past
+    # 1e-12, so all three sites are decided by the per-site expression
+    m = MrfParams(unary * np.eye(3))
+    uniforms = [0.5, 0.5 - 1e-12, 0.5 + 1e-12]
+    calls = []
+    monkeypatch.setattr(gibbs_module, "expit", lambda z: calls.append(z) or expit(z))
+    x0 = np.array([1, -1, 1], dtype=np.int8)
+    state = gibbs_sweep(m, ChainState.initial(x0), 1.0, _FixedUniforms(uniforms))
+    assert state.x.tolist() == [-1, 1, -1]
+    assert len(calls) == fallbacks
+
+    x_ref = x0.copy()
+    reference_sweep(m.A, x_ref, 1.0, _FixedUniforms(uniforms))
+    assert np.array_equal(state.x, x_ref)
 
 
 def test_stationary_distribution_small_instance():
