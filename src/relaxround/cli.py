@@ -190,7 +190,7 @@ def _run_map(args) -> int:
                 "best_assignment": prob.to_native(best_x),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,
-                "cost_sweep_equivalents": sol.iterations * args.k
+                "cost_sweep_equivalents": sol.matvecs
                 + math.ceil(args.samples * args.k / n),
                 "score_trace": [float(v) for v in running],
             }
@@ -223,7 +223,7 @@ def _run_map(args) -> int:
                 "best_assignment": prob.to_native(prob.canonical(state.best_x)),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,
-                "cost_sweep_equivalents": sol.iterations * args.k
+                "cost_sweep_equivalents": sol.matvecs
                 + math.ceil(args.chains * args.k / n)
                 + args.chains * len(schedule),
                 "chains": args.chains,

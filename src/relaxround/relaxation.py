@@ -7,7 +7,6 @@ box relaxation; width n is the full factored semidefinite relaxation.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 
@@ -20,17 +19,6 @@ logger = logging.getLogger(__name__)
 # Stopping rule compares objectives this many iterations apart.
 _STALL_WINDOW = 5
 
-# Armijo line search: initial step in units of 1/L, sufficient-increase
-# coefficient, and maximum number of halvings.
-_BACKTRACK_START = 4.0
-_ARMIJO_C = 1e-4
-_MAX_HALVINGS = 30
-
-
-class StepRule(enum.Enum):
-    FIXED_INVERSE_LIPSCHITZ = "fixed"
-    BACKTRACKING = "backtracking"
-
 
 @dataclass(frozen=True)
 class LrpOptions:
@@ -40,7 +28,6 @@ class LrpOptions:
     k: int = 2
     max_iters: int = 10_000
     rel_tol: float = 1e-8
-    step_rule: StepRule = StepRule.FIXED_INVERSE_LIPSCHITZ
     restarts: int = 8
     seed: int = 0
 
@@ -53,20 +40,22 @@ class LrpOptions:
             raise ValueError("rel_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not isinstance(self.step_rule, StepRule):
-            raise ValueError(f"step_rule must be a StepRule, got {self.step_rule!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class RelaxedSolution:
     """Best iterate found: row matrix X, its objective, the total number of
-    gradient steps across all restarts, and the winning run's objective
-    trace (entry 0 is the objective at initialization)."""
+    gradient steps across all restarts, the winning run's objective trace
+    (entry 0 is the objective at initialization), and the number of
+    n-vector products with A the solve did (`matvecs`: the power iteration
+    of estimate_lipschitz included, a product with an n x k block counted
+    as k)."""
 
     X: np.ndarray
     objective: float
     iterations: int
     trace: np.ndarray
+    matvecs: int
 
     def __post_init__(self):
         norms = np.linalg.norm(self.X, axis=1)
@@ -87,16 +76,16 @@ def lrp_objective(A: np.ndarray, X: np.ndarray) -> float:
 
 def project_rows(X: np.ndarray) -> np.ndarray:
     """Project every row onto the unit ball. Rows with norm <= 1 are
-    returned unchanged, longer rows are rescaled to norm 1."""
+    returned unchanged, longer rows are rescaled to norm 1. Rows run along
+    the last axis, so a stack of row matrices is projected row by row."""
     X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X, axis=1)
-    scale = np.ones_like(norms)
-    long = norms > 1.0
-    scale[long] = 1.0 / norms[long]
-    return X * scale[:, None]
+    norms = np.sqrt(np.einsum("...k,...k->...", X, X))
+    return X * (1.0 / np.maximum(norms, 1.0))[..., None]
 
 
-def estimate_lipschitz(A: np.ndarray, iters: int = 50, tol: float = 1e-6) -> float:
+def estimate_lipschitz(
+    A: np.ndarray, iters: int = 50, tol: float = 1e-6, *, return_matvecs: bool = False
+) -> float | tuple[float, int]:
     """Estimate of the gradient Lipschitz constant L = 2*||A||_2, at least L/2.
 
     Projected gradient ascent with step 1/estimate is monotone whenever the
@@ -105,6 +94,8 @@ def estimate_lipschitz(A: np.ndarray, iters: int = 50, tol: float = 1e-6) -> flo
     fixed pseudorandom start approaches ||A||_2 from below, and the
     converged value is inflated by 1 percent; truncation can still leave
     the result a few percent under L, so it is not an upper bound.
+
+    With `return_matvecs`, returns (estimate, number of products A @ v).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -114,8 +105,10 @@ def estimate_lipschitz(A: np.ndarray, iters: int = 50, tol: float = 1e-6) -> flo
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     est = 0.0
+    matvecs = 0
     for _ in range(iters):
         w = A @ v
+        matvecs += 1
         nw = float(np.linalg.norm(w))
         if nw < 1e-300:
             est = 0.0
@@ -125,7 +118,8 @@ def estimate_lipschitz(A: np.ndarray, iters: int = 50, tol: float = 1e-6) -> flo
             break
         est = nw
         v = w / nw
-    return 2.0 * est * 1.01
+    est = 2.0 * est * 1.01
+    return (est, matvecs) if return_matvecs else est
 
 
 def _init_rows_in_ball(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,70 +132,89 @@ def _init_rows_in_ball(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return g * (radii / norms)[:, None]
 
 
-def _ascend(A: np.ndarray, X: np.ndarray, opts: LrpOptions, base_step: float):
-    """Projected gradient ascent from X. Returns (best_X, best_f, steps, trace)."""
-    f = float(np.sum(X * (A @ X)))
-    trace = [f]
-    best_X, best_f = X, f
-    steps = 0
-    for _ in range(opts.max_iters):
-        G = 2.0 * (A @ X)
-        if opts.step_rule is StepRule.FIXED_INVERSE_LIPSCHITZ:
-            Xn = project_rows(X + base_step * G)
-            fn = float(np.sum(Xn * (A @ Xn)))
-        else:
-            eta = _BACKTRACK_START * base_step
-            Xn = None
-            for _ in range(_MAX_HALVINGS):
-                cand = project_rows(X + eta * G)
-                fc = float(np.sum(cand * (A @ cand)))
-                if fc >= f + _ARMIJO_C * float(np.sum(G * (cand - X))):
-                    Xn, fn = cand, fc
-                    break
-                eta /= 2.0
-            if Xn is None:
-                # No acceptable step: treat as converged.
+def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float, step: float):
+    """Projected gradient ascent with a fixed step on R restarts at once.
+
+    X has shape (n, R, k): restart r starts from the row matrix X[:, r].
+    Every iteration does one product of A with the n x (R'k) block of the
+    R' restarts still running. That product P = AX gives each restart's
+    objective tr(X'AX) and is kept as the next step's gradient 2P. A
+    restart leaves the block once its objective has changed by less than
+    rel_tol (relative) over the last _STALL_WINDOW steps.
+
+    Returns (best_X, best_f, traces, capped), sequences indexed by restart
+    except `capped`: each restart's best iterate (first one wins ties) and
+    its objective, its objective trace (entry 0 at the start, one entry per
+    step), and how many restarts were still running after max_iters steps.
+    """
+    n = X.shape[0]
+    P = (A @ X.reshape(n, -1)).reshape(X.shape)
+    f = np.einsum("irk,irk->r", X, P).tolist()
+    traces = [[v] for v in f]
+    best = [(v, X[:, r]) for r, v in enumerate(f)]
+    run = list(range(len(f)))  # restart in each column of the block
+    for _ in range(max_iters):
+        X = project_rows(X + (2.0 * step) * P)  # gradient 2P
+        P = (A @ X.reshape(n, -1)).reshape(X.shape)
+        keep = []
+        for j, v in enumerate(np.einsum("irk,irk->r", X, P).tolist()):
+            r = run[j]
+            trace = traces[r]
+            trace.append(v)
+            if v > best[r][0]:
+                best[r] = (v, X[:, j])
+            stalled = len(trace) > _STALL_WINDOW and abs(
+                v - trace[-1 - _STALL_WINDOW]
+            ) < rel_tol * max(1.0, abs(v))
+            if not stalled:
+                keep.append(j)
+        if len(keep) < len(run):
+            run = [run[j] for j in keep]
+            if not run:
                 break
-        X, f = Xn, fn
-        steps += 1
-        trace.append(f)
-        if f > best_f:
-            best_X, best_f = X, f
-        if len(trace) > _STALL_WINDOW:
-            if abs(trace[-1] - trace[-1 - _STALL_WINDOW]) < opts.rel_tol * max(
-                1.0, abs(trace[-1])
-            ):
-                break
-    else:
-        logger.warning("relaxation stopped at max_iters=%d", opts.max_iters)
-    return best_X, best_f, steps, np.asarray(trace)
+            X, P = X[:, keep], P[:, keep]
+    best_f, best_X = zip(*best)
+    return best_X, best_f, traces, len(run)
 
 
 def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
     """Maximize tr(X' A X) over row matrices with unit-ball rows.
 
-    Runs `opts.restarts` independent projected gradient ascents with a step
-    of 1/L from estimate_lipschitz (the backtracking rule starts each line
-    search above that and halves until the Armijo test passes) and returns
-    the best iterate seen. Stops a run when the objective changes by less
-    than rel_tol (relative) across a fixed window, or at max_iters.
+    Runs `opts.restarts` projected gradient ascents, each from a random
+    start drawn from its own child of SeedSequence(opts.seed), with the
+    fixed step 1/L from estimate_lipschitz. The restarts advance together
+    as one n x (restarts*k) block, so each iteration reads A once, and the
+    product that yields the objectives is reused as the next gradient. A
+    restart stops when its objective changes by less than rel_tol
+    (relative) across a fixed window, or at max_iters, which logs one
+    warning per solve. Returns the best iterate seen; the first restart
+    wins ties.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("relaxation expects a {-1,+1}-domain model")
     if opts.k > params.n:
         raise ValueError(f"width k={opts.k} exceeds n={params.n}")
     A = params.A
-    L = estimate_lipschitz(A)
-    base_step = 1.0 / L if L > 0 else 1.0
-    root = np.random.SeedSequence(opts.seed)
-    best = None
-    total_steps = 0
-    for child in root.spawn(opts.restarts):
-        rng = np.random.default_rng(child)
-        X0 = _init_rows_in_ball(params.n, opts.k, rng)
-        X, f, steps, trace = _ascend(A, X0, opts, base_step)
-        total_steps += steps
-        if best is None or f > best[1]:
-            best = (X, f, trace)
-    X, f, trace = best
-    return RelaxedSolution(X=X, objective=f, iterations=total_steps, trace=trace)
+    L, lipschitz_matvecs = estimate_lipschitz(A, return_matvecs=True)
+    step = 1.0 / L if L > 0 else 1.0
+    starts = [
+        _init_rows_in_ball(params.n, opts.k, np.random.default_rng(child))
+        for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)
+    ]
+    best_X, best_f, traces, capped = _ascend(
+        A, np.stack(starts, axis=1), opts.max_iters, opts.rel_tol, step
+    )
+    if capped:
+        logger.warning(
+            "relaxation stopped at max_iters=%d in %d of %d restarts",
+            opts.max_iters, capped, opts.restarts,
+        )
+    iterations = sum(len(trace) - 1 for trace in traces)
+    win = int(np.argmax(best_f))
+    return RelaxedSolution(
+        X=best_X[win].copy(),
+        objective=best_f[win],
+        iterations=iterations,
+        trace=np.asarray(traces[win]),
+        matvecs=lipschitz_matvecs + opts.k * (opts.restarts + iterations),
+    )
