@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,18 +22,12 @@ from .gibbs import AnnealSchedule, annealed_gibbs, rrr_ag
 from .instances import InstanceFormatError, dumps_instance, load_instance, write_atomic
 from .models import (
     CapExceededError,
-    Domain,
-    LinearReduction,
     MrfParams,
     RbmParams,
-    bits_to_hyp,
     brute_force_map,
-    canonicalize_auxiliary,
-    fold_linear_bits,
-    fold_linear_hyp,
+    embed,
     gen_hard_rbm,
     gen_random_rbm,
-    rbm_to_mrf,
 )
 from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_is_exact, rrr_low
 from .relaxation import LrpOptions, solve_lrp
@@ -51,11 +45,10 @@ LOG_2 = math.log(2.0)
 
 # Fixed tags mixed into per-task seeds so each method's randomness is stable
 # regardless of which other methods run alongside it.
-_TAG_MAP_LRP = 11
 _TAG_MAP_SAMPLE = 12
 _TAG_AG_INIT = 21
 _TAG_AG_RUN = 22
-_TAG_RRRAG_LRP = 31
+_TAG_MAP_LRP = 31
 _TAG_RRRAG_SAMPLE = 32
 _TAG_LOGZ_AIS = 41
 _TAG_LOGZ_LRP = 51
@@ -78,58 +71,12 @@ def _derive_seed(*entropy) -> int:
     return int(state[0])
 
 
-@dataclass
-class _Embedded:
-    """A loaded instance rewritten as a {-1,+1} quadratic model.
-
-    native score = embedded score of (1, t) + offset, where t are the
-    non-auxiliary coordinates.
-    """
-
-    mrf: MrfParams
-    offset: float
-    has_aux: bool
-    kind: str
-    domain: Domain
-    m: int = 0
-    p: int = 0
-
-    def canonical(self, x: np.ndarray) -> np.ndarray:
-        return canonicalize_auxiliary(x) if self.has_aux else np.asarray(x)
-
-    def to_native(self, x: np.ndarray) -> dict:
-        t = np.asarray(x[1:] if self.has_aux else x)
-        if self.domain is Domain.ZERO_ONE:
-            t = (t + 1) // 2
-        values = [int(value) for value in t]
-        if self.kind == "rbm":
-            return {"v": values[: self.m], "h": values[self.m :]}
-        return {"x": values}
-
-
-def _embed(inst) -> _Embedded:
-    if isinstance(inst, MrfParams):
-        if inst.domain is Domain.PLUS_MINUS_ONE:
-            return _Embedded(inst, 0.0, False, "mrf", inst.domain)
-        hyp, red = bits_to_hyp(inst)
-        return _Embedded(fold_linear_hyp(hyp, red), red.c, True, "mrf", inst.domain)
-    if inst.domain is Domain.PLUS_MINUS_ONE:
-        return _Embedded(
-            rbm_to_mrf(inst), 0.0, True, "rbm", inst.domain, inst.m, inst.p
-        )
-    # {0,1} RBM: quadratic coupling block plus the biases folded into the
-    # diagonal (bits square to themselves), then the spin-domain rewrite.
-    m, p = inst.m, inst.p
-    quad = np.zeros((m + p, m + p))
-    quad[:m, m:] = inst.W / 2.0
-    quad[m:, :m] = inst.W.T / 2.0
-    coupling = MrfParams(quad, Domain.ZERO_ONE)
-    folded = fold_linear_bits(
-        coupling,
-        LinearReduction(quad, np.concatenate([inst.a, inst.b]), 0.0),
+def _relax(mrf: MrfParams, args, tag: int):
+    """The command's one relaxation, shared by all its rounding methods."""
+    opts = LrpOptions(
+        k=args.k, restarts=args.restarts, seed=_derive_seed(args.seed, tag)
     )
-    hyp, red = bits_to_hyp(folded)
-    return _Embedded(fold_linear_hyp(hyp, red), red.c, True, "rbm", inst.domain, m, p)
+    return solve_lrp(mrf, opts)
 
 
 def _instance_meta(inst, path: str) -> dict:
@@ -159,7 +106,7 @@ def _parse_methods(raw: str, allowed) -> list:
 
 def _run_map(args) -> int:
     inst = load_instance(args.instance)
-    prob = _embed(inst)
+    prob = embed(inst)
     mrf = prob.mrf
     n = mrf.n
     methods = _parse_methods(args.methods, MAP_METHODS)
@@ -169,25 +116,22 @@ def _run_map(args) -> int:
     chain_sweeps = args.chain_sweeps
     if chain_sweeps is None:
         chain_sweeps = max(1, args.sweeps // args.chains)
+    # rrr and rrr-ag round one solution; each entry's cost still counts the
+    # whole solve, as if its method ran alone.
+    if {"rrr", "rrr-ag"} & set(methods):
+        sol = _relax(mrf, args, _TAG_MAP_LRP)
 
     entries = {}
     for method in methods:
         if method == "rrr":
-            opts = LrpOptions(
-                k=args.k,
-                restarts=args.restarts,
-                seed=_derive_seed(seed, _TAG_MAP_LRP),
-            )
-            sol = solve_lrp(mrf, opts)
             batch = rrr_map_sample(
                 mrf, sol.X, args.samples, _derive_seed(seed, _TAG_MAP_SAMPLE)
             )
             best_i = int(np.argmax(batch.scores))
-            best_x = prob.canonical(batch.samples[best_i])
             running = np.maximum.accumulate(batch.scores) + prob.offset
             entries[method] = {
                 "best_score": float(batch.scores[best_i]) + prob.offset,
-                "best_assignment": prob.to_native(best_x),
+                "best_assignment": prob.to_native(batch.samples[best_i]),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,
                 "cost_sweep_equivalents": sol.matvecs
@@ -203,24 +147,18 @@ def _run_map(args) -> int:
             )
             entries[method] = {
                 "best_score": state.best_score + prob.offset,
-                "best_assignment": prob.to_native(prob.canonical(state.best_x)),
+                "best_assignment": prob.to_native(state.best_x),
                 "cost_sweep_equivalents": len(schedule),
                 "score_trace": [v + prob.offset for v in state.score_trace],
             }
         elif method == "rrr-ag":
-            opts = LrpOptions(
-                k=args.k,
-                restarts=args.restarts,
-                seed=_derive_seed(seed, _TAG_RRRAG_LRP),
-            )
-            sol = solve_lrp(mrf, opts)
             schedule = AnnealSchedule.linear(args.t_high, chain_sweeps)
             state = rrr_ag(
                 mrf, sol.X, schedule, args.chains, _derive_seed(seed, _TAG_RRRAG_SAMPLE)
             )
             entries[method] = {
                 "best_score": state.best_score + prob.offset,
-                "best_assignment": prob.to_native(prob.canonical(state.best_x)),
+                "best_assignment": prob.to_native(state.best_x),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,
                 "cost_sweep_equivalents": sol.matvecs
@@ -234,7 +172,7 @@ def _run_map(args) -> int:
             x, value = brute_force_map(mrf)
             entries[method] = {
                 "best_score": value + prob.offset,
-                "best_assignment": prob.to_native(prob.canonical(x)),
+                "best_assignment": prob.to_native(x),
                 "cost_sweep_equivalents": 1 << n,
             }
 
@@ -279,24 +217,12 @@ def _run_logz(args) -> int:
     if "rrr-is" in methods and args.k != 2:
         raise UsageError("rrr-is requires width k=2")
     seed = args.seed
-
-    prob = None
-    relaxed = None
-
-    def embedded():
-        # The embedded model doubles the partition sum (the auxiliary spin
-        # is free), so estimates subtract log 2 where the full embedded sum
-        # is targeted; the rewrite constant is added back for {0,1} models.
-        nonlocal prob, relaxed
-        if prob is None:
-            prob = _embed(inst)
-            opts = LrpOptions(
-                k=args.k,
-                restarts=args.restarts,
-                seed=_derive_seed(seed, _TAG_LOGZ_LRP),
-            )
-            relaxed = solve_lrp(prob.mrf, opts)
-        return prob, relaxed
+    # The embedded model doubles the partition sum (the auxiliary spin is
+    # free), so estimates subtract log 2 where the full embedded sum is
+    # targeted; the rewrite constant is added back for {0,1} models.
+    if {"rrr-low", "rrr-is"} & set(methods):
+        emb = embed(inst)
+        sol = _relax(emb.mrf, args, _TAG_LOGZ_LRP)
 
     entries = {}
     for method in methods:
@@ -314,7 +240,6 @@ def _run_logz(args) -> int:
                 "num_runs": args.num_runs,
             }
         elif method == "rrr-low":
-            emb, sol = embedded()
             batch = rrr_map_sample(
                 emb.mrf, sol.X, args.samples, _derive_seed(seed, _TAG_LOGZ_LOW_SAMPLE)
             )
@@ -329,7 +254,6 @@ def _run_logz(args) -> int:
                 "distinct": report.details["distinct"],
             }
         elif method == "rrr-is":
-            emb, sol = embedded()
             sampled = rrr_is(
                 emb.mrf, sol.X, args.samples, _derive_seed(seed, _TAG_LOGZ_IS)
             )
@@ -465,9 +389,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"relaxround: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as exc:
-        print(f"relaxround: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except ValueError as exc:
         print(f"relaxround: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

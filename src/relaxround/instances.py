@@ -152,11 +152,12 @@ def loads_instance(text: str):
 
 
 def load_instance(path: str):
-    """Read an instance file. Returns MrfParams or RbmParams. A directory
+    """Read an instance file. Returns MrfParams or RbmParams. A path that
+    cannot be read (missing, a directory, no permission, an invalid name)
     or a file that is not UTF-8 text raises InstanceFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     return loads_instance(text)

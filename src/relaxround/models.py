@@ -277,6 +277,63 @@ def fold_linear_bits(params: MrfParams, red: LinearReduction) -> MrfParams:
     return MrfParams(params.A + np.diag(red.b), Domain.ZERO_ONE)
 
 
+@dataclass(frozen=True, eq=False)
+class Embedding:
+    """An instance rewritten as a {-1,+1} quadratic model `mrf`.
+
+    Every corner x of `mrf` scores the native score of to_native(x) minus
+    `offset`. With `has_aux`, index 0 is an auxiliary variable carrying the
+    linear terms, and x and -x score and decode alike.
+    """
+
+    source: MrfParams | RbmParams
+    mrf: MrfParams
+    offset: float
+    has_aux: bool
+
+    def canonical(self, x) -> np.ndarray:
+        """x (one corner or stacked rows) with each auxiliary coordinate
+        flipped to +1 by a global sign flip; x itself without one."""
+        return canonicalize_auxiliary(x) if self.has_aux else np.asarray(x)
+
+    def to_native(self, x) -> dict:
+        """The instance's own assignment for an embedded corner x:
+        {"v": ..., "h": ...} for an RBM, {"x": ...} for an MRF."""
+        x = self.canonical(x)
+        t = x[1:] if self.has_aux else x
+        if self.source.domain is Domain.ZERO_ONE:
+            t = (t + 1) // 2
+        values = [int(value) for value in t]
+        if isinstance(self.source, RbmParams):
+            m = self.source.m
+            return {"v": values[:m], "h": values[m:]}
+        return {"x": values}
+
+
+def embed(instance: MrfParams | RbmParams) -> Embedding:
+    """Rewrite an MRF or RBM in either domain as a {-1,+1} quadratic model,
+    adding an auxiliary variable when linear terms appear."""
+    if isinstance(instance, MrfParams):
+        if instance.domain is Domain.PLUS_MINUS_ONE:
+            return Embedding(instance, instance, 0.0, False)
+        hyp, red = bits_to_hyp(instance)
+        return Embedding(instance, fold_linear_hyp(hyp, red), red.c, True)
+    if instance.domain is Domain.PLUS_MINUS_ONE:
+        return Embedding(instance, rbm_to_mrf(instance), 0.0, True)
+    # {0,1} RBM: quadratic coupling block plus the biases folded into the
+    # diagonal (bits square to themselves), then the spin-domain rewrite.
+    m, p = instance.m, instance.p
+    quad = np.zeros((m + p, m + p))
+    quad[:m, m:] = instance.W / 2.0
+    quad[m:, :m] = instance.W.T / 2.0
+    folded = fold_linear_bits(
+        MrfParams(quad, Domain.ZERO_ONE),
+        LinearReduction(quad, np.concatenate([instance.a, instance.b]), 0.0),
+    )
+    hyp, red = bits_to_hyp(folded)
+    return Embedding(instance, fold_linear_hyp(hyp, red), red.c, True)
+
+
 def iter_corner_blocks(n: int, domain: Domain, block: int = _CORNER_BLOCK):
     """Yield all 2**n assignments as float matrices, in lexicographic order.
 

@@ -194,18 +194,11 @@ def px_query(dist: RoundingDistributionK2, X, x) -> float:
     if X.shape[0] != dist.n:
         raise ValueError(f"X has {X.shape[0]} rows, distribution has {dist.n}")
     xv = check_assignment(x, dist.n, Domain.PLUS_MINUS_ONE)
-    mask = ~dist.degenerate
-    if not mask.any():
-        return 1.0
-    centers = dist.thetas[mask] + np.where(xv[mask] < 0.0, np.pi, 0.0)
-    rel = np.mod(centers - centers[0] + np.pi, _TWO_PI) - np.pi
-    lo = float(rel.max()) - np.pi / 2.0
-    hi = float(rel.min()) + np.pi / 2.0
-    return max(0.0, hi - lo) / _TWO_PI
+    return float(_px_query_batch(dist, xv[None, :])[0])
 
 
 def _px_query_batch(dist: RoundingDistributionK2, S: np.ndarray) -> np.ndarray:
-    """Vectorized px_query over sample rows; same arithmetic as px_query."""
+    """px_query over sample rows, without argument checks."""
     mask = ~dist.degenerate
     if not mask.any():
         return np.ones(S.shape[0])
@@ -236,8 +229,7 @@ def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
         if width <= 0.0:
             continue
         mid = 0.5 * (a0 + a1)
-        direction = np.array([np.cos(mid), np.sin(mid)])
-        pattern = np.where(X @ direction >= 0.0, 1, -1).astype(np.int8)
+        pattern = round_once(X, np.array([np.cos(mid), np.sin(mid)]))
         pattern[dist.degenerate] = 1
         out.append((pattern, width / _TWO_PI))
     return out

@@ -15,6 +15,7 @@ from relaxround import (
     load_instance,
     rbm_score,
 )
+from relaxround import cli
 from relaxround.cli import main
 
 
@@ -133,6 +134,37 @@ def test_map_zero_one_instances(tmp_path):
     assert abs(float(bits @ m01.A @ bits) - best) <= 1e-9
 
 
+def test_map_and_logz_zero_one_rbm(tmp_path):
+    rng = np.random.default_rng(32)
+    rbm = RbmParams(rng.normal(size=(4, 3)), rng.normal(size=4),
+                    rng.normal(size=3), Domain.ZERO_ONE)
+    inst = tmp_path / "rbm01.json"
+    dump_instance(rbm, inst)
+    out = tmp_path / "map.json"
+    assert run("map", "--instance", inst, "--methods", "brute,rrr,ag,rrr-ag",
+               "--seed", 6, "--out", out, "--samples", 200, "--sweeps", 80) == 0
+    doc = json.loads(out.read_text())
+    for entry in doc["methods"].values():
+        v = entry["best_assignment"]["v"]
+        h = entry["best_assignment"]["h"]
+        assert set(v + h) <= {0, 1}
+        assert abs(rbm_score(rbm, v, h) - entry["best_score"]) <= 1e-9
+
+    best = -math.inf
+    for code in range(2 ** 7):
+        bits = np.array([(code >> (6 - i)) & 1 for i in range(7)], dtype=float)
+        best = max(best, rbm_score(rbm, bits[:4], bits[4:]))
+    assert abs(doc["methods"]["brute"]["best_score"] - best) <= 1e-9
+
+    out = tmp_path / "logz.json"
+    assert run("logz", "--instance", inst, "--methods", "exact,rrr-low,rrr-is",
+               "--seed", 6, "--out", out, "--samples", 2000) == 0
+    doc = json.loads(out.read_text())
+    exact = doc["methods"]["exact"]["log_z"]
+    assert doc["methods"]["rrr-low"]["log_z"] <= exact + 1e-9
+    assert doc["methods"]["rrr-is"]["log_z_exact_support"] <= exact + 1e-9
+
+
 def test_map_score_traces_are_running_maxima(tmp_path):
     inst = gen_instance(tmp_path, seed=13)
     out = tmp_path / "map.json"
@@ -170,6 +202,33 @@ def test_map_hard_ordering_over_seeds(tmp_path):
         ag_scores.append(doc["methods"]["ag"]["best_score"])
         combo_scores.append(doc["methods"]["rrr-ag"]["best_score"])
     assert np.median(combo_scores) >= np.median(ag_scores)
+
+
+def test_one_relaxation_per_command(tmp_path, monkeypatch):
+    calls = []
+    solve = cli.solve_lrp
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_lrp", counting_solve)
+    inst = gen_instance(tmp_path, seed=24)
+    out = tmp_path / "r.json"
+    for argv, want in [
+        (["map", "--methods", "rrr,ag,rrr-ag", "--samples", 100, "--sweeps", 80], 1),
+        (["map", "--methods", "ag,brute", "--sweeps", 80], 0),
+        (["logz", "--methods", "exact,ais", "--num-temps", 20, "--num-runs", 5], 0),
+        (["logz", "--methods", "rrr-low,rrr-is", "--samples", 200], 1),
+    ]:
+        calls.clear()
+        assert run(*argv, "--instance", inst, "--seed", 7, "--out", out) == 0
+        assert len(calls) == want, argv
+        if argv[2] == "rrr,ag,rrr-ag":
+            doc = json.loads(out.read_text())
+            rrr, combo = doc["methods"]["rrr"], doc["methods"]["rrr-ag"]
+            for key in ("relaxation_objective", "relaxation_iterations"):
+                assert rrr[key] == combo[key]
 
 
 # ------------------------------------------------------------------ logz
@@ -259,6 +318,15 @@ def test_exit_codes(tmp_path, capsys):
     latin1.write_bytes(b'{"kind": "rbm\xe9"}')
     assert run("map", "--instance", latin1, "--methods", "rrr", "--seed", 0,
                "--out", out) == 2
+    # input format: a path below a regular file, a name longer than the
+    # file system allows; each ends in one error line
+    capsys.readouterr()
+    for unreadable in (inst / "x", tmp_path / ("a" * 300)):
+        assert run("map", "--instance", unreadable, "--methods", "rrr",
+                   "--seed", 0, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("relaxround: bad instance: cannot read")
+        assert err.count("\n") == 1
     # usage: an output path that names a directory or sits in a missing one
     # ends in one error line, and leaves no temporary file behind
     capsys.readouterr()

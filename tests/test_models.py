@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from relaxround import (
     CapExceededError,
     Domain,
+    Embedding,
     InstanceFormatError,
     LinearReduction,
     MrfParams,
@@ -20,6 +21,7 @@ from relaxround import (
     check_assignment,
     dump_instance,
     dumps_instance,
+    embed,
     fold_linear_bits,
     fold_linear_hyp,
     gen_hard_rbm,
@@ -320,6 +322,36 @@ def test_canonicalize_auxiliary():
     rows = np.array([[-1, 1, -1], [1, 1, -1]], dtype=np.int8)
     assert canonicalize_auxiliary(rows).tolist() == [[1, -1, 1], [1, 1, -1]]
     assert rows.tolist() == [[-1, 1, -1], [1, 1, -1]]  # input untouched
+
+
+@pytest.mark.parametrize("kind", ["mrf", "rbm"])
+@pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
+def test_embed_scores_and_decodes_every_native_corner(kind, domain):
+    rng = np.random.default_rng(37)
+    m, p = 3, 2
+    if kind == "mrf":
+        inst = MrfParams(rng.normal(size=(5, 5)), domain)
+    else:
+        inst = RbmParams(rng.normal(size=(m, p)), rng.normal(size=m),
+                         rng.normal(size=p), domain)
+    emb = embed(inst)
+    assert isinstance(emb, Embedding)
+    assert emb.mrf.domain is Domain.PLUS_MINUS_ONE
+    assert emb.has_aux == (kind == "rbm" or domain is Domain.ZERO_ONE)
+    for native in corners(5, domain):
+        if kind == "mrf":
+            want = score(inst, native)
+            decoded = {"x": native.astype(int).tolist()}
+        else:
+            want = rbm_score(inst, native[:m], native[m:])
+            decoded = {"v": native[:m].astype(int).tolist(),
+                       "h": native[m:].astype(int).tolist()}
+        t = native if domain is Domain.PLUS_MINUS_ONE else 2 * native - 1
+        x = np.concatenate([[1.0], t]) if emb.has_aux else t
+        assert abs(score(emb.mrf, x) + emb.offset - want) <= 1e-9
+        assert emb.to_native(x.astype(np.int8)) == decoded
+        if emb.has_aux:
+            assert emb.to_native(-x.astype(np.int8)) == decoded
 
 
 # ----------------------------------------------------------- brute force
