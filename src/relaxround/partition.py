@@ -5,12 +5,10 @@ width-2 importance sampler with exactly known proposal probabilities)."""
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gibbs import _tempered_block_sweep
 from .models import (
@@ -33,13 +31,6 @@ from .rounding import (
 BRUTE_LOGZ_CAP = 24
 
 
-class Estimator(enum.Enum):
-    EXACT = "exact"
-    AIS = "ais"
-    RRR_LOW = "rrr-low"
-    RRR_IS = "rrr-is"
-
-
 @dataclass(frozen=True)
 class Budget:
     """Work counters for an estimate: sample count, temperature count, and
@@ -59,7 +50,6 @@ class EstimateReport:
     """One log-partition estimate with its budget and provenance. `details`
     carries estimator-specific extras (e.g. the spread of AIS run weights)."""
 
-    estimator: Estimator
     log_z: float
     budget: Budget
     seed: int
@@ -72,7 +62,10 @@ class EstimateReport:
 
 
 def _streaming_logsumexp(chunks) -> float:
-    """Max-shifted log-sum-exp over an iterable of score arrays."""
+    """Max-shifted log-sum-exp over one score array or an iterable of
+    them."""
+    if isinstance(chunks, np.ndarray):
+        chunks = (chunks,)
     running_max = -np.inf
     running_sum = 0.0
     for values in chunks:
@@ -166,9 +159,8 @@ def ais_logz(
         log_weights += (betas[t] - betas[t - 1]) * _rbm_score_batch(params, V, H)
         V, H = _tempered_block_sweep(params, V, H, float(betas[t]), rng)
     log_base = (params.m + params.p) * np.log(2.0)
-    log_z = float(log_base + logsumexp(log_weights) - np.log(num_runs))
+    log_z = float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))
     return EstimateReport(
-        estimator=Estimator.AIS,
         log_z=log_z,
         budget=Budget(samples=num_runs, temperatures=num_temps, sweeps=num_temps - 1),
         seed=seed,
@@ -189,9 +181,8 @@ def rrr_low(params: MrfParams, batch: SampleBatch) -> EstimateReport:
         raise ValueError("batch must be nonempty")
     start = time.perf_counter()
     distinct = np.unique(batch.samples, axis=0)
-    log_z = float(logsumexp(score_batch(params, distinct)))
+    log_z = _streaming_logsumexp(score_batch(params, distinct))
     return EstimateReport(
-        estimator=Estimator.RRR_LOW,
         log_z=log_z,
         budget=Budget(samples=len(batch)),
         seed=batch.seed,
@@ -222,9 +213,8 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     probs = _px_query_batch(dist, batch.samples)
     if np.any(probs <= 0.0):
         raise RuntimeError("sampled pattern has zero computed probability")
-    log_z = float(logsumexp(batch.scores - np.log(probs)) - np.log(count))
+    log_z = float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
     return EstimateReport(
-        estimator=Estimator.RRR_IS,
         log_z=log_z,
         budget=Budget(samples=count),
         seed=seed,
@@ -248,9 +238,8 @@ def rrr_is_exact(params: MrfParams, X) -> EstimateReport:
     start = time.perf_counter()
     support = enumerate_support_k2(build_px_k2(X), X)
     patterns = np.stack([pattern for pattern, _ in support])
-    log_z = float(logsumexp(score_batch(params, patterns)))
+    log_z = _streaming_logsumexp(score_batch(params, patterns))
     return EstimateReport(
-        estimator=Estimator.RRR_IS,
         log_z=log_z,
         budget=Budget(samples=len(support)),
         seed=0,

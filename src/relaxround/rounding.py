@@ -67,18 +67,6 @@ class RoundingDistributionK2:
         return self.thetas.shape[0]
 
 
-def random_unit_vector(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the unit sphere in R^k (normalized Gaussian,
-    redrawn in the measure-zero degenerate case)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    while True:
-        g = rng.standard_normal(k)
-        norm = np.linalg.norm(g)
-        if norm >= 1e-12:
-            return g / norm
-
-
 def round_once(X, g) -> np.ndarray:
     """Sign pattern sign(X g) with sign(0) := +1, as an int8 vector."""
     X = np.asarray(X, dtype=float)

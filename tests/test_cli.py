@@ -3,10 +3,15 @@ exit codes, and byte-level determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaxround
 from relaxround import (
     Domain,
     MrfParams,
@@ -229,6 +234,46 @@ def test_one_relaxation_per_command(tmp_path, monkeypatch):
             rrr, combo = doc["methods"]["rrr"], doc["methods"]["rrr-ag"]
             for key in ("relaxation_objective", "relaxation_iterations"):
                 assert rrr[key] == combo[key]
+
+
+# A child interpreter in which any import of scipy fails; it runs each argv
+# given as JSON through the CLI and prints the exit codes.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from relaxround.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the runtime needs numpy alone: with scipy unimportable, every command
+    # exits 0 and writes the bytes of the same command run in this process
+    inst = str(tmp_path / "gen.json")
+    commands = {
+        "gen": ["gen", "--kind", "random", "--m", "5", "--p", "4", "--seed", "3"],
+        "map": ["map", "--instance", inst, "--methods", "rrr,ag,rrr-ag,brute",
+                "--seed", "1", "--samples", "200", "--sweeps", "80"],
+        "logz": ["logz", "--instance", inst, "--methods", "exact,ais,rrr-low,rrr-is",
+                 "--seed", "1", "--samples", "500", "--num-temps", "50",
+                 "--num-runs", "10"],
+    }
+    for name, argv in commands.items():
+        assert main(argv + ["--out", str(tmp_path / f"{name}.json")]) == 0
+    bare = [argv + ["--out", str(tmp_path / f"bare-{name}.json")]
+            for name, argv in commands.items()]
+    src = str(Path(relaxround.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(bare)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0]
+    for name in commands:
+        assert ((tmp_path / f"bare-{name}.json").read_bytes()
+                == (tmp_path / f"{name}.json").read_bytes()), name
 
 
 # ------------------------------------------------------------------ logz

@@ -200,7 +200,11 @@ def test_sweep_near_tie_decided_exactly(monkeypatch, unary, fallbacks):
     m = MrfParams(unary * np.eye(3))
     uniforms = [0.5, 0.5 - 1e-12, 0.5 + 1e-12]
     calls = []
-    monkeypatch.setattr(gibbs_module, "expit", lambda z: calls.append(z) or expit(z))
+    site_probability = gibbs_module._site_probability
+    monkeypatch.setattr(
+        gibbs_module, "_site_probability",
+        lambda *args: calls.append(args[2]) or site_probability(*args),
+    )
     x0 = np.array([1, -1, 1], dtype=np.int8)
     state = gibbs_sweep(m, ChainState.initial(x0), 1.0, _FixedUniforms(uniforms))
     assert state.x.tolist() == [-1, 1, -1]

@@ -13,7 +13,6 @@ from relaxround import (
     build_px_k2,
     enumerate_support_k2,
     px_query,
-    random_unit_vector,
     round_once,
     rrr_map_sample,
     score,
@@ -38,34 +37,6 @@ def chi_square_ok(observed, probs, alpha=0.01):
     obs, exp = np.array(obs), np.array(exp)
     stat = ((obs - exp) ** 2 / exp).sum()
     return stat <= stats.chi2.ppf(1.0 - alpha, df=len(obs) - 1)
-
-
-# ------------------------------------------------------ random directions
-
-
-def test_unit_vector_k1_is_sign_flip():
-    rng = np.random.default_rng(0)
-    draws = np.array([random_unit_vector(1, rng)[0] for _ in range(10_000)])
-    assert set(np.unique(draws)) == {-1.0, 1.0}
-    plus = (draws > 0).sum()
-    sigma = math.sqrt(10_000 * 0.25)
-    assert abs(plus - 5000) <= 4 * sigma
-
-
-def test_unit_vector_k2_angles_uniform():
-    rng = np.random.default_rng(1)
-    angles = np.array(
-        [math.atan2(*random_unit_vector(2, rng)[::-1]) for _ in range(10_000)]
-    )
-    counts, _ = np.histogram(angles, bins=8, range=(-math.pi, math.pi))
-    assert chi_square_ok(counts, np.full(8, 0.125))
-
-
-def test_unit_vector_norm():
-    rng = np.random.default_rng(2)
-    for k in (1, 2, 3, 7):
-        g = random_unit_vector(k, rng)
-        assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
 
 
 # ------------------------------------------------------------- round_once
