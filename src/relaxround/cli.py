@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .models import (
 )
 from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_is_exact, rrr_low
 from .relaxation import LrpOptions, solve_lrp
-from .rounding import rrr_map_sample
+from .rounding import rrr_map_sample, rrr_sample_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,14 +239,10 @@ def _run_logz(args) -> int:
                 "num_runs": args.num_runs,
             }
         elif method == "rrr-low":
-            batch = rrr_map_sample(
+            blocks = rrr_sample_blocks(
                 emb.mrf, sol.X, args.samples, _derive_seed(seed, _TAG_LOGZ_LOW_SAMPLE)
             )
-            batch = replace(batch, samples=emb.canonical(batch.samples))
-            report = rrr_low(emb.mrf, batch)
-            # samples x n int8: not kept alive through rrr-is, where the
-            # process peaks
-            del batch
+            report = rrr_low(emb.mrf, (emb.canonical(rows) for rows in blocks))
             entries[method] = {
                 "log_z": report.log_z + emb.offset,
                 "samples": args.samples,

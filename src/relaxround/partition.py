@@ -20,10 +20,9 @@ from .models import (
     score_batch,
 )
 from .rounding import (
-    SampleBatch,
+    _arc_index,
     _check_feasible_rows,
-    _px_query_batch,
-    _sample_batch,
+    _draw_directions,
     build_px_k2,
     enumerate_support_k2,
 )
@@ -169,23 +168,52 @@ def ais_logz(
     )
 
 
-def rrr_low(params: MrfParams, batch: SampleBatch) -> EstimateReport:
+def _distinct_rows(rows, n: int) -> tuple[np.ndarray, int]:
+    """The distinct rows of a {-1,+1} row array, or of an iterable of row
+    blocks, in the order of np.unique(..., axis=0), and the row count."""
+    if isinstance(rows, np.ndarray):
+        rows = (rows,)
+    nbytes = (n + 7) // 8
+    key = np.dtype((np.void, nbytes))
+    keys = np.empty(0, dtype=key)
+    count = 0
+    for block in rows:
+        block = np.asarray(block)
+        if block.ndim != 2 or block.shape[1] != n:
+            raise ValueError(f"rows have shape {block.shape}, expected (?, {n})")
+        count += block.shape[0]
+        keys = np.union1d(keys, np.packbits(block > 0, axis=1).view(key).ravel())
+    if count < 1:
+        raise ValueError("rows must be nonempty")
+    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, nbytes), axis=1, count=n)
+    return np.where(bits > 0, np.int8(1), np.int8(-1)), count
+
+
+def rrr_low(params: MrfParams, rows) -> EstimateReport:
     """Deduplicated lower bound on the log partition.
 
     Keeps each distinct sampled assignment once and returns the
     log-sum-exp of their scores, which can only undercount the full sum
     over corners. Without deduplication repeated samples would be counted
     twice and the bound would be lost.
+
+    `rows` is one array of {-1,+1} assignments stacked as rows, or an
+    iterable of such blocks (as from `rrr_sample_blocks`). Each block is
+    reduced to the distinct keys of np.packbits(rows > 0, axis=1), one
+    byte string per row, and the keys are merged across blocks; only the
+    distinct keys are unpacked and scored. Packed bytes sort like the int8
+    rows (-1 < +1, variable 0 most significant), so the distinct rows are
+    those of np.unique(rows, axis=0), in its order. Memory is one block
+    plus the distinct keys; no samples x n matrix is built. The report's
+    seed is 0: the rows carry their own provenance.
     """
-    if len(batch) < 1:
-        raise ValueError("batch must be nonempty")
     start = time.perf_counter()
-    distinct = np.unique(batch.samples, axis=0)
+    distinct, count = _distinct_rows(rows, params.n)
     log_z = _streaming_logsumexp(score_batch(params, distinct))
     return EstimateReport(
         log_z=log_z,
-        budget=Budget(samples=len(batch)),
-        seed=batch.seed,
+        budget=Budget(samples=count),
+        seed=0,
         wall_clock=time.perf_counter() - start,
         details={"distinct": int(distinct.shape[0])},
     )
@@ -194,10 +222,15 @@ def rrr_low(params: MrfParams, batch: SampleBatch) -> EstimateReport:
 def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     """Importance sampling against the width-2 rounding distribution.
 
-    Draws `count` rounded samples, weights each by exp(score)/p(sample)
-    using the exactly computed pattern probability, and averages. A zero
-    probability for a drawn sample would contradict the arc geometry and
-    raises RuntimeError.
+    Draws `count` Gaussian directions (the stream of `rrr_map_sample`) and
+    weights each draw's pattern by exp(score)/p, p its arc's length over
+    2*pi, then averages. A draw's pattern is fixed by its arc, so the
+    draws are only counted per arc (`_arc_index`), and each of the at most
+    2n patterns of `enumerate_support_k2` is scored once and weighted by
+    count/p. A direction on a boundary, or within rounding distance of
+    one, takes the pattern of the arc that searchsorted(angles,
+    atan2(g) mod 2*pi, side="right") picks; degenerate rows read +1. No
+    samples x n matrix is built.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("rounding produces {-1,+1} assignments")
@@ -208,12 +241,17 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
         raise ValueError("importance sampling requires width k=2")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    batch = _sample_batch(params, X, count, rng, seed)
+    G = _draw_directions(rng, count, 2)
     dist = build_px_k2(X)
-    probs = _px_query_batch(dist, batch.samples)
-    if np.any(probs <= 0.0):
-        raise RuntimeError("sampled pattern has zero computed probability")
-    log_z = float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
+    support = enumerate_support_k2(dist, X)
+    hits = np.bincount(_arc_index(dist, G), minlength=len(support))
+    scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
+    probs = np.array([p for _, p in support])
+    seen = hits > 0
+    log_z = float(
+        _streaming_logsumexp(scores[seen] + np.log(hits[seen]) - np.log(probs[seen]))
+        - np.log(count)
+    )
     return EstimateReport(
         log_z=log_z,
         budget=Budget(samples=count),

@@ -6,6 +6,12 @@ sign(X g) with sign(0) := +1. For k = 2 each row constrains g to a closed
 half-circle, so every realizable pattern corresponds to one arc between
 consecutive boundary angles; the pattern probability is the arc length
 over 2*pi and the support has at most 2n patterns.
+
+Draws come either as one scored `SampleBatch` (`rrr_map_sample`) or,
+unscored, as int8 blocks of at most `SAMPLE_BLOCK_ROWS` rows
+(`rrr_sample_blocks`) from the same Gaussian stream, so a consumer that
+streams them holds one block, never a samples x n matrix. At width 2 a
+direction's pattern is fixed by the arc it falls in (`_arc_index`).
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ DEGENERATE_NORM = 1e-12
 _MERGE_TOL = 1e-12
 
 _TWO_PI = 2.0 * np.pi
+
+# Rows per block yielded by rrr_sample_blocks: a block at n=501 is about
+# 8 MB of products, whatever the sample count.
+SAMPLE_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +96,7 @@ def _check_feasible_rows(params: MrfParams, X) -> np.ndarray:
     return X
 
 
-def _sample_batch(
-    params: MrfParams, X: np.ndarray, count: int, rng: np.random.Generator, seed: int
-) -> SampleBatch:
-    k = X.shape[1]
+def _draw_directions(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
     G = rng.standard_normal((count, k))
     # Signs are invariant to the length of g, so Gaussian directions round
     # exactly like unit ones; only (measure-zero) zero draws are replaced.
@@ -98,21 +105,56 @@ def _sample_batch(
         bad = norms < 1e-12
         G[bad] = rng.standard_normal((int(bad.sum()), k))
         norms = np.linalg.norm(G, axis=1)
-    samples = np.where(G @ X.T >= 0.0, 1, -1).astype(np.int8)
+    return G
+
+
+def _round_rows(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return np.where(G @ X.T >= 0.0, 1, -1).astype(np.int8)
+
+
+def _sample_batch(
+    params: MrfParams, X: np.ndarray, count: int, rng: np.random.Generator, seed: int
+) -> SampleBatch:
+    samples = _round_rows(_draw_directions(rng, count, X.shape[1]), X)
     scores = score_batch(params, samples)
     return SampleBatch(samples=samples, scores=scores, seed=seed)
+
+
+def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
+    if params.domain is not Domain.PLUS_MINUS_ONE:
+        raise ValueError("rounding produces {-1,+1} assignments")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return _check_feasible_rows(params, X)
 
 
 def rrr_map_sample(params: MrfParams, X, count: int, seed: int) -> SampleBatch:
     """Draw `count` rounded samples of a feasible relaxed solution and
     score each one. Deterministic given the seed."""
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("rounding produces {-1,+1} assignments")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    X = _check_feasible_rows(params, X)
+    X = _check_sampling(params, X, count)
     rng = np.random.default_rng(seed)
     return _sample_batch(params, X, count, rng, seed)
+
+
+def rrr_sample_blocks(params: MrfParams, X, count: int, seed: int):
+    """The rows of rrr_map_sample(params, X, count, seed), unscored, as an
+    iterator of int8 blocks of SAMPLE_BLOCK_ROWS rows (the last one
+    shorter), in draw order.
+
+    Directions are drawn block by block from the same generator, which
+    continues the same Gaussian stream; only a zero direction (norm below
+    1e-12, which no seed in practice draws) is redrawn within its block
+    instead of after all draws. Arguments are checked on the call, not on
+    the first block.
+    """
+    X = _check_sampling(params, X, count)
+    return _iter_blocks(X, count, np.random.default_rng(seed))
+
+
+def _iter_blocks(X: np.ndarray, count: int, rng: np.random.Generator):
+    for start in range(0, count, SAMPLE_BLOCK_ROWS):
+        rows = min(SAMPLE_BLOCK_ROWS, count - start)
+        yield _round_rows(_draw_directions(rng, rows, X.shape[1]), X)
 
 
 def _check_width2(X) -> np.ndarray:
@@ -200,8 +242,10 @@ def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
     """All realizable sign patterns with their probabilities.
 
     Sweeps the direction angle across consecutive boundary arcs and reads
-    off the constant pattern on each arc at its midpoint. Degenerate rows
-    are reported as +1. Probabilities sum to 1.
+    off the constant pattern on each arc at its midpoint. Entry j is the
+    arc [angles[j], angles[j+1]), the last one wrapping to angles[0]; the
+    merged boundaries are more than 1e-12 apart, so every arc has positive
+    width. Degenerate rows are reported as +1. Probabilities sum to 1.
     """
     X = _check_width2(X)
     if X.shape[0] != dist.n:
@@ -214,10 +258,23 @@ def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
         a0 = dist.angles[j]
         a1 = dist.angles[j + 1] if j + 1 < m else dist.angles[0] + _TWO_PI
         width = a1 - a0
-        if width <= 0.0:
-            continue
         mid = 0.5 * (a0 + a1)
         pattern = round_once(X, np.array([np.cos(mid), np.sin(mid)]))
         pattern[dist.degenerate] = 1
         out.append((pattern, width / _TWO_PI))
     return out
+
+
+def _arc_index(dist: RoundingDistributionK2, G: np.ndarray) -> np.ndarray:
+    """Index of the arc [angles[j], angles[j+1]) holding each direction row
+    of the (count, 2) array G, as numbered by enumerate_support_k2.
+
+    A direction on a boundary, or within rounding distance of one, takes
+    the arc that searchsorted(angles, atan2(g) mod 2*pi, side="right")
+    picks; below angles[0] it wraps to the last arc. Without boundaries
+    (every row degenerate) there is one arc, 0.
+    """
+    if dist.angles.size == 0:
+        return np.zeros(G.shape[0], dtype=np.intp)
+    phi = np.mod(np.arctan2(G[:, 1], G[:, 0]), _TWO_PI)
+    return (np.searchsorted(dist.angles, phi, side="right") - 1) % dist.angles.size

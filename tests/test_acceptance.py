@@ -315,7 +315,7 @@ def test_criterion_09_lower_bound_properties(capsys):
         exact = exact_logz_mrf(params)
         sol = solve_lrp(params, LrpOptions(k=2, restarts=4, seed=9000 + trial))
         batch = rrr_map_sample(params, sol.X, 500, seed=9100 + trial)
-        if rrr_low(params, batch).log_z > exact + 1e-9:
+        if rrr_low(params, batch.samples).log_z > exact + 1e-9:
             ok, detail = False, f"trial {trial}: sampled bound above exact"
             break
         if rrr_is_exact(params, sol.X).log_z > exact + 1e-9:

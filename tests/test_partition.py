@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from relaxround import (
     Budget,
@@ -18,17 +19,22 @@ from relaxround import (
     RbmParams,
     SampleBatch,
     ais_logz,
+    embed,
     exact_logz_mrf,
     exact_logz_rbm,
     gen_random_rbm,
     rbm_score,
+    round_once,
     rrr_is,
     rrr_is_exact,
     rrr_low,
     rrr_map_sample,
+    rrr_sample_blocks,
     score,
     solve_lrp,
 )
+from relaxround.partition import _distinct_rows, _streaming_logsumexp
+from relaxround.rounding import _px_query_batch, _sample_batch, build_px_k2
 
 LOG2 = math.log(2.0)
 
@@ -202,7 +208,7 @@ def test_rrr_low_single_sample():
     rng = np.random.default_rng(13)
     m = MrfParams(rng.normal(size=(5, 5)))
     x = rng.choice([-1, 1], size=5)
-    report = rrr_low(m, _single_sample_batch(m, x))
+    report = rrr_low(m, _single_sample_batch(m, x).samples)
     assert_allclose(report.log_z, score(m, x), rtol=1e-12)
     assert report.details["distinct"] == 1
 
@@ -216,7 +222,7 @@ def test_rrr_low_duplicates_collapse():
         scores=np.full(50, score(m, x)),
         seed=0,
     )
-    assert_allclose(rrr_low(m, batch).log_z, score(m, x), rtol=1e-12)
+    assert_allclose(rrr_low(m, batch.samples).log_z, score(m, x), rtol=1e-12)
 
 
 def test_rrr_low_bound_and_missed_mass():
@@ -224,7 +230,7 @@ def test_rrr_low_bound_and_missed_mass():
     m = MrfParams(rng.normal(size=(8, 8)) * 0.3)
     sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=16))
     batch = rrr_map_sample(m, sol.X, 100_000, seed=17)
-    report = rrr_low(m, batch)
+    report = rrr_low(m, batch.samples)
     exact = exact_logz_mrf(m)
     assert report.log_z <= exact + 1e-9
 
@@ -248,8 +254,75 @@ def test_rrr_low_monotone_in_batch_size():
             scores=batch.scores[:count],
             seed=batch.seed,
         )
-        values.append(rrr_low(m, sub).log_z)
+        values.append(rrr_low(m, sub.samples).log_z)
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _rows_with_repeats(rng, n, count, pool=300):
+    rows = np.where(rng.random((pool, n)) < 0.5, 1, -1).astype(np.int8)
+    return rows[rng.integers(0, pool, size=count)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 501])
+def test_rrr_low_blocks_match_one_array(n):
+    # n = 1, 7 and 9 leave padding bits in the packed keys; 8 leaves none
+    rng = np.random.default_rng([800, n])
+    count = 5000
+    S = _rows_with_repeats(rng, n, count)
+    A = rng.normal(size=(n, n)) * 0.05
+    m = MrfParams(0.5 * (A + A.T))
+    whole = rrr_low(m, S)
+    want = np.unique(S, axis=0)
+    assert whole.details["distinct"] == want.shape[0]
+    assert_array_equal(_distinct_rows(S, n)[0], want)
+    splits = [
+        np.split(S, [1, 7, 2048]),  # block boundaries 1, 7, 2048 and count
+        [S[i : i + 7] for i in range(0, count, 7)],
+        [S[i : i + 2048] for i in range(0, count, 2048)],
+    ]
+    for blocks in splits:
+        distinct, rows_read = _distinct_rows(iter(blocks), n)
+        assert_array_equal(distinct, want)
+        assert rows_read == count
+        report = rrr_low(m, iter(blocks))
+        assert report.log_z == whole.log_z
+        assert report.details["distinct"] == whole.details["distinct"]
+        assert report.budget.samples == count
+
+
+def test_rrr_low_rejects_empty_and_misshapen_rows():
+    m = MrfParams(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        rrr_low(m, np.empty((0, 3), dtype=np.int8))
+    with pytest.raises(ValueError):
+        rrr_low(m, iter([]))
+    with pytest.raises(ValueError):
+        rrr_low(m, np.ones((2, 4), dtype=np.int8))
+
+
+def test_rrr_low_streamed_peak_memory_flat():
+    # one block plus the distinct keys: a 10x larger sample count must not
+    # raise the traced peak (n=501, the logz benchmark's size)
+    emb = embed(gen_random_rbm(16, 484, seed=31))
+    m = emb.mrf
+    X = np.random.default_rng(32).normal(size=(m.n, 2))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+
+    def streamed(count):
+        blocks = rrr_sample_blocks(m, X, count, 33)
+        return rrr_low(m, (emb.canonical(rows) for rows in blocks))
+
+    streamed(100)  # first-call allocations stay out of the comparison
+    peaks = []
+    for count in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            report = streamed(count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.budget.samples == count
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # ----------------------------------------------------------------- rrr-is
@@ -273,8 +346,6 @@ def test_rrr_is_sampled_near_exact_support():
     sampled = rrr_is(m, sol.X, 100_000, seed=23)
 
     # 3 standard errors, computed from the weight spread on a fresh batch
-    from relaxround.rounding import _px_query_batch, _sample_batch, build_px_k2
-
     batch = _sample_batch(m, sol.X, 100_000, np.random.default_rng(24), 24)
     probs = _px_query_batch(build_px_k2(sol.X), batch.samples)
     w = np.exp(batch.scores - np.log(probs) - exact_support)
@@ -297,6 +368,67 @@ def test_rrr_is_equality_when_support_covers_everything():
     m = MrfParams(np.array([[0.4]]))
     X = np.array([[1.0, 0.0]])
     assert_allclose(rrr_is_exact(m, X).log_z, exact_logz_mrf(m), rtol=1e-12)
+
+
+def reference_rrr_is(params, X, count, seed):
+    """The per-draw importance sampler: round and score every draw, query
+    each draw's pattern probability, and log-mean-exp in draw order."""
+    batch = _sample_batch(params, X, count, np.random.default_rng(seed), seed)
+    probs = _px_query_batch(build_px_k2(X), batch.samples)
+    if np.any(probs <= 0.0):
+        raise RuntimeError("sampled pattern has zero computed probability")
+    return float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
+
+
+def test_rrr_is_matches_per_draw_reference():
+    for trial in range(12):
+        rng = np.random.default_rng([710, trial])
+        n = int(rng.integers(2, 31))
+        A = rng.normal(size=(n, n)) * 0.3
+        m = MrfParams(0.5 * (A + A.T))
+        if trial % 2:
+            X = rng.normal(size=(n, 2))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+        else:
+            X = solve_lrp(m, LrpOptions(k=2, restarts=2, seed=trial)).X
+        seed = 7100 + trial
+        assert_allclose(
+            rrr_is(m, X, 20_000, seed).log_z,
+            reference_rrr_is(m, X, 20_000, seed),
+            rtol=1e-9,
+        )
+
+
+def test_rrr_is_matches_per_draw_reference_rbm501():
+    m = embed(gen_random_rbm(16, 484, seed=101)).mrf
+    X = solve_lrp(m, LrpOptions(k=2, restarts=1, seed=3)).X
+    assert_allclose(
+        rrr_is(m, X, 10_000, seed=72).log_z,
+        reference_rrr_is(m, X, 10_000, seed=72),
+        rtol=1e-9,
+    )
+
+
+def test_rrr_is_merged_boundaries_take_the_arc_pattern():
+    # two rows 1e-13 rad apart have merging boundaries; the first draw is
+    # placed in the sliver between them and counts toward the merged arc,
+    # exactly as if the rows coincided
+    seed = 73
+    g = np.random.default_rng(seed).standard_normal(2)
+    phi = math.atan2(g[1], g[0])
+    m = MrfParams(np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 0.0]]))
+
+    def rows(split):
+        thetas = np.array([phi + math.pi / 2 - split, phi + math.pi / 2 + split, 1.0])
+        return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+
+    X = rows(0.5e-13)
+    assert build_px_k2(X).angles.size == 4
+    sliver = round_once(X, g)
+    assert sliver[0] != sliver[1]  # the draw itself rounds inside the sliver
+    report = rrr_is(m, X, 200, seed)
+    assert np.isfinite(report.log_z)
+    assert_allclose(report.log_z, rrr_is(m, rows(0.0), 200, seed).log_z, rtol=1e-12)
 
 
 def test_rrr_is_requires_width_two():

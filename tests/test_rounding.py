@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from relaxround import (
@@ -15,9 +15,11 @@ from relaxround import (
     px_query,
     round_once,
     rrr_map_sample,
+    rrr_sample_blocks,
     score,
     solve_lrp,
 )
+from relaxround.rounding import SAMPLE_BLOCK_ROWS, _arc_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -292,3 +294,64 @@ def test_two_over_pi_exact_expectation_psd():
         expectation = sum(p * score(m, x) for x, p in supp)
         relaxed = float(np.sum(X * (m.A @ X)))
         assert expectation >= (2.0 / math.pi) * relaxed - 1e-9
+
+
+def test_sample_blocks_are_the_batch_rows_in_order():
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(9, 2))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    m = MrfParams(np.zeros((9, 9)))
+    for count in (1, SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_ROWS + 1, 5000):
+        blocks = list(rrr_sample_blocks(m, X, count, seed=41))
+        sizes = [len(block) for block in blocks]
+        assert sizes[:-1] == [SAMPLE_BLOCK_ROWS] * (len(blocks) - 1)
+        assert 1 <= sizes[-1] <= SAMPLE_BLOCK_ROWS and sum(sizes) == count
+        assert all(block.dtype == np.int8 for block in blocks)
+        want = rrr_map_sample(m, X, count, seed=41).samples
+        assert_array_equal(np.concatenate(blocks), want)
+
+
+def test_sample_blocks_check_arguments_on_call():
+    m = MrfParams(np.zeros((3, 3)))
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    with pytest.raises(ValueError):
+        rrr_sample_blocks(m, X, 0, seed=0)
+    with pytest.raises(ValueError):
+        rrr_sample_blocks(m, 2.0 * X, 5, seed=0)
+
+
+def test_arc_index_boundary_rule():
+    # row 0 points along +x, so pi/2 is a boundary and g = (0, 1) lies
+    # exactly on it: atan2(1, 0) is the same double as 0 + pi/2
+    X = np.array([[1.0, 0.0], [math.cos(0.3), math.sin(0.3)], [-0.6, 0.8]])
+    dist = build_px_k2(X)
+    supp = enumerate_support_k2(dist, X)
+    j = int(np.flatnonzero(dist.angles == math.pi / 2)[0])
+    below = math.pi / 2
+    above = math.pi / 2
+    for _ in range(4):
+        below = np.nextafter(below, 0.0)
+        above = np.nextafter(above, 4.0)
+    G = np.array([[0.0, 1.0], [math.cos(above), math.sin(above)],
+                  [math.cos(below), math.sin(below)]])
+    arcs = _arc_index(dist, G)
+    # on the boundary, the arc starting there wins, although sign(0) := +1
+    # would round row 0 to the pattern of the arc before it
+    assert arcs.tolist() == [j, j, (j - 1) % dist.angles.size]
+    assert round_once(X, G[0])[0] == 1 and supp[j][0][0] == -1
+    assert_array_equal(round_once(X, G[1]), supp[j][0])
+    assert_array_equal(round_once(X, G[2]), supp[arcs[2]][0])
+    # below the first boundary and at 2*pi (mod rounding up) wrap to the last arc
+    first = dist.angles[0]
+    wrap = np.array([[math.cos(first / 2), math.sin(first / 2)], [1.0, -1e-300]])
+    assert _arc_index(dist, wrap).tolist() == [dist.angles.size - 1] * 2
+
+
+def test_arc_index_counts_follow_rounded_patterns():
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(12, 2))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    dist = build_px_k2(X)
+    supp = np.stack([x for x, _ in enumerate_support_k2(dist, X)])
+    G = rng.standard_normal((5000, 2))
+    assert_array_equal(supp[_arc_index(dist, G)], np.where(G @ X.T >= 0, 1, -1))
