@@ -22,7 +22,7 @@ from .models import (
 from .rounding import (
     _arc_index,
     _check_feasible_rows,
-    _draw_directions,
+    _direction_blocks,
     build_px_k2,
     enumerate_support_k2,
 )
@@ -176,15 +176,25 @@ def _distinct_rows(rows, n: int) -> tuple[np.ndarray, int]:
     nbytes = (n + 7) // 8
     key = np.dtype((np.void, nbytes))
     keys = np.empty(0, dtype=key)
+    pending: list[np.ndarray] = []
+    pending_size = 0
     count = 0
     for block in rows:
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != n:
             raise ValueError(f"rows have shape {block.shape}, expected (?, {n})")
         count += block.shape[0]
-        keys = np.union1d(keys, np.packbits(block > 0, axis=1).view(key).ravel())
+        pending.append(np.unique(np.packbits(block > 0, axis=1).view(key).ravel()))
+        pending_size += pending[-1].size
+        # merge only once the pending keys outnumber the merged ones, so the
+        # merged keys are re-sorted a logarithmic number of times, not once
+        # per block
+        if pending_size > keys.size:
+            keys = np.unique(np.concatenate([keys, *pending]))
+            pending, pending_size = [], 0
     if count < 1:
         raise ValueError("rows must be nonempty")
+    keys = np.unique(np.concatenate([keys, *pending]))
     bits = np.unpackbits(keys.view(np.uint8).reshape(-1, nbytes), axis=1, count=n)
     return np.where(bits > 0, np.int8(1), np.int8(-1)), count
 
@@ -204,9 +214,15 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     distinct keys are unpacked and scored. Packed bytes sort like the int8
     rows (-1 < +1, variable 0 most significant), so the distinct rows are
     those of np.unique(rows, axis=0), in its order. Memory is one block
-    plus the distinct keys; no samples x n matrix is built. The report's
-    seed is 0: the rows carry their own provenance.
+    plus a few copies of the distinct keys, and the merges cost O(count
+    log count) key comparisons however many rows are distinct; no
+    samples x n matrix is built. The distinct rows are scored as one
+    float array, which is small at width k=2 (at most 2n patterns) but
+    distinct x n floats when most draws differ. The report's seed is 0:
+    the rows carry their own provenance.
     """
+    if params.domain is not Domain.PLUS_MINUS_ONE:
+        raise ValueError("rrr_low takes {-1,+1} assignments")
     start = time.perf_counter()
     distinct, count = _distinct_rows(rows, params.n)
     log_z = _streaming_logsumexp(score_batch(params, distinct))
@@ -229,8 +245,10 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     2n patterns of `enumerate_support_k2` is scored once and weighted by
     count/p. A direction on a boundary, or within rounding distance of
     one, takes the pattern of the arc that searchsorted(angles,
-    atan2(g) mod 2*pi, side="right") picks; degenerate rows read +1. No
-    samples x n matrix is built.
+    atan2(g) mod 2*pi, side="right") picks. Degenerate rows (norm below
+    DEGENERATE_NORM) read +1 in every pattern, as in
+    `enumerate_support_k2`, where rounding a nonzero one would take the
+    sign of its tiny product with g. No samples x n matrix is built.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("rounding produces {-1,+1} assignments")
@@ -241,10 +259,11 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
         raise ValueError("importance sampling requires width k=2")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    G = _draw_directions(rng, count, 2)
     dist = build_px_k2(X)
     support = enumerate_support_k2(dist, X)
-    hits = np.bincount(_arc_index(dist, G), minlength=len(support))
+    hits = np.zeros(len(support), dtype=np.int64)
+    for G in _direction_blocks(rng, count, 2):
+        hits += np.bincount(_arc_index(dist, G), minlength=len(support))
     scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
     probs = np.array([p for _, p in support])
     seen = hits > 0

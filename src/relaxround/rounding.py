@@ -7,11 +7,12 @@ half-circle, so every realizable pattern corresponds to one arc between
 consecutive boundary angles; the pattern probability is the arc length
 over 2*pi and the support has at most 2n patterns.
 
-Draws come either as one scored `SampleBatch` (`rrr_map_sample`) or,
-unscored, as int8 blocks of at most `SAMPLE_BLOCK_ROWS` rows
-(`rrr_sample_blocks`) from the same Gaussian stream, so a consumer that
-streams them holds one block, never a samples x n matrix. At width 2 a
-direction's pattern is fixed by the arc it falls in (`_arc_index`).
+Directions are drawn and rounded in int8 blocks of at most
+`SAMPLE_BLOCK_ROWS` rows. `rrr_sample_blocks` yields those blocks
+unscored, so a consumer that streams them holds one block, never a
+samples x n matrix; `rrr_map_sample` concatenates the same blocks and
+scores them as one `SampleBatch`. At width 2 a direction's pattern is
+fixed by the arc it falls in (`_arc_index`).
 """
 
 from __future__ import annotations
@@ -112,10 +113,25 @@ def _round_rows(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.where(G @ X.T >= 0.0, 1, -1).astype(np.int8)
 
 
+def _direction_blocks(rng: np.random.Generator, count: int, k: int):
+    """`count` Gaussian directions in k dimensions, drawn in blocks of
+    SAMPLE_BLOCK_ROWS rows: the one draw path of every rounding sampler."""
+    for start in range(0, count, SAMPLE_BLOCK_ROWS):
+        yield _draw_directions(rng, min(SAMPLE_BLOCK_ROWS, count - start), k)
+
+
+def _iter_blocks(X: np.ndarray, count: int, rng: np.random.Generator):
+    for G in _direction_blocks(rng, count, X.shape[1]):
+        yield _round_rows(G, X)
+
+
 def _sample_batch(
     params: MrfParams, X: np.ndarray, count: int, rng: np.random.Generator, seed: int
 ) -> SampleBatch:
-    samples = _round_rows(_draw_directions(rng, count, X.shape[1]), X)
+    blocks = list(_iter_blocks(X, count, rng))
+    # a single block (the map commands' default 1000 draws) is used as
+    # is: copying it raised their peak RSS by about 0.5 MB
+    samples = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     scores = score_batch(params, samples)
     return SampleBatch(samples=samples, scores=scores, seed=seed)
 
@@ -139,22 +155,11 @@ def rrr_map_sample(params: MrfParams, X, count: int, seed: int) -> SampleBatch:
 def rrr_sample_blocks(params: MrfParams, X, count: int, seed: int):
     """The rows of rrr_map_sample(params, X, count, seed), unscored, as an
     iterator of int8 blocks of SAMPLE_BLOCK_ROWS rows (the last one
-    shorter), in draw order.
-
-    Directions are drawn block by block from the same generator, which
-    continues the same Gaussian stream; only a zero direction (norm below
-    1e-12, which no seed in practice draws) is redrawn within its block
-    instead of after all draws. Arguments are checked on the call, not on
+    shorter), in draw order. Arguments are checked on the call, not on
     the first block.
     """
     X = _check_sampling(params, X, count)
     return _iter_blocks(X, count, np.random.default_rng(seed))
-
-
-def _iter_blocks(X: np.ndarray, count: int, rng: np.random.Generator):
-    for start in range(0, count, SAMPLE_BLOCK_ROWS):
-        rows = min(SAMPLE_BLOCK_ROWS, count - start)
-        yield _round_rows(_draw_directions(rng, rows, X.shape[1]), X)
 
 
 def _check_width2(X) -> np.ndarray:

@@ -29,12 +29,17 @@ from relaxround import (
     rrr_is_exact,
     rrr_low,
     rrr_map_sample,
-    rrr_sample_blocks,
     score,
+    score_batch,
     solve_lrp,
 )
 from relaxround.partition import _distinct_rows, _streaming_logsumexp
-from relaxround.rounding import _px_query_batch, _sample_batch, build_px_k2
+from relaxround.rounding import (
+    _px_query_batch,
+    _sample_batch,
+    build_px_k2,
+    rrr_sample_blocks,
+)
 
 LOG2 = math.log(2.0)
 
@@ -263,12 +268,16 @@ def _rows_with_repeats(rng, n, count, pool=300):
     return rows[rng.integers(0, pool, size=count)]
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 501])
-def test_rrr_low_blocks_match_one_array(n):
-    # n = 1, 7 and 9 leave padding bits in the packed keys; 8 leaves none
-    rng = np.random.default_rng([800, n])
+@pytest.mark.parametrize(
+    "n, pool", [(1, 300), (7, 300), (8, 300), (9, 300), (501, 300), (501, 5000)]
+)
+def test_rrr_low_blocks_match_one_array(n, pool):
+    # n = 1, 7 and 9 leave padding bits in the packed keys; 8 leaves none.
+    # A pool of 5000 makes most rows distinct, as at width k > 2, so the
+    # merged keys keep growing across blocks.
+    rng = np.random.default_rng([800, n, pool])
     count = 5000
-    S = _rows_with_repeats(rng, n, count)
+    S = _rows_with_repeats(rng, n, count, pool)
     A = rng.normal(size=(n, n)) * 0.05
     m = MrfParams(0.5 * (A + A.T))
     whole = rrr_low(m, S)
@@ -298,6 +307,9 @@ def test_rrr_low_rejects_empty_and_misshapen_rows():
         rrr_low(m, iter([]))
     with pytest.raises(ValueError):
         rrr_low(m, np.ones((2, 4), dtype=np.int8))
+    # packed keys keep only rows > 0, so {0,1} rows would be read as {-1,+1}
+    with pytest.raises(ValueError):
+        rrr_low(MrfParams(np.eye(3), Domain.ZERO_ONE), np.eye(3, dtype=np.int8))
 
 
 def test_rrr_low_streamed_peak_memory_flat():
@@ -370,14 +382,21 @@ def test_rrr_is_equality_when_support_covers_everything():
     assert_allclose(rrr_is_exact(m, X).log_z, exact_logz_mrf(m), rtol=1e-12)
 
 
-def reference_rrr_is(params, X, count, seed):
+def reference_rrr_is(params, X, count, seed, degenerate_plus=True):
     """The per-draw importance sampler: round and score every draw, query
-    each draw's pattern probability, and log-mean-exp in draw order."""
+    each draw's pattern probability, and log-mean-exp in draw order.
+    Degenerate rows read +1, as in enumerate_support_k2, unless
+    `degenerate_plus` is False: then they keep their rounded sign."""
     batch = _sample_batch(params, X, count, np.random.default_rng(seed), seed)
-    probs = _px_query_batch(build_px_k2(X), batch.samples)
+    dist = build_px_k2(X)
+    samples = batch.samples.copy()
+    if degenerate_plus:
+        samples[:, dist.degenerate] = 1
+    probs = _px_query_batch(dist, samples)
     if np.any(probs <= 0.0):
         raise RuntimeError("sampled pattern has zero computed probability")
-    return float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
+    scores = score_batch(params, samples)
+    return float(_streaming_logsumexp(scores - np.log(probs)) - np.log(count))
 
 
 def test_rrr_is_matches_per_draw_reference():
@@ -407,6 +426,25 @@ def test_rrr_is_matches_per_draw_reference_rbm501():
         reference_rrr_is(m, X, 10_000, seed=72),
         rtol=1e-9,
     )
+
+
+def test_rrr_is_tiny_nonzero_row_reads_plus_one():
+    # a row of norm 1e-13 is feasible but degenerate: rounding gives it the
+    # sign of its tiny product with g, while rrr_is, like the support
+    # enumeration, reads it as +1 in every pattern
+    rng = np.random.default_rng(74)
+    n = 6
+    A = rng.normal(size=(n, n))
+    m = MrfParams(0.5 * (A + A.T))
+    X = rng.normal(size=(n, 2))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X[2] *= 1e-13
+    assert build_px_k2(X).degenerate.tolist() == [False, False, True] + [False] * 3
+    signs = rrr_map_sample(m, X, 2000, seed=75).samples[:, 2]
+    assert -1 in signs and 1 in signs
+    got = rrr_is(m, X, 2000, seed=75).log_z
+    assert_allclose(got, reference_rrr_is(m, X, 2000, 75), rtol=1e-9)
+    assert abs(got - reference_rrr_is(m, X, 2000, 75, degenerate_plus=False)) > 1e-6
 
 
 def test_rrr_is_merged_boundaries_take_the_arc_pattern():

@@ -15,11 +15,10 @@ from relaxround import (
     px_query,
     round_once,
     rrr_map_sample,
-    rrr_sample_blocks,
     score,
     solve_lrp,
 )
-from relaxround.rounding import SAMPLE_BLOCK_ROWS, _arc_index
+from relaxround.rounding import SAMPLE_BLOCK_ROWS, _arc_index, rrr_sample_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -307,8 +306,12 @@ def test_sample_blocks_are_the_batch_rows_in_order():
         assert sizes[:-1] == [SAMPLE_BLOCK_ROWS] * (len(blocks) - 1)
         assert 1 <= sizes[-1] <= SAMPLE_BLOCK_ROWS and sum(sizes) == count
         assert all(block.dtype == np.int8 for block in blocks)
-        want = rrr_map_sample(m, X, count, seed=41).samples
+        # blocking continues one Gaussian stream: the rows are those of a
+        # single count x 2 draw
+        G = np.random.default_rng(41).standard_normal((count, 2))
+        want = np.where(G @ X.T >= 0.0, 1, -1)
         assert_array_equal(np.concatenate(blocks), want)
+        assert_array_equal(rrr_map_sample(m, X, count, seed=41).samples, want)
 
 
 def test_sample_blocks_check_arguments_on_call():
