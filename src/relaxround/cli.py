@@ -28,7 +28,7 @@ from .models import (
     gen_hard_rbm,
     gen_random_rbm,
 )
-from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_is_exact, rrr_low
+from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_low
 from .relaxation import LrpOptions, solve_lrp
 from .rounding import rrr_map_sample, rrr_sample_blocks
 
@@ -249,15 +249,15 @@ def _run_logz(args) -> int:
                 "distinct": report.details["distinct"],
             }
         elif method == "rrr-is":
-            sampled = rrr_is(
+            report = rrr_is(
                 emb.mrf, sol.X, args.samples, _derive_seed(seed, _TAG_LOGZ_IS)
             )
-            support = rrr_is_exact(emb.mrf, sol.X)
+            exact_support = report.details["log_z_exact_support"]
             entries[method] = {
-                "log_z": sampled.log_z - LOG_2 + emb.offset,
-                "log_z_exact_support": support.log_z - LOG_2 + emb.offset,
+                "log_z": report.log_z - LOG_2 + emb.offset,
+                "log_z_exact_support": exact_support - LOG_2 + emb.offset,
                 "samples": args.samples,
-                "support_size": support.budget.samples,
+                "support_size": report.details["support_size"],
             }
 
     doc = {

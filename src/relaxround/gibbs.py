@@ -23,8 +23,6 @@ _EXP_MAX = math.log(sys.float_info.max)
 __all__ = [
     "AnnealSchedule",
     "ChainState",
-    "gibbs_conditional",
-    "gibbs_sweep",
     "block_gibbs_rbm_sweep",
     "annealed_gibbs",
     "rrr_ag",
@@ -69,28 +67,19 @@ class AnnealSchedule:
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
-    """A chain position: current assignment, number of sweeps performed,
-    and the score after each sweep.
-
-    States returned by `annealed_gibbs` and `rrr_ag` also carry the best
-    state visited, the start state included, and its score (for `rrr_ag`,
-    over all of its chains); the first visit wins ties. States advanced one
-    step at a time with `gibbs_sweep` leave both as None.
-    """
+    """The end of a chain run: the final assignment, the score after each
+    sweep, and the best state visited, the start state included, with its
+    score (for `rrr_ag`, over all of its chains); the first visit wins
+    ties."""
 
     x: np.ndarray
-    sweep_count: int
     score_trace: tuple
-    best_x: np.ndarray | None = None
-    best_score: float | None = None
+    best_x: np.ndarray
+    best_score: float
 
-    def __post_init__(self):
-        if self.sweep_count < 0 or len(self.score_trace) > self.sweep_count:
-            raise ValueError("inconsistent sweep bookkeeping")
-
-    @classmethod
-    def initial(cls, x) -> "ChainState":
-        return cls(np.asarray(x, dtype=np.int8).copy(), 0, ())
+    @property
+    def sweep_count(self) -> int:
+        return len(self.score_trace)
 
     @property
     def final_score(self):
@@ -106,19 +95,6 @@ def _site_probability(A: np.ndarray, x, i: int, temperature: float) -> float:
     """
     z = 4.0 * float(A[i] @ x - A[i, i] * x[i]) / temperature
     return 1.0 / (1.0 + math.exp(-z)) if -z <= _EXP_MAX else 0.0
-
-
-def gibbs_conditional(params: MrfParams, x, i: int, temperature: float = 1.0) -> float:
-    """P(x_i = +1 | all other coordinates) under weights exp(x'Ax / T)."""
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("single-site sampling expects the {-1,+1} domain")
-    if not 0 <= i < params.n:
-        raise ValueError(f"site {i} out of range for n={params.n}")
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
-    return _site_probability(
-        params.A, check_assignment(x, params.n, params.domain), i, temperature
-    )
 
 
 def _field_error(A: np.ndarray) -> float:
@@ -186,23 +162,6 @@ def _sweep_inplace(
                 half -= A[i]
 
 
-def gibbs_sweep(
-    params: MrfParams, state: ChainState, temperature: float, rng: np.random.Generator
-) -> ChainState:
-    """One systematic single-site sweep. Returns the advanced chain state
-    with the new score appended to the trace; the best state is not
-    tracked. Draws exactly what one step of `annealed_gibbs` draws."""
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("single-site sampling expects the {-1,+1} domain")
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
-    check_assignment(state.x, params.n, params.domain)
-    x = state.x.astype(np.int8).copy()
-    _sweep_inplace(params.A, x, temperature, rng, _field_error(params.A))
-    new_score = float(x @ params.A @ x)
-    return ChainState(x, state.sweep_count + 1, state.score_trace + (new_score,))
-
-
 def _tempered_block_sweep(
     params: RbmParams,
     V: np.ndarray,
@@ -260,7 +219,7 @@ def _run_schedule(
         trace.append(value)
         if value > best_score:
             best_x, best_score = x.copy(), value
-    return ChainState(x, len(trace), tuple(trace), best_x, best_score)
+    return ChainState(x, tuple(trace), best_x, best_score)
 
 
 def annealed_gibbs(

@@ -59,11 +59,16 @@ def dumps_instance(params) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write text to path as UTF-8 through a temporary file in the same
-    directory and a rename, so the path never holds a partial file."""
+    directory and a rename, so the path never holds a partial file. The
+    file gets the mode open(path, "w") gives a new file, 0o666 less the
+    umask, where mkstemp alone would leave 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

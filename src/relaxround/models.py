@@ -361,7 +361,7 @@ def brute_force_map(params: MrfParams, cap: int = BRUTE_FORCE_CAP):
     best = -np.inf
     best_x = None
     for corners in iter_corner_blocks(n, params.domain):
-        scores = np.einsum("ti,ti->t", corners @ params.A, corners)
+        scores = score_batch(params, corners)
         j = int(np.argmax(scores))
         if scores[j] > best:
             best = float(scores[j])

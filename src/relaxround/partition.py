@@ -20,6 +20,7 @@ from .models import (
     score_batch,
 )
 from .rounding import (
+    SAMPLE_BLOCK_ROWS,
     _arc_index,
     _check_feasible_rows,
     _direction_blocks,
@@ -86,9 +87,8 @@ def exact_logz_mrf(params: MrfParams, cap: int = BRUTE_LOGZ_CAP) -> float:
     streaming enumeration."""
     if params.n > cap:
         raise CapExceededError(f"n={params.n} exceeds enumeration cap {cap}")
-    A = params.A
     return _streaming_logsumexp(
-        np.einsum("ti,ti->t", block @ A, block)
+        score_batch(params, block)
         for block in iter_corner_blocks(params.n, params.domain)
     )
 
@@ -168,13 +168,13 @@ def ais_logz(
     )
 
 
-def _distinct_rows(rows, n: int) -> tuple[np.ndarray, int]:
-    """The distinct rows of a {-1,+1} row array, or of an iterable of row
-    blocks, in the order of np.unique(..., axis=0), and the row count."""
+def _distinct_keys(rows, n: int) -> tuple[np.ndarray, int]:
+    """The distinct np.packbits(rows > 0, axis=1) keys of a {-1,+1} row
+    array, or of an iterable of row blocks, sorted as np.unique(...,
+    axis=0) sorts the rows, and the row count."""
     if isinstance(rows, np.ndarray):
         rows = (rows,)
-    nbytes = (n + 7) // 8
-    key = np.dtype((np.void, nbytes))
+    key = np.dtype((np.void, (n + 7) // 8))
     keys = np.empty(0, dtype=key)
     pending: list[np.ndarray] = []
     pending_size = 0
@@ -194,9 +194,14 @@ def _distinct_rows(rows, n: int) -> tuple[np.ndarray, int]:
             pending, pending_size = [], 0
     if count < 1:
         raise ValueError("rows must be nonempty")
-    keys = np.unique(np.concatenate([keys, *pending]))
-    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, nbytes), axis=1, count=n)
-    return np.where(bits > 0, np.int8(1), np.int8(-1)), count
+    return np.unique(np.concatenate([keys, *pending])), count
+
+
+def _unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The {-1,+1} int8 rows of packed keys from `_distinct_keys`."""
+    packed = keys.view(np.uint8).reshape(keys.size, -1)
+    bits = np.unpackbits(packed, axis=1, count=n)
+    return np.where(bits > 0, np.int8(1), np.int8(-1))
 
 
 def rrr_low(params: MrfParams, rows) -> EstimateReport:
@@ -210,29 +215,47 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     `rows` is one array of {-1,+1} assignments stacked as rows, or an
     iterable of such blocks (as from `rrr_sample_blocks`). Each block is
     reduced to the distinct keys of np.packbits(rows > 0, axis=1), one
-    byte string per row, and the keys are merged across blocks; only the
-    distinct keys are unpacked and scored. Packed bytes sort like the int8
-    rows (-1 < +1, variable 0 most significant), so the distinct rows are
-    those of np.unique(rows, axis=0), in its order. Memory is one block
-    plus a few copies of the distinct keys, and the merges cost O(count
-    log count) key comparisons however many rows are distinct; no
-    samples x n matrix is built. The distinct rows are scored as one
-    float array, which is small at width k=2 (at most 2n patterns) but
-    distinct x n floats when most draws differ. The report's seed is 0:
+    byte string per row, and the keys are merged across blocks. Packed
+    bytes sort like the int8 rows (-1 < +1, variable 0 most significant),
+    so the distinct rows are those of np.unique(rows, axis=0), in its
+    order. The distinct keys are unpacked and scored SAMPLE_BLOCK_ROWS at a
+    time; at width k=2 (at most 2n patterns) that is one block. Memory is
+    one block plus a few copies of the distinct keys (n/8 bytes each), and
+    the merges cost O(count log count) key comparisons however many rows
+    are distinct; no samples x n matrix is built. The report's seed is 0:
     the rows carry their own provenance.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("rrr_low takes {-1,+1} assignments")
     start = time.perf_counter()
-    distinct, count = _distinct_rows(rows, params.n)
-    log_z = _streaming_logsumexp(score_batch(params, distinct))
+    keys, count = _distinct_keys(rows, params.n)
+    log_z = _streaming_logsumexp(
+        score_batch(params, _unpack_keys(keys[i : i + SAMPLE_BLOCK_ROWS], params.n))
+        for i in range(0, keys.size, SAMPLE_BLOCK_ROWS)
+    )
     return EstimateReport(
         log_z=log_z,
         budget=Budget(samples=count),
         seed=0,
         wall_clock=time.perf_counter() - start,
-        details={"distinct": int(distinct.shape[0])},
+        details={"distinct": int(keys.size)},
     )
+
+
+def _score_support(params: MrfParams, X):
+    """The width-2 support pass of `rrr_is` and `rrr_is_exact`: checks the
+    arguments, builds the rounding distribution, enumerates its at most 2n
+    patterns and scores them once. Returns the distribution, the scores
+    and the probabilities, both in `enumerate_support_k2` order."""
+    if params.domain is not Domain.PLUS_MINUS_ONE:
+        raise ValueError("rounding produces {-1,+1} assignments")
+    X = _check_feasible_rows(params, X)
+    if X.shape[1] != 2:
+        raise ValueError("importance sampling requires width k=2")
+    dist = build_px_k2(X)
+    support = enumerate_support_k2(dist, X)
+    scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
+    return dist, scores, np.array([p for _, p in support])
 
 
 def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
@@ -249,23 +272,19 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     DEGENERATE_NORM) read +1 in every pattern, as in
     `enumerate_support_k2`, where rounding a nonzero one would take the
     sign of its tiny product with g. No samples x n matrix is built.
+
+    The same scores give the sampler's exact expectation, so `details`
+    carries `log_z_exact_support`, equal to `rrr_is_exact(params, X).log_z`,
+    and `support_size`, the number of patterns.
     """
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("rounding produces {-1,+1} assignments")
     if count < 1:
         raise ValueError("count must be >= 1")
-    X = _check_feasible_rows(params, X)
-    if X.shape[1] != 2:
-        raise ValueError("importance sampling requires width k=2")
     start = time.perf_counter()
+    dist, scores, probs = _score_support(params, X)
     rng = np.random.default_rng(seed)
-    dist = build_px_k2(X)
-    support = enumerate_support_k2(dist, X)
-    hits = np.zeros(len(support), dtype=np.int64)
+    hits = np.zeros(scores.size, dtype=np.int64)
     for G in _direction_blocks(rng, count, 2):
-        hits += np.bincount(_arc_index(dist, G), minlength=len(support))
-    scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
-    probs = np.array([p for _, p in support])
+        hits += np.bincount(_arc_index(dist, G), minlength=scores.size)
     seen = hits > 0
     log_z = float(
         _streaming_logsumexp(scores[seen] + np.log(hits[seen]) - np.log(probs[seen]))
@@ -276,6 +295,10 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
         budget=Budget(samples=count),
         seed=seed,
         wall_clock=time.perf_counter() - start,
+        details={
+            "log_z_exact_support": _streaming_logsumexp(scores),
+            "support_size": int(scores.size),
+        },
     )
 
 
@@ -287,18 +310,11 @@ def rrr_is_exact(params: MrfParams, X) -> EstimateReport:
     lower-bounds the log partition (with equality when the support covers
     every corner) and is deterministic.
     """
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("rounding produces {-1,+1} assignments")
-    X = _check_feasible_rows(params, X)
-    if X.shape[1] != 2:
-        raise ValueError("importance sampling requires width k=2")
     start = time.perf_counter()
-    support = enumerate_support_k2(build_px_k2(X), X)
-    patterns = np.stack([pattern for pattern, _ in support])
-    log_z = _streaming_logsumexp(score_batch(params, patterns))
+    _, scores, _ = _score_support(params, X)
     return EstimateReport(
-        log_z=log_z,
-        budget=Budget(samples=len(support)),
+        log_z=_streaming_logsumexp(scores),
+        budget=Budget(samples=int(scores.size)),
         seed=0,
         wall_clock=time.perf_counter() - start,
         details={"exact_support": True},

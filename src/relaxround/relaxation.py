@@ -84,9 +84,10 @@ def project_rows(X: np.ndarray) -> np.ndarray:
 
 
 def estimate_lipschitz(
-    A: np.ndarray, iters: int = 50, tol: float = 1e-6, *, return_matvecs: bool = False
-) -> float | tuple[float, int]:
-    """Estimate of the gradient Lipschitz constant L = 2*||A||_2, at least L/2.
+    A: np.ndarray, iters: int = 50, tol: float = 1e-6
+) -> tuple[float, int]:
+    """Estimate of the gradient Lipschitz constant L = 2*||A||_2, at least L/2,
+    and the number of products A @ v it took.
 
     Projected gradient ascent with step 1/estimate is monotone whenever the
     estimate is at least L/2 (a step of at most 2/L never decreases an
@@ -94,8 +95,6 @@ def estimate_lipschitz(
     fixed pseudorandom start approaches ||A||_2 from below, and the
     converged value is inflated by 1 percent; truncation can still leave
     the result a few percent under L, so it is not an upper bound.
-
-    With `return_matvecs`, returns (estimate, number of products A @ v).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -118,8 +117,7 @@ def estimate_lipschitz(
             break
         est = nw
         v = w / nw
-    est = 2.0 * est * 1.01
-    return (est, matvecs) if return_matvecs else est
+    return 2.0 * est * 1.01, matvecs
 
 
 def _init_rows_in_ball(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,7 +193,7 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
     if opts.k > params.n:
         raise ValueError(f"width k={opts.k} exceeds n={params.n}")
     A = params.A
-    L, lipschitz_matvecs = estimate_lipschitz(A, return_matvecs=True)
+    L, lipschitz_matvecs = estimate_lipschitz(A)
     step = 1.0 / L if L > 0 else 1.0
     starts = [
         _init_rows_in_ball(params.n, opts.k, np.random.default_rng(child))

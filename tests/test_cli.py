@@ -20,7 +20,7 @@ from relaxround import (
     load_instance,
     rbm_score,
 )
-from relaxround import cli
+from relaxround import cli, partition
 from relaxround.cli import main
 
 
@@ -234,6 +234,46 @@ def test_one_relaxation_per_command(tmp_path, monkeypatch):
             rrr, combo = doc["methods"]["rrr"], doc["methods"]["rrr-ag"]
             for key in ("relaxation_objective", "relaxation_iterations"):
                 assert rrr[key] == combo[key]
+
+
+def test_rrr_is_builds_the_support_once(tmp_path, monkeypatch):
+    # logz's rrr-is entry takes the sampled estimate, the exact-support
+    # value and the support size from one pass over the support
+    calls = {"build_px_k2": 0, "enumerate_support_k2": 0}
+
+    def counting(name):
+        inner = getattr(partition, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(partition, name, counting(name))
+    inst = gen_instance(tmp_path, seed=25)
+    out = tmp_path / "r.json"
+    assert run("logz", "--instance", inst, "--methods", "rrr-is", "--samples",
+               200, "--seed", 7, "--out", out) == 0
+    assert calls == {"build_px_k2": 1, "enumerate_support_k2": 1}
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+)
+def test_written_files_honour_the_umask(tmp_path, umask, mode):
+    # reports and instances get the mode open(path, "w") gives a new file
+    old = os.umask(umask)
+    try:
+        inst = gen_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run("map", "--instance", inst, "--methods", "ag", "--sweeps", 5,
+                   "--seed", 0, "--out", out) == 0
+    finally:
+        os.umask(old)
+    assert (inst.stat().st_mode & 0o777) == mode
+    assert (out.stat().st_mode & 0o777) == mode
 
 
 # A child interpreter in which any import of scipy fails; it runs each argv

@@ -10,7 +10,6 @@ from scipy.special import expit
 
 from relaxround import (
     AnnealSchedule,
-    ChainState,
     LrpOptions,
     MrfParams,
     RbmParams,
@@ -19,8 +18,6 @@ from relaxround import (
     brute_force_map,
     gen_hard_rbm,
     gen_random_rbm,
-    gibbs_conditional,
-    gibbs_sweep,
     rbm_to_mrf,
     rrr_ag,
     rrr_map_sample,
@@ -28,6 +25,7 @@ from relaxround import (
     solve_lrp,
 )
 from relaxround import gibbs as gibbs_module
+from relaxround.gibbs import _field_error, _site_probability, _sweep_inplace
 
 from chain_utils import (
     conditional_table,
@@ -43,18 +41,20 @@ from chain_utils import (
 # ------------------------------------------------------------ conditional
 
 
+def _pm(values):
+    return np.array(values, dtype=np.int8)
+
+
 def test_conditional_isolated_site():
     A = np.zeros((3, 3))
     A[0, 0] = 7.0  # diagonal does not influence the conditional
-    m = MrfParams(A)
-    assert gibbs_conditional(m, [1, 1, -1], 0) == 0.5
+    assert _site_probability(A, _pm([1, 1, -1]), 0, 1.0) == 0.5
 
 
 def test_conditional_saturates():
     A = np.zeros((2, 2))
     A[0, 1] = A[1, 0] = 10.0
-    m = MrfParams(A)
-    got = gibbs_conditional(m, [-1, 1], 0)
+    got = _site_probability(A, _pm([-1, 1]), 0, 1.0)
     assert abs(got - expit(40.0)) <= 1e-12
 
 
@@ -63,31 +63,20 @@ def test_conditional_matches_two_point_ratio():
     for _ in range(25):
         n = int(rng.integers(2, 8))
         m = MrfParams(rng.normal(size=(n, n)))
-        x = rng.choice([-1, 1], size=n)
+        x = _pm(rng.choice([-1, 1], size=n))
         i = int(rng.integers(n))
         xp, xm = x.copy(), x.copy()
         xp[i], xm[i] = 1, -1
         sp, sm = score(m, xp), score(m, xm)
         want = math.exp(sp - sm) / (math.exp(sp - sm) + 1.0)
-        assert abs(gibbs_conditional(m, x, i) - want) <= 1e-12
+        assert abs(_site_probability(m.A, x, i, 1.0) - want) <= 1e-12
 
 
 def test_conditional_temperature_flattens():
     A = np.zeros((2, 2))
     A[0, 1] = A[1, 0] = 3.0
-    m = MrfParams(A)
-    hot = gibbs_conditional(m, [-1, 1], 0, temperature=1e6)
+    hot = _site_probability(A, _pm([-1, 1]), 0, 1e6)
     assert abs(hot - 0.5) <= 1e-5
-
-
-def test_conditional_validation():
-    m = MrfParams(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        gibbs_conditional(m, [1, 1], 5)
-    with pytest.raises(ValueError):
-        gibbs_conditional(m, [1, 1], 0, temperature=0.0)
-    with pytest.raises(ValueError):
-        gibbs_conditional(m, [1, 2], 0)
 
 
 def test_single_site_marginals_match_enumeration():
@@ -108,13 +97,13 @@ def test_single_site_marginals_match_enumeration():
 
 
 def test_sweep_zero_coupling_is_uniform():
-    m = MrfParams(np.zeros((3, 3)))
+    A = np.zeros((3, 3))
     rng = np.random.default_rng(3)
-    state = ChainState.initial(np.ones(3, dtype=np.int8))
+    x = np.ones(3, dtype=np.int8)
     plus = np.zeros(3)
     for _ in range(10_000):
-        state = gibbs_sweep(m, state, 1.0, rng)
-        plus += state.x > 0
+        _sweep_inplace(A, x, 1.0, rng, _field_error(A))
+        plus += x > 0
     sigma = math.sqrt(10_000 * 0.25)
     assert np.all(np.abs(plus - 5000) <= 4 * sigma)
 
@@ -122,27 +111,27 @@ def test_sweep_zero_coupling_is_uniform():
 def test_sweep_trace_scores_consistent():
     rng = np.random.default_rng(4)
     m = MrfParams(rng.normal(size=(6, 6)))
-    state = ChainState.initial(np.ones(6, dtype=np.int8))
-    for _ in range(10):
-        state = gibbs_sweep(m, state, 1.0, rng)
+    x0 = np.ones(6, dtype=np.int8)
+    state = annealed_gibbs(m, AnnealSchedule(np.ones(10)), x0, seed=4)
     assert state.sweep_count == 10
     assert len(state.score_trace) == 10
     assert abs(state.final_score - score(m, state.x)) <= 1e-9
 
 
 def test_fast_chain_follows_library_chain():
-    # the table-driven test helper must replicate gibbs_sweep draw-for-draw
+    # the table-driven test helper must replicate the library kernel
+    # draw-for-draw
     rng = np.random.default_rng(5)
     A = rng.normal(size=(7, 7)) * 0.5
     m = MrfParams(A)
     x0 = np.array([1, -1, 1, 1, -1, -1, 1], dtype=np.int8)
 
-    lib = ChainState.initial(x0)
+    x = x0.copy()
     lib_rng = np.random.default_rng(6)
     lib_codes = []
     for _ in range(50):
-        lib = gibbs_sweep(m, lib, 1.0, lib_rng)
-        lib_codes.append(state_code(lib.x))
+        _sweep_inplace(m.A, x, 1.0, lib_rng, _field_error(m.A))
+        lib_codes.append(state_code(x))
 
     fast_codes = fast_chain_trajectory(
         conditional_table(m), 7, 50, np.random.default_rng(6), state_code(x0)
@@ -206,13 +195,14 @@ def test_sweep_near_tie_decided_exactly(monkeypatch, unary, fallbacks):
         lambda *args: calls.append(args[2]) or site_probability(*args),
     )
     x0 = np.array([1, -1, 1], dtype=np.int8)
-    state = gibbs_sweep(m, ChainState.initial(x0), 1.0, _FixedUniforms(uniforms))
-    assert state.x.tolist() == [-1, 1, -1]
+    x = x0.copy()
+    _sweep_inplace(m.A, x, 1.0, _FixedUniforms(uniforms), _field_error(m.A))
+    assert x.tolist() == [-1, 1, -1]
     assert len(calls) == fallbacks
 
     x_ref = x0.copy()
     reference_sweep(m.A, x_ref, 1.0, _FixedUniforms(uniforms))
-    assert np.array_equal(state.x, x_ref)
+    assert np.array_equal(x, x_ref)
 
 
 def test_stationary_distribution_small_instance():
@@ -265,14 +255,14 @@ def test_block_conditional_matches_embedded_single_site():
     for _ in range(20):
         v = rng.choice([-1, 1], size=4)
         h = rng.choice([-1, 1], size=3)
-        x = np.concatenate([[1], v, h])
+        x = _pm(np.concatenate([[1], v, h]))
         for j in range(3):
             want = float(expit(2.0 * (v @ rbm.W[:, j] + rbm.b[j])))
-            got = gibbs_conditional(emb, x, 1 + 4 + j)
+            got = _site_probability(emb.A, x, 1 + 4 + j, 1.0)
             assert abs(got - want) <= 1e-12
         for i in range(4):
             want = float(expit(2.0 * (rbm.W[i] @ h + rbm.a[i])))
-            got = gibbs_conditional(emb, x, 1 + i)
+            got = _site_probability(emb.A, x, 1 + i, 1.0)
             assert abs(got - want) <= 1e-12
 
 
@@ -329,12 +319,9 @@ def test_constant_schedule_equals_plain_gibbs():
     x0 = np.ones(5, dtype=np.int8)
     annealed = annealed_gibbs(m, sched, x0, seed=17)
 
-    state = ChainState.initial(x0)
-    plain_rng = np.random.default_rng(17)
-    for _ in range(12):
-        state = gibbs_sweep(m, state, 1.0, plain_rng)
-    assert np.array_equal(annealed.x, state.x)
-    assert annealed.score_trace == state.score_trace
+    x, trace = reference_chain(m.A, np.ones(12), x0, np.random.default_rng(17))
+    assert np.array_equal(annealed.x, x)
+    assert list(annealed.score_trace) == trace
 
 
 def test_annealed_gibbs_requires_schedule():
@@ -404,12 +391,11 @@ def test_rrr_ag_returns_best_chain():
     visited = []
     for idx, chain_ss in enumerate(anneal_ss.spawn(chains)):
         x = batch.samples[idx].copy()
-        state = ChainState.initial(x)
-        bests = [(score(m, x), x)]
+        bests = [(score(m, x), x.copy())]
         rng_i = np.random.default_rng(chain_ss)
         for t in sched.temperatures:
-            state = gibbs_sweep(m, state, float(t), rng_i)
-            bests.append((state.final_score, state.x))
+            reference_sweep(m.A, x, float(t), rng_i)
+            bests.append((float(x @ m.A @ x), x.copy()))
         visited.append(max(bests, key=lambda pair: pair[0]))
     winner = max(range(chains), key=lambda i: visited[i][0])
     assert best.best_score == visited[winner][0]

@@ -33,7 +33,7 @@ from relaxround import (
     score_batch,
     solve_lrp,
 )
-from relaxround.partition import _distinct_rows, _streaming_logsumexp
+from relaxround.partition import _distinct_keys, _streaming_logsumexp, _unpack_keys
 from relaxround.rounding import (
     _px_query_batch,
     _sample_batch,
@@ -283,15 +283,18 @@ def test_rrr_low_blocks_match_one_array(n, pool):
     whole = rrr_low(m, S)
     want = np.unique(S, axis=0)
     assert whole.details["distinct"] == want.shape[0]
-    assert_array_equal(_distinct_rows(S, n)[0], want)
+    assert_array_equal(_unpack_keys(_distinct_keys(S, n)[0], n), want)
+    # past SAMPLE_BLOCK_ROWS distinct rows the scores are summed per block
+    one_array = _streaming_logsumexp(score_batch(m, want))
+    assert_allclose(whole.log_z, one_array, rtol=1e-13)
     splits = [
         np.split(S, [1, 7, 2048]),  # block boundaries 1, 7, 2048 and count
         [S[i : i + 7] for i in range(0, count, 7)],
         [S[i : i + 2048] for i in range(0, count, 2048)],
     ]
     for blocks in splits:
-        distinct, rows_read = _distinct_rows(iter(blocks), n)
-        assert_array_equal(distinct, want)
+        keys, rows_read = _distinct_keys(iter(blocks), n)
+        assert_array_equal(_unpack_keys(keys, n), want)
         assert rows_read == count
         report = rrr_low(m, iter(blocks))
         assert report.log_z == whole.log_z
@@ -314,27 +317,38 @@ def test_rrr_low_rejects_empty_and_misshapen_rows():
 
 def test_rrr_low_streamed_peak_memory_flat():
     # one block plus the distinct keys: a 10x larger sample count must not
-    # raise the traced peak (n=501, the logz benchmark's size)
+    # raise the traced peak (n=501, the logz benchmark's size). At width 3
+    # most draws are distinct; each one may then cost a few copies of its
+    # n/8-byte key, at most n bytes, never the 8n bytes of a float row.
     emb = embed(gen_random_rbm(16, 484, seed=31))
     m = emb.mrf
-    X = np.random.default_rng(32).normal(size=(m.n, 2))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
 
-    def streamed(count):
-        blocks = rrr_sample_blocks(m, X, count, 33)
-        return rrr_low(m, (emb.canonical(rows) for rows in blocks))
+    def traced(k, counts):
+        X = np.random.default_rng(32).normal(size=(m.n, k))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
 
-    streamed(100)  # first-call allocations stay out of the comparison
-    peaks = []
-    for count in (10_000, 100_000):
-        tracemalloc.start()
-        try:
-            report = streamed(count)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert report.budget.samples == count
+        def streamed(count):
+            blocks = rrr_sample_blocks(m, X, count, 33)
+            return rrr_low(m, (emb.canonical(rows) for rows in blocks))
+
+        streamed(100)  # first-call allocations stay out of the comparison
+        peaks, distinct = [], []
+        for count in counts:
+            tracemalloc.start()
+            try:
+                report = streamed(count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.budget.samples == count
+            distinct.append(report.details["distinct"])
+        return peaks, distinct
+
+    peaks, _ = traced(2, (10_000, 100_000))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+    peaks, distinct = traced(3, (10_000, 40_000))
+    assert distinct[1] - distinct[0] >= 10_000, distinct
+    assert peaks[1] - peaks[0] <= m.n * (distinct[1] - distinct[0]), peaks
 
 
 # ----------------------------------------------------------------- rrr-is
@@ -354,8 +368,12 @@ def test_rrr_is_sampled_near_exact_support():
     rng = np.random.default_rng(21)
     m = MrfParams(rng.normal(size=(7, 7)) * 0.4)
     sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=22))
-    exact_support = rrr_is_exact(m, sol.X).log_z
+    exact = rrr_is_exact(m, sol.X)
+    exact_support = exact.log_z
     sampled = rrr_is(m, sol.X, 100_000, seed=23)
+    # the sampler's one pass over the support also gives the exact value
+    assert sampled.details["log_z_exact_support"] == exact_support
+    assert sampled.details["support_size"] == exact.budget.samples
 
     # 3 standard errors, computed from the weight spread on a fresh batch
     batch = _sample_batch(m, sol.X, 100_000, np.random.default_rng(24), 24)

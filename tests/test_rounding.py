@@ -135,7 +135,6 @@ def test_boundaries_identical_rows():
     X = np.array([[0.6, 0.8], [0.6, 0.8], [0.6, 0.8]])
     dist = build_px_k2(X)
     assert len(dist.angles) == 2
-    assert_allclose(dist.multiplicity, [3, 3])
     arcs = np.diff(np.append(dist.angles, dist.angles[0] + TWO_PI))
     assert_allclose(arcs, math.pi)
 
