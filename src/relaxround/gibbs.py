@@ -98,68 +98,125 @@ def _site_probability(A: np.ndarray, x, i: int, temperature: float) -> float:
 
 
 def _field_error(A: np.ndarray) -> float:
-    """Bound on how far the incremental field of `_sweep_inplace` can sit
-    from the per-site field `A[i] @ x - A[i, i] * x[i]`.
+    """Bound on how far the incremental field of `_sweep` can sit from the
+    per-site field `A[i] @ x - A[i, i] * x[i]`.
 
     With x in {-1,+1}^n every product A_ij x_j is exact, so a field is off
-    only by its roundings, each at most u = eps/2 times a partial result no
-    larger than the row's absolute sum R_i. The per-site field takes n
-    roundings (a dot product of n terms in any summation order, then one
-    subtraction); the incremental one at most 2n - 1 (a matrix-vector
-    product of n terms, one subtraction, up to n - 1 flip updates). The two
-    therefore differ by at most about 3n u R_i = 1.5 n eps R_i; the bound is
-    4 (n + 1) eps times the largest R_i, over twice that.
+    only by its roundings, each at most u = eps/2 times its partial result.
+    The per-site field takes n roundings of partial results no larger than
+    the row's absolute sum R_i (a dot product of n terms in any summation
+    order, then one subtraction). The incremental one takes at most 2n - 1:
+    n for a matrix product of n terms and one subtraction, then one per
+    earlier site of the sweep, a flip update or its share of a run's update
+    product, whose partial results are at most 2 R_i. The two therefore
+    differ by at most about (n + n + 2n) u R_i = 2 n eps R_i; the bound is
+    4 (n + 1) eps times the largest R_i, about twice that.
     """
     n = A.shape[0]
     return 4.0 * (n + 1) * _EPS * float(np.abs(A).sum(axis=1).max(initial=0.0))
 
 
-def _sweep_inplace(
+def _uncoupled_runs(A: np.ndarray) -> list:
+    """The maximal runs [start, stop) of consecutive sites whose couplings
+    to each other, A[i, j] for i != j inside the run, are all exact zeros.
+
+    No field of a run's site reads another site of the run, so a
+    systematic scan may decide the whole run at once. An RBM embedding
+    (auxiliary site 0, then the visible, then the hidden block) has the runs
+    [0, 1), [1, m + 1) and [m + 1, n); a dense matrix has n singletons.
+    """
+    runs, start = [], 0
+    for i in range(1, A.shape[0]):
+        if A[i, start:i].any():
+            runs.append((start, i))
+            start = i
+    if A.shape[0]:
+        runs.append((start, A.shape[0]))
+    return runs
+
+
+def _scan_spans(A: np.ndarray) -> list:
+    """`_sweep`'s plan of the scan: (start, stop, blocked) triples covering
+    0..n-1 in order. A blocked span is one uncoupled run of two or more
+    sites; the others merge consecutive singleton runs, scanned site by
+    site."""
+    spans = []
+    for start, stop in _uncoupled_runs(A):
+        blocked = stop - start > 1
+        if not blocked and spans and not spans[-1][2]:
+            start = spans.pop()[0]
+        spans.append((start, stop, blocked))
+    return spans
+
+
+def _sweep(
     A: np.ndarray,
-    x: np.ndarray,
+    spans: list,
+    X: np.ndarray,
+    U: np.ndarray,
     temperature: float,
-    rng: np.random.Generator,
     field_error: float,
 ) -> None:
-    """One systematic scan over sites 0..n-1, drawing one uniform per site.
+    """One systematic scan over sites 0..n-1 of every chain (row) of X, in
+    place, site i of chain c deciding with the uniform U[c, i].
 
     Decides every site as `u < _site_probability(A, x, i, T)`, without
-    computing the per-site field `A[i] @ x - A[i, i] * x[i]`: the fields
-    are refreshed with one matrix-vector product per sweep and moved by
-    2 s A[i] when site i flips to s (A is exactly symmetric). Uniforms come
-    from one `rng.random(n)`, the same stream as n scalar draws.
+    computing the per-site field `A[i] @ x - A[i, i] * x[i]`. The fields
+    are refreshed with one matrix product per sweep and kept current as the
+    scan moves along `spans` (see `_scan_spans`):
+    - a run of mutually uncoupled sites is decided at once, with a
+      vectorized logistic, and its flips reach the fields of the later
+      sites through one product;
+    - a span of singleton runs goes site by site in Python floats, a flip
+      of site i to s adding 2 s A[i] to the fields (A is exactly
+      symmetric).
 
     `field_error` (see `_field_error`) bounds the incremental field's
     distance from the per-site one. The logistic is 1/T-Lipschitz in the
     field, so the two probabilities differ by at most field_error / T plus
     the rounding of the logistic itself (a few eps). Outside that guard
     width the comparison with u cannot come out differently; inside it the
-    site is decided with `_site_probability`, so every decision, and the
+    site is decided with `_site_probability`, so every decision, and each
     chain, is bit for bit that of the per-site kernel.
     """
-    n = x.shape[0]
+    n = X.shape[1]
     # half of each field, diagonal excluded, so a flip to s adds s * A[i]
-    # with no scaling; site i's own entry goes stale once visited, which no
+    # with no scaling; a site's own entry goes stale once visited, which no
     # later site reads
-    half = 0.5 * (A @ x - A.diagonal() * x)
-    field_of = half.item
+    H = 0.5 * (X @ A - A.diagonal() * X)
     guard = field_error / temperature + 8.0 * _EPS
-    xs = x.tolist()
-    for i, u in enumerate(rng.random(n).tolist()):
-        # `_site_probability`'s logistic, inlined: a call per site costs
-        # about 8% of a sweep
-        z = 8.0 * field_of(i) / temperature
-        prob = 1.0 / (1.0 + math.exp(-z)) if -z <= _EXP_MAX else 0.0
-        if abs(u - prob) <= guard:
-            prob = _site_probability(A, x, i, temperature)
-        s = 1 if u < prob else -1
-        if s != xs[i]:
-            xs[i] = s
-            x[i] = s
-            if s > 0:
-                half += A[i]
-            else:
-                half -= A[i]
+    exp, exp_max = math.exp, _EXP_MAX  # local names: read at every site below
+    for start, stop, blocked in spans:
+        if blocked:
+            old, u = X[:, start:stop], U[:, start:stop]
+            with np.errstate(over="ignore"):
+                prob = 1.0 / (1.0 + np.exp(-(8.0 * H[:, start:stop] / temperature)))
+            # decided before the run is written: the per-site field reads
+            # the site's own old value
+            for c, j in zip(*np.nonzero(np.abs(u - prob) <= guard)):
+                prob[c, j] = _site_probability(A, X[c], start + j, temperature)
+            new = 2 * (u < prob).view(np.int8) - 1
+            if stop < n:
+                H[:, stop:] += 0.5 * ((new - old) @ A[start:stop, stop:])
+            old[...] = new
+            continue
+        for x, half, u_row in zip(X, H, U):
+            field_of = half.item
+            xs = x[:stop].tolist()  # indexed by site, read before any flip
+            for i, u in enumerate(u_row[start:stop].tolist(), start):
+                # `_site_probability`'s logistic, inlined: a call per site
+                # costs about 8% of a sweep
+                z = 8.0 * field_of(i) / temperature
+                prob = 1.0 / (1.0 + exp(-z)) if -z <= exp_max else 0.0
+                if abs(u - prob) <= guard:
+                    prob = _site_probability(A, x, i, temperature)
+                s = 1 if u < prob else -1
+                if s != xs[i]:
+                    x[i] = s
+                    if s > 0:
+                        half += A[i]
+                    else:
+                        half -= A[i]
 
 
 def _tempered_block_sweep(
@@ -203,23 +260,35 @@ def _run_schedule(
     params: MrfParams,
     temperatures: np.ndarray,
     x0: np.ndarray,
-    rng: np.random.Generator,
-) -> ChainState:
-    """The chain loop: one sweep per temperature from x0, recording the
-    score after each sweep and the best state visited (x0 included, first
-    visit wins ties)."""
+    rngs: list,
+) -> list:
+    """The chain loop: advances one chain per row of x0 in lockstep, one
+    sweep per temperature, chain c drawing its sweep's uniforms from
+    rngs[c]. Returns one ChainState per chain, with the score after each
+    sweep and the best state visited (its start included, first visit wins
+    ties)."""
     A = params.A
-    x = np.asarray(x0, dtype=np.int8).copy()
-    best_x, best_score = x.copy(), float(x @ A @ x)
+    X = np.array(x0, dtype=np.int8)
+    best_x = X.copy()
+    best_score = [float(x @ A @ x) for x in X]
+    traces = [[] for _ in rngs]
+    spans = _scan_spans(A)
     field_error = _field_error(A)
-    trace = []
+    U = np.empty(X.shape)
     for temperature in temperatures:
-        _sweep_inplace(A, x, float(temperature), rng, field_error)
-        value = float(x @ A @ x)
-        trace.append(value)
-        if value > best_score:
-            best_x, best_score = x.copy(), value
-    return ChainState(x, tuple(trace), best_x, best_score)
+        # one rng.random(n) per chain, the same stream as n scalar draws
+        for rng, u in zip(rngs, U):
+            rng.random(out=u)
+        _sweep(A, spans, X, U, float(temperature), field_error)
+        for c, x in enumerate(X):
+            value = float(x @ A @ x)
+            traces[c].append(value)
+            if value > best_score[c]:
+                best_x[c], best_score[c] = x, value
+    return [
+        ChainState(x.copy(), tuple(trace), bx.copy(), bs)
+        for x, trace, bx, bs in zip(X, traces, best_x, best_score)
+    ]
 
 
 def annealed_gibbs(
@@ -232,8 +301,8 @@ def annealed_gibbs(
     if len(schedule) == 0:
         raise ValueError("schedule must be nonempty")
     check_assignment(init, params.n, params.domain)
-    rng = np.random.default_rng(seed)
-    return _run_schedule(params, schedule.temperatures, init, rng)
+    rngs = [np.random.default_rng(seed)]
+    return _run_schedule(params, schedule.temperatures, [init], rngs)[0]
 
 
 def rrr_ag(
@@ -242,12 +311,13 @@ def rrr_ag(
     """Relax-and-round warm start for annealed Gibbs.
 
     Draws `chains` rounded samples of X and anneals one chain from each
-    along `schedule`. Returns the final state of the chain that ended with
-    the best score; its `best_x` and `best_score` hold the best state
-    visited by any chain, starts included. The first chain wins ties in
-    both. With an empty schedule both are the best initial sample,
-    unchanged. Seed derivation: the root seed spawns (sampling, annealing);
-    the annealing child spawns one generator per chain.
+    along `schedule`, all chains advancing in lockstep. Returns the final
+    state of the chain that ended with the best score; its `best_x` and
+    `best_score` hold the best state visited by any chain, starts
+    included. The first chain wins ties in both. With an empty schedule
+    both are the best initial sample, unchanged. Seed derivation: the root
+    seed spawns (sampling, annealing); the annealing child spawns one
+    generator per chain.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("single-site sampling expects the {-1,+1} domain")
@@ -256,10 +326,8 @@ def rrr_ag(
     X = _check_feasible_rows(params, X)
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
     batch = _sample_batch(params, X, chains, np.random.default_rng(sample_ss), seed)
-    states = [
-        _run_schedule(params, schedule.temperatures, x0, np.random.default_rng(ss))
-        for x0, ss in zip(batch.samples, anneal_ss.spawn(chains))
-    ]
+    rngs = [np.random.default_rng(ss) for ss in anneal_ss.spawn(chains)]
+    states = _run_schedule(params, schedule.temperatures, batch.samples, rngs)
     # max() keeps the first of equal keys; a chain without sweeps ends at
     # its start, which is its best state
     final = max(states, key=lambda s: s.final_score if s.sweep_count else s.best_score)

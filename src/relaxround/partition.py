@@ -200,8 +200,8 @@ def _distinct_keys(rows, n: int) -> tuple[np.ndarray, int]:
 def _unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """The {-1,+1} int8 rows of packed keys from `_distinct_keys`."""
     packed = keys.view(np.uint8).reshape(keys.size, -1)
-    bits = np.unpackbits(packed, axis=1, count=n)
-    return np.where(bits > 0, np.int8(1), np.int8(-1))
+    # the bits as int8, mapped to 2b - 1, as `rounding._round_rows` does
+    return 2 * np.unpackbits(packed, axis=1, count=n).view(np.int8) - 1
 
 
 def rrr_low(params: MrfParams, rows) -> EstimateReport:

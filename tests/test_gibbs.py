@@ -10,12 +10,14 @@ from scipy.special import expit
 
 from relaxround import (
     AnnealSchedule,
+    Domain,
     LrpOptions,
     MrfParams,
     RbmParams,
     annealed_gibbs,
     block_gibbs_rbm_sweep,
     brute_force_map,
+    embed,
     gen_hard_rbm,
     gen_random_rbm,
     rbm_to_mrf,
@@ -25,7 +27,15 @@ from relaxround import (
     solve_lrp,
 )
 from relaxround import gibbs as gibbs_module
-from relaxround.gibbs import _field_error, _site_probability, _sweep_inplace
+from relaxround.gibbs import (
+    _field_error,
+    _run_schedule,
+    _scan_spans,
+    _site_probability,
+    _sweep,
+    _uncoupled_runs,
+)
+from relaxround.rounding import _sample_batch
 
 from chain_utils import (
     conditional_table,
@@ -96,13 +106,41 @@ def test_single_site_marginals_match_enumeration():
 # ------------------------------------------------------------ full sweeps
 
 
+def _sweep_rows(A, X, U, temperature=1.0):
+    """One library sweep of the chains in the rows of X, in place, with the
+    uniforms U."""
+    _sweep(A, _scan_spans(A), X, np.asarray(U, dtype=float), temperature,
+           _field_error(A))
+
+
+def test_uncoupled_runs_of_rbm_embedding():
+    emb = rbm_to_mrf(gen_random_rbm(7, 5, seed=1))
+    assert _uncoupled_runs(emb.A) == [(0, 1), (1, 8), (8, 13)]
+    assert _scan_spans(emb.A) == [(0, 1, False), (1, 8, True), (8, 13, True)]
+
+
+def test_uncoupled_runs_of_dense_matrix():
+    m = MrfParams(np.random.default_rng(2).normal(size=(6, 6)))
+    assert _uncoupled_runs(m.A) == [(i, i + 1) for i in range(6)]
+    assert _scan_spans(m.A) == [(0, 6, False)]
+
+
+def test_uncoupled_runs_split_at_tiny_coupling():
+    # an exact zero keeps a run together; 1e-300 is a coupling
+    A = rbm_to_mrf(gen_random_rbm(7, 5, seed=1)).A.copy()
+    A[4, 2] = A[2, 4] = 1e-300
+    assert _uncoupled_runs(A) == [(0, 1), (1, 4), (4, 8), (8, 13)]
+    A[4, 2] = A[2, 4] = -0.0
+    assert _uncoupled_runs(A) == [(0, 1), (1, 8), (8, 13)]
+
+
 def test_sweep_zero_coupling_is_uniform():
     A = np.zeros((3, 3))
     rng = np.random.default_rng(3)
     x = np.ones(3, dtype=np.int8)
     plus = np.zeros(3)
     for _ in range(10_000):
-        _sweep_inplace(A, x, 1.0, rng, _field_error(A))
+        _sweep_rows(A, x[None, :], rng.random((1, 3)))
         plus += x > 0
     sigma = math.sqrt(10_000 * 0.25)
     assert np.all(np.abs(plus - 5000) <= 4 * sigma)
@@ -130,7 +168,7 @@ def test_fast_chain_follows_library_chain():
     lib_rng = np.random.default_rng(6)
     lib_codes = []
     for _ in range(50):
-        _sweep_inplace(m.A, x, 1.0, lib_rng, _field_error(m.A))
+        _sweep_rows(m.A, x[None, :], lib_rng.random((1, 7)))
         lib_codes.append(state_code(x))
 
     fast_codes = fast_chain_trajectory(
@@ -139,19 +177,31 @@ def test_fast_chain_follows_library_chain():
     assert fast_codes == lib_codes
 
 
-@pytest.mark.parametrize(
-    "make, overflows",
-    [
-        (lambda: gen_hard_rbm(100, 60, 3, 50.0, 5.0), False),
-        (lambda: gen_hard_rbm(100, 60), True),
-        (lambda: gen_random_rbm(300, 200), False),
-    ],
-    ids=["hard-50-5", "hard-default", "random-300-200"],
-)
-def test_sweep_matches_reference_kernel(make, overflows):
-    # the incremental-field kernel must reproduce the per-site kernel bit
-    # for bit: same states, same score after every sweep
-    emb = rbm_to_mrf(make())
+def _dense_mrf():
+    return MrfParams(np.random.default_rng(32).normal(size=(161, 161)))
+
+
+def _zero_one_rbm():
+    rbm = gen_random_rbm(40, 30, seed=33)
+    return RbmParams(rbm.W, rbm.a, rbm.b, Domain.ZERO_ONE)
+
+
+# (instance, whether exp(-4 * field) overflows at T = 1 from a random start)
+_CHAIN_CASES = {
+    "hard-50-5": (lambda: gen_hard_rbm(100, 60, 3, 50.0, 5.0), False),
+    "hard-default": (lambda: gen_hard_rbm(100, 60), True),
+    "random-300-200": (lambda: gen_random_rbm(300, 200), False),
+    "dense-161": (_dense_mrf, False),
+    "zero-one-40-30": (_zero_one_rbm, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_sweep_matches_reference_kernel(case):
+    # the run-blocked kernel must reproduce the per-site kernel bit for
+    # bit: same states, same score after every sweep
+    make, overflows = _CHAIN_CASES[case]
+    emb = embed(make()).mrf
     A = emb.A
     x0 = (2 * np.random.default_rng(30).integers(0, 2, emb.n) - 1).astype(np.int8)
     if overflows:
@@ -164,6 +214,39 @@ def test_sweep_matches_reference_kernel(make, overflows):
                                        np.random.default_rng(31))
     assert np.array_equal(state.x, x_ref)
     assert list(state.score_trace) == trace_ref
+
+
+@pytest.mark.parametrize(
+    "case", ["hard-50-5", "hard-default", "random-300-200", "dense-161"]
+)
+def test_lockstep_chains_match_reference_replays(case):
+    # rrr_ag advances its chains as one array; each chain must still be the
+    # per-site kernel's chain from its own start and generator
+    emb = embed(_CHAIN_CASES[case][0]()).mrf
+    sol = solve_lrp(emb, LrpOptions(k=2, restarts=2, seed=34))
+    sched = AnnealSchedule.linear(10.0, 500)
+    chains, seed = 3, 35
+    # rrr_ag's seed derivation
+    sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
+    starts = _sample_batch(emb, sol.X, chains, np.random.default_rng(sample_ss),
+                           seed).samples
+    chain_seeds = anneal_ss.spawn(chains)
+    states = _run_schedule(emb, sched.temperatures, starts,
+                           [np.random.default_rng(ss) for ss in chain_seeds])
+    replays = []
+    for x0, chain_ss in zip(starts, chain_seeds):
+        x_ref, trace_ref = reference_chain(emb.A, sched.temperatures, x0,
+                                           np.random.default_rng(chain_ss))
+        replays.append((x_ref, trace_ref))
+    for state, (x_ref, trace_ref) in zip(states, replays):
+        assert np.array_equal(state.x, x_ref)
+        assert list(state.score_trace) == trace_ref
+
+    # rrr_ag returns the replay whose final score is best
+    winner = max(range(chains), key=lambda c: replays[c][1][-1])
+    got = rrr_ag(emb, sol.X, sched, chains=chains, seed=seed)
+    assert np.array_equal(got.x, replays[winner][0])
+    assert list(got.score_trace) == replays[winner][1]
 
 
 class _FixedUniforms:
@@ -179,6 +262,17 @@ class _FixedUniforms:
         return np.array(out)
 
 
+def _count_fallbacks(monkeypatch):
+    """Record the site of every call to the per-site fallback."""
+    calls = []
+    site_probability = gibbs_module._site_probability
+    monkeypatch.setattr(
+        gibbs_module, "_site_probability",
+        lambda *args: calls.append(int(args[2])) or site_probability(*args),
+    )
+    return calls
+
+
 @pytest.mark.parametrize("unary, fallbacks", [(0.0, 1), (1e3, 3)])
 def test_sweep_near_tie_decided_exactly(monkeypatch, unary, fallbacks):
     # zero coupling: every conditional is exactly 1/2, so a uniform at 1/2
@@ -188,21 +282,40 @@ def test_sweep_near_tie_decided_exactly(monkeypatch, unary, fallbacks):
     # 1e-12, so all three sites are decided by the per-site expression
     m = MrfParams(unary * np.eye(3))
     uniforms = [0.5, 0.5 - 1e-12, 0.5 + 1e-12]
-    calls = []
-    site_probability = gibbs_module._site_probability
-    monkeypatch.setattr(
-        gibbs_module, "_site_probability",
-        lambda *args: calls.append(args[2]) or site_probability(*args),
-    )
+    calls = _count_fallbacks(monkeypatch)
     x0 = np.array([1, -1, 1], dtype=np.int8)
     x = x0.copy()
-    _sweep_inplace(m.A, x, 1.0, _FixedUniforms(uniforms), _field_error(m.A))
+    _sweep_rows(m.A, x[None, :], [uniforms])
     assert x.tolist() == [-1, 1, -1]
     assert len(calls) == fallbacks
 
     x_ref = x0.copy()
     reference_sweep(m.A, x_ref, 1.0, _FixedUniforms(uniforms))
     assert np.array_equal(x, x_ref)
+
+
+def test_sweep_near_tie_inside_run_with_chains(monkeypatch):
+    # runs [0, 2) and [2, 5): sites 0 and 1 couple to every site of the
+    # second run, with weights +1 and -1. Uniforms of 0 set both to +1, so
+    # each site of the second run sees a field of exactly 0 and a
+    # conditional of exactly 1/2; only the uniform at 1/2 falls inside the
+    # guard, at site 2 in chain 0 and at site 4 in chain 1
+    A = np.zeros((5, 5))
+    A[0, 2:] = A[2:, 0] = 1.0
+    A[1, 2:] = A[2:, 1] = -1.0
+    assert _scan_spans(A) == [(0, 2, True), (2, 5, True)]
+    X0 = np.array([[-1, -1, 1, 1, 1], [1, -1, -1, 1, -1]], dtype=np.int8)
+    U = [[0.0, 0.0, 0.5, 0.5 - 1e-12, 0.5 + 1e-12],
+         [0.0, 0.0, 0.5 - 1e-12, 0.5 + 1e-12, 0.5]]
+    calls = _count_fallbacks(monkeypatch)
+    X = X0.copy()
+    _sweep_rows(A, X, U)
+    assert calls == [2, 4]
+    assert X.tolist() == [[1, 1, -1, 1, -1], [1, 1, 1, -1, -1]]
+    for x0, x, u in zip(X0, X, U):
+        x_ref = x0.copy()
+        reference_sweep(A, x_ref, 1.0, _FixedUniforms(u))
+        assert np.array_equal(x, x_ref)
 
 
 def test_stationary_distribution_small_instance():
