@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import Domain, MrfParams, RbmParams, check_assignment
-from .rounding import _check_feasible_rows, _sample_batch
+from .rounding import rrr_sample_blocks
 
 # machine epsilon, and the largest argument math.exp takes without overflow
 _EPS = sys.float_info.epsilon
@@ -110,42 +110,37 @@ def _field_error(A: np.ndarray) -> float:
     earlier site of the sweep, a flip update or its share of a run's update
     product, whose partial results are at most 2 R_i. The two therefore
     differ by at most about (n + n + 2n) u R_i = 2 n eps R_i; the bound is
-    4 (n + 1) eps times the largest R_i, about twice that.
+    4 (n + 1) eps times the largest R_i, about twice that. The row sums
+    are taken 64 rows at a time, so no n x n temporary is built.
     """
     n = A.shape[0]
-    return 4.0 * (n + 1) * _EPS * float(np.abs(A).sum(axis=1).max(initial=0.0))
-
-
-def _uncoupled_runs(A: np.ndarray) -> list:
-    """The maximal runs [start, stop) of consecutive sites whose couplings
-    to each other, A[i, j] for i != j inside the run, are all exact zeros.
-
-    No field of a run's site reads another site of the run, so a
-    systematic scan may decide the whole run at once. An RBM embedding
-    (auxiliary site 0, then the visible, then the hidden block) has the runs
-    [0, 1), [1, m + 1) and [m + 1, n); a dense matrix has n singletons.
-    """
-    runs, start = [], 0
-    for i in range(1, A.shape[0]):
-        if A[i, start:i].any():
-            runs.append((start, i))
-            start = i
-    if A.shape[0]:
-        runs.append((start, A.shape[0]))
-    return runs
+    sums = [np.abs(A[i : i + 64]).sum(axis=1).max() for i in range(0, n, 64)]
+    return 4.0 * (n + 1) * _EPS * float(max(sums, default=0.0))
 
 
 def _scan_spans(A: np.ndarray) -> list:
     """`_sweep`'s plan of the scan: (start, stop, blocked) triples covering
-    0..n-1 in order. A blocked span is one uncoupled run of two or more
-    sites; the others merge consecutive singleton runs, scanned site by
-    site."""
-    spans = []
-    for start, stop in _uncoupled_runs(A):
+    0..n-1 in order.
+
+    The scan splits into the maximal runs of consecutive sites whose
+    couplings to each other, A[i, j] for i != j inside the run, are all
+    exact zeros. No field of a run's site reads another site of the run,
+    so a run of two or more sites is one blocked span, decided at once.
+    Consecutive singleton runs merge into one span, scanned site by site.
+    An RBM embedding (auxiliary site 0, then the visible, then the hidden
+    block) has the spans [0, 1), [1, m + 1) and [m + 1, n); a dense matrix
+    has one span of n singletons.
+    """
+    n = A.shape[0]
+    spans, start = [], 0
+    for stop in range(1, n + 1):
+        if stop < n and not A[stop, start:stop].any():
+            continue  # site `stop` joins the run [start, stop)
         blocked = stop - start > 1
         if not blocked and spans and not spans[-1][2]:
             start = spans.pop()[0]
         spans.append((start, stop, blocked))
+        start = stop
     return spans
 
 
@@ -227,16 +222,20 @@ def _tempered_block_sweep(
     rng: np.random.Generator,
 ):
     """Block sweep targeting exp(beta * score), vectorized over chains.
-    Conditionals are 1 / (1 + exp(-z)) on arrays; exp(-z) overflows to inf
-    where the probability is 0."""
+    Returns the new (V, H) and the scores of the input state, which the
+    hidden conditional's product V @ W also gives. Conditionals are
+    1 / (1 + exp(-z)) on arrays; exp(-z) overflows to inf where the
+    probability is 0."""
     gain = 2.0 if params.domain is Domain.PLUS_MINUS_ONE else 1.0
     lo = -1 if params.domain is Domain.PLUS_MINUS_ONE else 0
+    VW = V @ params.W
+    scores = np.einsum("rp,rp->r", VW, H.astype(float)) + V @ params.a + H @ params.b
     with np.errstate(over="ignore"):
-        ph = 1.0 / (1.0 + np.exp(-(gain * beta * (V @ params.W + params.b))))
+        ph = 1.0 / (1.0 + np.exp(-(gain * beta * (VW + params.b))))
         H = np.where(rng.random(ph.shape) < ph, 1, lo).astype(np.int8)
         pv = 1.0 / (1.0 + np.exp(-(gain * beta * (H @ params.W.T + params.a))))
         V = np.where(rng.random(pv.shape) < pv, 1, lo).astype(np.int8)
-    return V, H
+    return V, H, scores
 
 
 def block_gibbs_rbm_sweep(
@@ -250,7 +249,7 @@ def block_gibbs_rbm_sweep(
         raise ValueError("temperature must be positive")
     vv = check_assignment(v, params.m, params.domain)
     hv = check_assignment(h, params.p, params.domain)
-    V, H = _tempered_block_sweep(
+    V, H, _ = _tempered_block_sweep(
         params, vv[None, :], hv[None, :], 1.0 / temperature, rng
     )
     return V[0], H[0]
@@ -323,11 +322,10 @@ def rrr_ag(
         raise ValueError("single-site sampling expects the {-1,+1} domain")
     if chains < 1:
         raise ValueError("chains must be >= 1")
-    X = _check_feasible_rows(params, X)
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
-    batch = _sample_batch(params, X, chains, np.random.default_rng(sample_ss), seed)
+    starts = np.concatenate(list(rrr_sample_blocks(params, X, chains, sample_ss)))
     rngs = [np.random.default_rng(ss) for ss in anneal_ss.spawn(chains)]
-    states = _run_schedule(params, schedule.temperatures, batch.samples, rngs)
+    states = _run_schedule(params, schedule.temperatures, starts, rngs)
     # max() keeps the first of equal keys; a chain without sweeps ends at
     # its start, which is its best state
     final = max(states, key=lambda s: s.final_score if s.sweep_count else s.best_score)

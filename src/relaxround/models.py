@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard default cap on exhaustive enumeration (2**n assignments).
+# Hard cap on exhaustive enumeration (2**n assignments).
 BRUTE_FORCE_CAP = 24
 
 _CORNER_BLOCK = 1 << 16
@@ -349,15 +349,16 @@ def iter_corner_blocks(n: int, domain: Domain, block: int = _CORNER_BLOCK):
         yield np.where(bits == 1, hi, lo)
 
 
-def brute_force_map(params: MrfParams, cap: int = BRUTE_FORCE_CAP):
-    """Exhaustive maximizer of x' A x over all corners.
+def brute_force_map(params: MrfParams):
+    """Exhaustive maximizer of x' A x over all corners, for n up to
+    BRUTE_FORCE_CAP.
 
     Returns (assignment, score). Ties break toward the lexicographically
     smallest assignment (low value sorts before high).
     """
     n = params.n
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds brute-force cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"n={n} exceeds brute-force cap {BRUTE_FORCE_CAP}")
     best = -np.inf
     best_x = None
     for corners in iter_corner_blocks(n, params.domain):

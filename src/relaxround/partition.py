@@ -82,27 +82,28 @@ def _streaming_logsumexp(chunks) -> float:
     return running_max + float(np.log(running_sum))
 
 
-def exact_logz_mrf(params: MrfParams, cap: int = BRUTE_LOGZ_CAP) -> float:
+def exact_logz_mrf(params: MrfParams) -> float:
     """log sum_x exp(x' A x) over all corners of the model's domain, by
-    streaming enumeration."""
-    if params.n > cap:
-        raise CapExceededError(f"n={params.n} exceeds enumeration cap {cap}")
+    streaming enumeration, for n up to BRUTE_LOGZ_CAP."""
+    if params.n > BRUTE_LOGZ_CAP:
+        raise CapExceededError(f"n={params.n} exceeds enumeration cap {BRUTE_LOGZ_CAP}")
     return _streaming_logsumexp(
         score_batch(params, block)
         for block in iter_corner_blocks(params.n, params.domain)
     )
 
 
-def exact_logz_rbm(params: RbmParams, cap: int = BRUTE_LOGZ_CAP) -> float:
+def exact_logz_rbm(params: RbmParams) -> float:
     """Exact log partition of an RBM by summing out the hidden layer.
 
     Enumerates the 2**m visible configurations and applies the analytic
     per-hidden-unit factor: log(2 cosh(z_j)) on the {-1,+1} domain,
-    log(1 + exp(z_j)) on the {0,1} domain, with z = v'W + b. The hidden
-    layer size is unbounded.
+    log(1 + exp(z_j)) on the {0,1} domain, with z = v'W + b. The visible
+    layer is capped at BRUTE_LOGZ_CAP units; the hidden layer size is
+    unbounded.
     """
-    if params.m > cap:
-        raise CapExceededError(f"m={params.m} exceeds enumeration cap {cap}")
+    if params.m > BRUTE_LOGZ_CAP:
+        raise CapExceededError(f"m={params.m} exceeds enumeration cap {BRUTE_LOGZ_CAP}")
 
     def blocks():
         for V in iter_corner_blocks(params.m, params.domain):
@@ -125,14 +126,6 @@ def _uniform_states(
     return bits
 
 
-def _rbm_score_batch(params: RbmParams, V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("rm,rm->r", V @ params.W, H.astype(float))
-        + V @ params.a
-        + H @ params.b
-    )
-
-
 def ais_logz(
     params: RbmParams, num_temps: int, num_runs: int, seed: int
 ) -> EstimateReport:
@@ -140,9 +133,10 @@ def ais_logz(
 
     Interpolates exp(beta * score) along a linear beta grid on [0, 1].
     Each run accumulates sum_t (beta_{t+1} - beta_t) * score(x_t) and
-    advances x with one block sweep per temperature; the estimate is
-    (m+p) log 2 plus the log-mean-exp of the run weights, reduced in run
-    order. `details` reports the standard deviation of the run weights.
+    advances x with one block sweep per temperature, whose product V @ W
+    also gives score(x_t). The estimate is (m+p) log 2 plus the
+    log-mean-exp of the run weights, reduced in run order. `details`
+    reports the standard deviation of the run weights.
     """
     if num_temps < 2:
         raise ValueError("num_temps must be >= 2")
@@ -155,8 +149,8 @@ def ais_logz(
     H = _uniform_states(rng, num_runs, params.p, params.domain)
     log_weights = np.zeros(num_runs)
     for t in range(1, num_temps):
-        log_weights += (betas[t] - betas[t - 1]) * _rbm_score_batch(params, V, H)
-        V, H = _tempered_block_sweep(params, V, H, float(betas[t]), rng)
+        V, H, scores = _tempered_block_sweep(params, V, H, float(betas[t]), rng)
+        log_weights += (betas[t] - betas[t - 1]) * scores
     log_base = (params.m + params.p) * np.log(2.0)
     log_z = float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))
     return EstimateReport(

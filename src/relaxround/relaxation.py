@@ -19,6 +19,11 @@ logger = logging.getLogger(__name__)
 # Stopping rule compares objectives this many iterations apart.
 _STALL_WINDOW = 5
 
+# estimate_lipschitz's power iteration: its cap on products, and the
+# relative change of the norm estimate at which it stops early.
+_LIPSCHITZ_ITERS = 50
+_LIPSCHITZ_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class LrpOptions:
@@ -83,9 +88,7 @@ def project_rows(X: np.ndarray) -> np.ndarray:
     return X * (1.0 / np.maximum(norms, 1.0))[..., None]
 
 
-def estimate_lipschitz(
-    A: np.ndarray, iters: int = 50, tol: float = 1e-6
-) -> tuple[float, int]:
+def estimate_lipschitz(A: np.ndarray) -> tuple[float, int]:
     """Estimate of the gradient Lipschitz constant L = 2*||A||_2, at least L/2,
     and the number of products A @ v it took.
 
@@ -105,14 +108,14 @@ def estimate_lipschitz(
     v /= np.linalg.norm(v)
     est = 0.0
     matvecs = 0
-    for _ in range(iters):
+    for _ in range(_LIPSCHITZ_ITERS):
         w = A @ v
         matvecs += 1
         nw = float(np.linalg.norm(w))
         if nw < 1e-300:
             est = 0.0
             break
-        if abs(nw - est) <= tol * max(nw, 1.0):
+        if abs(nw - est) <= _LIPSCHITZ_TOL * max(nw, 1.0):
             est = nw
             break
         est = nw

@@ -80,7 +80,7 @@ def round_once(X, g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if X.ndim != 2 or g.shape != (X.shape[1],):
         raise ValueError(f"shape mismatch: X {X.shape}, g {g.shape}")
-    return np.where(X @ g >= 0.0, 1, -1).astype(np.int8)
+    return _round_rows(g[None, :], X)[0]
 
 
 def _check_feasible_rows(params: MrfParams, X) -> np.ndarray:
@@ -93,19 +93,10 @@ def _check_feasible_rows(params: MrfParams, X) -> np.ndarray:
     return X
 
 
-def _draw_directions(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
-    G = rng.standard_normal((count, k))
-    # Signs are invariant to the length of g, so Gaussian directions round
-    # exactly like unit ones; only (measure-zero) zero draws are replaced.
-    norms = np.linalg.norm(G, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        G[bad] = rng.standard_normal((int(bad.sum()), k))
-        norms = np.linalg.norm(G, axis=1)
-    return G
-
-
 def _round_rows(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The sign patterns sign(X g) of the direction rows g of G, as int8
+    rows: the one rounding kernel, behind `round_once`, the samplers and
+    `enumerate_support_k2`."""
     # the sign bits b as int8, mapped to 2b - 1: a tenth of the time of
     # np.where, and no int64 temporary
     return 2 * (G @ X.T >= 0.0).view(np.int8) - 1
@@ -115,18 +106,22 @@ def _direction_blocks(rng: np.random.Generator, count: int, k: int):
     """`count` Gaussian directions in k dimensions, drawn in blocks of
     SAMPLE_BLOCK_ROWS rows: the one draw path of every rounding sampler."""
     for start in range(0, count, SAMPLE_BLOCK_ROWS):
-        yield _draw_directions(rng, min(SAMPLE_BLOCK_ROWS, count - start), k)
-
-
-def _iter_blocks(X: np.ndarray, count: int, rng: np.random.Generator):
-    for G in _direction_blocks(rng, count, X.shape[1]):
-        yield _round_rows(G, X)
+        G = rng.standard_normal((min(SAMPLE_BLOCK_ROWS, count - start), k))
+        # Signs are invariant to the length of g, so Gaussian directions
+        # round exactly like unit ones; only (measure-zero) zero draws are
+        # replaced.
+        norms = np.linalg.norm(G, axis=1)
+        while np.any(norms < 1e-12):
+            bad = norms < 1e-12
+            G[bad] = rng.standard_normal((int(bad.sum()), k))
+            norms = np.linalg.norm(G, axis=1)
+        yield G
 
 
 def _sample_batch(
-    params: MrfParams, X: np.ndarray, count: int, rng: np.random.Generator, seed: int
+    params: MrfParams, X, count: int, rng: np.random.Generator, seed: int
 ) -> SampleBatch:
-    blocks = list(_iter_blocks(X, count, rng))
+    blocks = list(rrr_sample_blocks(params, X, count, rng))
     # a single block (the map commands' default 1000 draws) is used as
     # is: copying it raised their peak RSS by about 0.5 MB
     samples = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -145,19 +140,18 @@ def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
 def rrr_map_sample(params: MrfParams, X, count: int, seed: int) -> SampleBatch:
     """Draw `count` rounded samples of a feasible relaxed solution and
     score each one. Deterministic given the seed."""
-    X = _check_sampling(params, X, count)
-    rng = np.random.default_rng(seed)
-    return _sample_batch(params, X, count, rng, seed)
+    return _sample_batch(params, X, count, np.random.default_rng(seed), seed)
 
 
-def rrr_sample_blocks(params: MrfParams, X, count: int, seed: int):
+def rrr_sample_blocks(params: MrfParams, X, count: int, seed):
     """The rows of rrr_map_sample(params, X, count, seed), unscored, as an
     iterator of int8 blocks of SAMPLE_BLOCK_ROWS rows (the last one
-    shorter), in draw order. Arguments are checked on the call, not on
-    the first block.
+    shorter), in draw order. `seed` is anything np.random.default_rng
+    takes. Arguments are checked on the call, not on the first block.
     """
     X = _check_sampling(params, X, count)
-    return _iter_blocks(X, count, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    return (_round_rows(G, X) for G in _direction_blocks(rng, count, X.shape[1]))
 
 
 def _check_width2(X) -> np.ndarray:
@@ -242,17 +236,12 @@ def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
         raise ValueError(f"X has {X.shape[0]} rows, distribution has {dist.n}")
     if dist.angles.size == 0:
         return [(np.ones(dist.n, dtype=np.int8), 1.0)]
-    out = []
-    m = dist.angles.size
-    for j in range(m):
-        a0 = dist.angles[j]
-        a1 = dist.angles[j + 1] if j + 1 < m else dist.angles[0] + _TWO_PI
-        width = a1 - a0
-        mid = 0.5 * (a0 + a1)
-        pattern = round_once(X, np.array([np.cos(mid), np.sin(mid)]))
-        pattern[dist.degenerate] = 1
-        out.append((pattern, width / _TWO_PI))
-    return out
+    starts = dist.angles
+    stops = np.append(starts[1:], starts[0] + _TWO_PI)
+    mids = 0.5 * (starts + stops)
+    patterns = _round_rows(np.column_stack([np.cos(mids), np.sin(mids)]), X)
+    patterns[:, dist.degenerate] = 1
+    return list(zip(patterns, (stops - starts) / _TWO_PI))
 
 
 def _arc_index(dist: RoundingDistributionK2, G: np.ndarray) -> np.ndarray:

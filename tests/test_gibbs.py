@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from relaxround.gibbs import (
     _scan_spans,
     _site_probability,
     _sweep,
-    _uncoupled_runs,
 )
 from relaxround.rounding import _sample_batch
 
@@ -115,23 +115,44 @@ def _sweep_rows(A, X, U, temperature=1.0):
 
 def test_uncoupled_runs_of_rbm_embedding():
     emb = rbm_to_mrf(gen_random_rbm(7, 5, seed=1))
-    assert _uncoupled_runs(emb.A) == [(0, 1), (1, 8), (8, 13)]
     assert _scan_spans(emb.A) == [(0, 1, False), (1, 8, True), (8, 13, True)]
 
 
 def test_uncoupled_runs_of_dense_matrix():
+    # n singleton runs merge into one span scanned site by site
     m = MrfParams(np.random.default_rng(2).normal(size=(6, 6)))
-    assert _uncoupled_runs(m.A) == [(i, i + 1) for i in range(6)]
     assert _scan_spans(m.A) == [(0, 6, False)]
+    assert _scan_spans(np.zeros((0, 0))) == []
+    # singletons [0, 3), the uncoupled run [3, 6), singletons [6, 8)
+    A = np.zeros((8, 8))
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 6), (5, 6), (6, 7)]:
+        A[i, j] = A[j, i] = 1.0
+    assert _scan_spans(A) == [(0, 3, False), (3, 6, True), (6, 8, False)]
 
 
 def test_uncoupled_runs_split_at_tiny_coupling():
     # an exact zero keeps a run together; 1e-300 is a coupling
     A = rbm_to_mrf(gen_random_rbm(7, 5, seed=1)).A.copy()
     A[4, 2] = A[2, 4] = 1e-300
-    assert _uncoupled_runs(A) == [(0, 1), (1, 4), (4, 8), (8, 13)]
+    assert _scan_spans(A) == [(0, 1, False), (1, 4, True), (4, 8, True), (8, 13, True)]
     A[4, 2] = A[2, 4] = -0.0
-    assert _uncoupled_runs(A) == [(0, 1), (1, 8), (8, 13)]
+    assert _scan_spans(A) == [(0, 1, False), (1, 8, True), (8, 13, True)]
+
+
+def test_field_error_takes_row_blocks():
+    # the n=501 RBM embedding: the bound equals the whole-matrix reduction,
+    # and no n x n temporary is built for it
+    A = embed(gen_random_rbm(300, 200, seed=4)).mrf.A
+    n = A.shape[0]
+    want = 4.0 * (n + 1) * sys.float_info.epsilon * np.abs(A).sum(axis=1).max()
+    tracemalloc.start()
+    try:
+        got = _field_error(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < n * n * 8 / 4
 
 
 def test_sweep_zero_coupling_is_uniform():

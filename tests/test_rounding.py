@@ -230,12 +230,31 @@ def test_support_orthogonal_rows():
     assert_allclose([p for _, p in supp], 0.25)
 
 
+def _special_rows(rng, n):
+    """n feasible width-2 rows, some of them zero, some of norm 1e-13 (both
+    degenerate), and some a copy of another row, negated or halved (their
+    boundaries coincide)."""
+    X = rng.normal(size=(n, 2))
+    kind = rng.integers(0, 5, size=n)
+    X[kind == 0] = 0.0
+    X[kind == 1] *= 1e-13 / np.linalg.norm(X[kind == 1], axis=1)[:, None]
+    copies = np.flatnonzero(kind == 2)
+    X[copies] = X[rng.integers(0, n, copies.size)] * rng.choice(
+        [-1.0, 0.5, -0.5], copies.size)[:, None]
+    return X / max(1.0, np.linalg.norm(X, axis=1).max())
+
+
 def test_support_matches_query_and_normalizes():
     rng = np.random.default_rng(15)
+    arrangements = []
     for trial in range(10):
         n = int(rng.integers(2, 9))
         X = rng.normal(size=(n, 2))
         X /= np.maximum(np.linalg.norm(X, axis=1), 1.0)[:, None]
+        arrangements.append(X)
+    arrangements += [_special_rows(rng, int(rng.integers(1, 12))) for _ in range(300)]
+    for X in arrangements:
+        n = X.shape[0]
         dist = build_px_k2(X)
         supp = enumerate_support_k2(dist, X)
         assert len(supp) <= 2 * n
@@ -243,6 +262,21 @@ def test_support_matches_query_and_normalizes():
         assert abs(total - 1.0) <= 1e-12
         for x, p in supp:
             assert abs(px_query(dist, X, x) - p) <= 1e-12
+        if dist.angles.size == 0:  # every row degenerate
+            assert len(supp) == 1 and supp[0][1] == 1.0
+            assert_array_equal(supp[0][0], np.ones(n))
+            continue
+        # entry j: the pattern round_once gives at the midpoint of the arc
+        # [angles[j], angles[j+1]) (the last one wraps), degenerate rows +1;
+        # its probability, the arc's width over 2 pi
+        stops = np.append(dist.angles[1:], dist.angles[0] + TWO_PI)
+        assert len(supp) == dist.angles.size
+        for (x, p), a0, a1 in zip(supp, dist.angles, stops):
+            mid = 0.5 * (a0 + a1)
+            want = round_once(X, np.array([np.cos(mid), np.sin(mid)]))
+            want[dist.degenerate] = 1
+            assert_array_equal(x, want)
+            assert p == (a1 - a0) / TWO_PI
 
 
 def test_off_support_patterns_get_zero():
