@@ -26,23 +26,16 @@ from .models import (
     CapExceededError,
     Domain,
     Embedding,
-    LinearReduction,
     MrfParams,
     RbmParams,
-    bits_to_hyp,
     brute_force_map,
-    canonicalize_auxiliary,
     check_assignment,
     domain_values,
     embed,
-    fold_linear_bits,
-    fold_linear_hyp,
     gen_hard_rbm,
     gen_random_rbm,
-    hyp_to_bits,
     iter_corner_blocks,
     rbm_score,
-    rbm_to_mrf,
     score,
     score_batch,
 )
@@ -88,7 +81,6 @@ __all__ = [
     "Embedding",
     "EstimateReport",
     "InstanceFormatError",
-    "LinearReduction",
     "LrpOptions",
     "MrfParams",
     "RbmParams",
@@ -97,11 +89,9 @@ __all__ = [
     "SampleBatch",
     "ais_logz",
     "annealed_gibbs",
-    "bits_to_hyp",
     "block_gibbs_rbm_sweep",
     "brute_force_map",
     "build_px_k2",
-    "canonicalize_auxiliary",
     "check_assignment",
     "domain_values",
     "dump_instance",
@@ -111,11 +101,8 @@ __all__ = [
     "estimate_lipschitz",
     "exact_logz_mrf",
     "exact_logz_rbm",
-    "fold_linear_bits",
-    "fold_linear_hyp",
     "gen_hard_rbm",
     "gen_random_rbm",
-    "hyp_to_bits",
     "iter_corner_blocks",
     "load_instance",
     "loads_instance",
@@ -123,7 +110,6 @@ __all__ = [
     "project_rows",
     "px_query",
     "rbm_score",
-    "rbm_to_mrf",
     "round_once",
     "rrr_ag",
     "rrr_is",

@@ -195,17 +195,8 @@ def _run_map(args) -> int:
         "methods": entries,
         "winner": winner,
     }
-    _write_report(args, doc, _map_csv)
+    _write_report(args, doc, ("best_score", "cost_sweep_equivalents"))
     return EXIT_OK
-
-
-def _map_csv(doc: dict) -> str:
-    lines = ["method,best_score,cost_sweep_equivalents"]
-    for name, entry in doc["methods"].items():
-        lines.append(
-            f"{name},{entry['best_score']!r},{entry['cost_sweep_equivalents']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _run_logz(args) -> int:
@@ -274,17 +265,8 @@ def _run_logz(args) -> int:
         },
         "methods": entries,
     }
-    _write_report(args, doc, _logz_csv)
+    _write_report(args, doc, ("log_z",))
     return EXIT_OK
-
-
-def _logz_csv(doc: dict) -> str:
-    lines = ["method,log_z"]
-    for name, entry in doc["methods"].items():
-        lines.append(f"{name},{entry['log_z']!r}")
-        if "log_z_exact_support" in entry:
-            lines.append(f"{name}-exact-support,{entry['log_z_exact_support']!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _write_out(path: str, text: str) -> None:
@@ -296,9 +278,24 @@ def _write_out(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_report(args, doc: dict, to_csv) -> None:
-    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else to_csv(doc)
-    _write_out(args.out, text)
+def _csv(doc: dict, columns: tuple) -> str:
+    """The report's CSV form: a projection of the JSON doc with one row per
+    method entry and the repr of each value in `columns`. An rrr-is entry
+    adds a row for its exact-support bound."""
+    lines = [",".join(("method",) + columns)]
+    for name, entry in doc["methods"].items():
+        lines.append(",".join([name] + [repr(entry[col]) for col in columns]))
+        if "log_z_exact_support" in entry:
+            lines.append(f"{name}-exact-support,{entry['log_z_exact_support']!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_report(args, doc: dict, columns: tuple) -> None:
+    """Write the report as JSON, or as CSV with the command's `columns`."""
+    if args.format == "csv":
+        _write_out(args.out, _csv(doc, columns))
+    else:
+        _write_out(args.out, json.dumps(doc, indent=2) + "\n")
 
 
 def _run_gen(args) -> int:

@@ -1,5 +1,5 @@
-"""Model types, scoring, domain reductions, generators and brute-force oracles
-for binary pairwise models with a symmetric coupling matrix."""
+"""Model types, scoring, the {-1,+1} embedding, generators and brute-force
+oracles for binary pairwise models with a symmetric coupling matrix."""
 
 from __future__ import annotations
 
@@ -107,35 +107,6 @@ class RbmParams:
         return self.W.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearReduction:
-    """Quadratic-plus-linear form produced by a domain change.
-
-    Represents the identity  original_score(x) = x' Aprime x + b' x + c
-    on the corners of the target domain.
-    """
-
-    Aprime: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        Ap = _finite_array(self.Aprime, "Aprime", 2)
-        b = _finite_array(self.b, "b", 1)
-        if Ap.shape[0] != Ap.shape[1] or b.shape[0] != Ap.shape[0]:
-            raise ValueError(
-                f"inconsistent shapes: Aprime {Ap.shape}, b {b.shape}"
-            )
-        if not np.isfinite(self.c):
-            raise ValueError("c must be finite")
-        Ap = (Ap + Ap.T) / 2.0
-        Ap.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "Aprime", Ap)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
-
-
 def check_assignment(x, n: int, domain: Domain) -> np.ndarray:
     """Validate one assignment and return it as a float vector."""
     xv = np.asarray(x, dtype=float)
@@ -168,115 +139,6 @@ def rbm_score(params: RbmParams, v, h) -> float:
     return float(vv @ params.W @ hv + params.a @ vv + params.b @ hv)
 
 
-def rbm_to_mrf(params: RbmParams) -> MrfParams:
-    """Embed a spin-domain RBM into a single coupling matrix.
-
-    The result has 1 + m + p variables. Index 0 is an auxiliary variable
-    that carries the bias terms: the assignment (1, v, h) scores exactly
-    rbm_score(params, v, h). Blocks (scaled by 1/2 because the quadratic
-    form counts every pair twice):
-
-        [[0,   a',  b' ],
-         [a,   0,   W  ],
-         [b,   W',  0  ]]
-    """
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("embedding is defined for the {-1,+1} domain")
-    m, p = params.m, params.p
-    n = 1 + m + p
-    A = np.zeros((n, n))
-    A[0, 1 : 1 + m] = params.a / 2.0
-    A[1 : 1 + m, 0] = params.a / 2.0
-    A[0, 1 + m :] = params.b / 2.0
-    A[1 + m :, 0] = params.b / 2.0
-    A[1 : 1 + m, 1 + m :] = params.W / 2.0
-    A[1 + m :, 1 : 1 + m] = params.W.T / 2.0
-    return MrfParams(A, Domain.PLUS_MINUS_ONE)
-
-
-def canonicalize_auxiliary(x) -> np.ndarray:
-    """Flip the global sign so the auxiliary coordinate (index 0) is +1.
-
-    Accepts one assignment or assignments stacked as rows, and flips each
-    one independently. Pure quadratic scores are invariant under x -> -x,
-    so this picks one representative of each antipodal pair without
-    changing the score. The input is never modified.
-    """
-    out = np.array(x)
-    if out.ndim not in (1, 2) or out.shape[-1] < 1:
-        raise ValueError("expected nonempty assignment vectors")
-    out *= np.where(out[..., :1] < 0, -1, 1).astype(out.dtype)
-    return out
-
-
-def bits_to_hyp(params: MrfParams) -> tuple[MrfParams, LinearReduction]:
-    """Rewrite a {0,1}-domain quadratic over the {-1,+1} domain.
-
-    Substituting x = (t + 1)/2 gives, for every corner,
-
-        x' A x = t' (A/4) t + ((A'1 + A1)/4)' t + (1' A 1)/4.
-    """
-    if params.domain is not Domain.ZERO_ONE:
-        raise ValueError("bits_to_hyp expects a {0,1}-domain model")
-    A = params.A
-    one = np.ones(params.n)
-    Ap = A / 4.0
-    b = (A.T @ one + A @ one) / 4.0
-    c = float(one @ A @ one) / 4.0
-    return MrfParams(Ap, Domain.PLUS_MINUS_ONE), LinearReduction(Ap, b, c)
-
-
-def hyp_to_bits(params: MrfParams) -> tuple[MrfParams, LinearReduction]:
-    """Rewrite a {-1,+1}-domain quadratic over the {0,1} domain.
-
-    Substituting t = 2x - 1 gives, for every corner,
-
-        t' A t = x' (4A) x - 2((A + A')1)' x + 1' A 1.
-    """
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("hyp_to_bits expects a {-1,+1}-domain model")
-    A = params.A
-    one = np.ones(params.n)
-    Ap = 4.0 * A
-    b = -2.0 * (A @ one + A.T @ one)
-    c = float(one @ A @ one)
-    return MrfParams(Ap, Domain.ZERO_ONE), LinearReduction(Ap, b, c)
-
-
-def fold_linear_hyp(params: MrfParams, red: LinearReduction) -> MrfParams:
-    """Absorb a linear term into one auxiliary {-1,+1} variable.
-
-    Returns an (n+1)-variable model whose assignment (1, t) scores
-    t' A t + b' t. The constant red.c is not folded; callers track it.
-    """
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("fold_linear_hyp expects a {-1,+1}-domain model")
-    if red.b.shape[0] != params.n:
-        raise ValueError(
-            f"linear term has length {red.b.shape[0]}, expected {params.n}"
-        )
-    n = params.n
-    A = np.zeros((n + 1, n + 1))
-    A[0, 1:] = red.b / 2.0
-    A[1:, 0] = red.b / 2.0
-    A[1:, 1:] = params.A
-    return MrfParams(A, Domain.PLUS_MINUS_ONE)
-
-
-def fold_linear_bits(params: MrfParams, red: LinearReduction) -> MrfParams:
-    """Absorb a linear term into the diagonal of a {0,1}-domain model.
-
-    Uses x_i^2 = x_i on bits, so x' (A + diag(b)) x = x' A x + b' x.
-    """
-    if params.domain is not Domain.ZERO_ONE:
-        raise ValueError("fold_linear_bits expects a {0,1}-domain model")
-    if red.b.shape[0] != params.n:
-        raise ValueError(
-            f"linear term has length {red.b.shape[0]}, expected {params.n}"
-        )
-    return MrfParams(params.A + np.diag(red.b), Domain.ZERO_ONE)
-
-
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """An instance rewritten as a {-1,+1} quadratic model `mrf`.
@@ -293,8 +155,14 @@ class Embedding:
 
     def canonical(self, x) -> np.ndarray:
         """x (one corner or stacked rows) with each auxiliary coordinate
-        flipped to +1 by a global sign flip; x itself without one."""
-        return canonicalize_auxiliary(x) if self.has_aux else np.asarray(x)
+        flipped to +1 by a global sign flip; x itself without one. Scores
+        are invariant under x -> -x, so the flip keeps each row's score.
+        The input is never modified."""
+        if not self.has_aux:
+            return np.asarray(x)
+        out = np.array(x)
+        out *= np.where(out[..., :1] < 0, -1, 1).astype(out.dtype)
+        return out
 
     def to_native(self, x) -> dict:
         """The instance's own assignment for an embedded corner x:
@@ -311,27 +179,45 @@ class Embedding:
 
 
 def embed(instance: MrfParams | RbmParams) -> Embedding:
-    """Rewrite an MRF or RBM in either domain as a {-1,+1} quadratic model,
-    adding an auxiliary variable when linear terms appear."""
+    """Rewrite an MRF or RBM in either domain as a {-1,+1} quadratic model.
+
+    One block builder covers every case, in three steps:
+
+    1. Quadratic plus linear. An RBM is the block matrix
+       [[0, W/2], [W'/2, 0]] (the quadratic form counts every pair twice)
+       plus the linear term [a; b]. An MRF is A, with no linear term.
+    2. Bits to spins. On {0,1} the linear term joins the diagonal, since
+       x_i^2 = x_i. Substituting x = (t + 1)/2 then gives, at every corner,
+       x' A x = t' (A/4) t + ((A'1 + A1)/4)' t + (1' A 1)/4, and the
+       constant becomes `offset`.
+    3. Auxiliary spin. A linear term l becomes row and column 0 as l/2, so
+       the corner (1, t) scores the quadratic part plus l' t. A {-1,+1} MRF
+       has no linear term and is returned as is.
+    """
     if isinstance(instance, MrfParams):
-        if instance.domain is Domain.PLUS_MINUS_ONE:
-            return Embedding(instance, instance, 0.0, False)
-        hyp, red = bits_to_hyp(instance)
-        return Embedding(instance, fold_linear_hyp(hyp, red), red.c, True)
-    if instance.domain is Domain.PLUS_MINUS_ONE:
-        return Embedding(instance, rbm_to_mrf(instance), 0.0, True)
-    # {0,1} RBM: quadratic coupling block plus the biases folded into the
-    # diagonal (bits square to themselves), then the spin-domain rewrite.
-    m, p = instance.m, instance.p
-    quad = np.zeros((m + p, m + p))
-    quad[:m, m:] = instance.W / 2.0
-    quad[m:, :m] = instance.W.T / 2.0
-    folded = fold_linear_bits(
-        MrfParams(quad, Domain.ZERO_ONE),
-        LinearReduction(quad, np.concatenate([instance.a, instance.b]), 0.0),
-    )
-    hyp, red = bits_to_hyp(folded)
-    return Embedding(instance, fold_linear_hyp(hyp, red), red.c, True)
+        quad, linear = instance.A, None
+    else:
+        m, p = instance.m, instance.p
+        quad = np.zeros((m + p, m + p))
+        quad[:m, m:] = instance.W / 2.0
+        quad[m:, :m] = instance.W.T / 2.0
+        linear = np.concatenate([instance.a, instance.b])
+    offset = 0.0
+    if instance.domain is Domain.ZERO_ONE:
+        if linear is not None:
+            quad = quad + np.diag(linear)
+        one = np.ones(quad.shape[0])
+        linear = (quad.T @ one + quad @ one) / 4.0
+        offset = float(one @ quad @ one) / 4.0
+        quad = quad / 4.0
+    if linear is None:
+        return Embedding(instance, instance, 0.0, False)
+    n = quad.shape[0] + 1
+    A = np.zeros((n, n))
+    A[0, 1:] = linear / 2.0
+    A[1:, 0] = linear / 2.0
+    A[1:, 1:] = quad
+    return Embedding(instance, MrfParams(A), offset, True)
 
 
 def iter_corner_blocks(n: int, domain: Domain, block: int = _CORNER_BLOCK):

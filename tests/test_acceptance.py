@@ -16,27 +16,21 @@ from scipy import stats
 from chain_utils import conditional_table, exact_distribution, run_fast_chain
 from relaxround import (
     Domain,
-    LinearReduction,
     LrpOptions,
     MrfParams,
     RbmParams,
     ais_logz,
-    bits_to_hyp,
     block_gibbs_rbm_sweep,
     brute_force_map,
     build_px_k2,
-    canonicalize_auxiliary,
+    embed,
     enumerate_support_k2,
     exact_logz_mrf,
     exact_logz_rbm,
-    fold_linear_bits,
-    fold_linear_hyp,
     gen_hard_rbm,
     gen_random_rbm,
-    hyp_to_bits,
     px_query,
     rbm_score,
-    rbm_to_mrf,
     rrr_is_exact,
     rrr_low,
     rrr_map_sample,
@@ -84,41 +78,48 @@ def test_criterion_01_exact_rbm_logz_oracle(capsys):
 
 
 def test_criterion_02_reduction_identities(capsys):
+    # every (kind, domain) case through `embed`: at every native corner the
+    # native score is the embedded corner's score plus the offset, and the
+    # embedded corner (and its negation, with an auxiliary spin) decodes
+    # back to the native corner
     t0 = time.monotonic()
     worst = 0.0
+    decoded_ok = True
     for trial in range(100):
         rng = np.random.default_rng([200, trial])
         n = int(rng.integers(1, 7))
         A = rng.normal(size=(n, n))
-        b = rng.normal(size=n)
-        X01 = _corners(n, Domain.ZERO_ONE)
-        T = _corners(n)
-
-        hyp, red = bits_to_hyp(MrfParams(A, Domain.ZERO_ONE))
-        want = np.einsum("bi,ij,bj->b", X01, A, X01)
-        t = 2.0 * X01 - 1.0
-        got = np.einsum("bi,ij,bj->b", t, hyp.A, t) + t @ red.b + red.c
-        worst = max(worst, np.abs(got - want).max())
-
-        bits, red2 = hyp_to_bits(MrfParams(A))
-        want = np.einsum("bi,ij,bj->b", T, A, T)
-        x = (T + 1.0) / 2.0
-        got = np.einsum("bi,ij,bj->b", x, bits.A, x) + x @ red2.b + red2.c
-        worst = max(worst, np.abs(got - want).max())
-
-        folded = fold_linear_bits(MrfParams(A, Domain.ZERO_ONE),
-                                  LinearReduction(A, b, 0.0))
-        want = np.einsum("bi,ij,bj->b", X01, A, X01) + X01 @ b
-        got = np.einsum("bi,ij,bj->b", X01, folded.A, X01)
-        worst = max(worst, np.abs(got - want).max())
-
-        lifted = fold_linear_hyp(MrfParams(A), LinearReduction(A, b, 0.0))
-        want = np.einsum("bi,ij,bj->b", T, A, T) + T @ b
-        aug = np.hstack([np.ones((T.shape[0], 1)), T])
-        got = np.einsum("bi,ij,bj->b", aug, lifted.A, aug)
-        worst = max(worst, np.abs(got - want).max())
+        m = int(rng.integers(1, n)) if n > 1 else 1
+        p = max(n - m, 1)
+        W = rng.normal(size=(m, p))
+        a = rng.normal(size=m)
+        b = rng.normal(size=p)
+        for domain in (Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE):
+            for inst in (MrfParams(A, domain), RbmParams(W, a, b, domain)):
+                emb = embed(inst)
+                if isinstance(inst, MrfParams):
+                    X = _corners(n, domain)
+                    want = np.einsum("bi,ij,bj->b", X, A, X)
+                    natives = [{"x": row} for row in X.astype(int).tolist()]
+                else:
+                    X = _corners(m + p, domain)
+                    V, H = X[:, :m], X[:, m:]
+                    want = np.einsum("bi,ij,bj->b", V, W, H) + V @ a + H @ b
+                    natives = [{"v": row[:m], "h": row[m:]}
+                               for row in X.astype(int).tolist()]
+                T = X if domain is Domain.PLUS_MINUS_ONE else 2.0 * X - 1.0
+                if emb.has_aux:
+                    T = np.hstack([np.ones((T.shape[0], 1)), T])
+                got = np.einsum("bi,ij,bj->b", T, emb.mrf.A, T) + emb.offset
+                worst = max(worst, np.abs(got - want).max())
+                corners = T.astype(np.int8)
+                for x, native in zip(corners, natives):
+                    decoded_ok &= emb.to_native(x) == native
+                    if emb.has_aux:
+                        decoded_ok &= emb.to_native(-x) == native
     _verdict(capsys, 2, "reduction corner identities", t0, 5.0,
-             worst <= 1e-12, f"max abs err {worst:.2e}")
+             worst <= 1e-12 and decoded_ok,
+             f"max abs err {worst:.2e}, decoded {decoded_ok}")
 
 
 def _chi_square_ok(observed, probs, total, alpha=0.01):
@@ -252,9 +253,10 @@ def test_criterion_08_hard_instance_separation(capsys):
     t0 = time.monotonic()
     m = p = 10
     rbm = gen_hard_rbm(m, p, pairs=3, couple=50.0, bias=5.0, seed=88)
-    emb = rbm_to_mrf(rbm)
+    prob = embed(rbm)
+    emb = prob.mrf
     x_map, map_score = brute_force_map(emb)
-    x_map = canonicalize_auxiliary(x_map)
+    x_map = prob.canonical(x_map)
     v_map = x_map[1:1 + m].astype(float)
     h_map = x_map[1 + m:].astype(float)
     vis, hid = np.where(rbm.W == 50.0)
@@ -282,7 +284,7 @@ def test_criterion_08_hard_instance_separation(capsys):
         crng = np.random.default_rng([8830, seed])
         bests = []
         for idx in range(chains):
-            x = canonicalize_auxiliary(batch.samples[idx]).astype(float)
+            x = prob.canonical(batch.samples[idx]).astype(float)
             bests.append(anneal_best(x[1:1 + m], x[1 + m:], temps_chain, crng))
         combo.append(max(bests))
 

@@ -452,20 +452,32 @@ def test_logz_reports_byte_identical(tmp_path):
 
 
 def test_csv_formats(tmp_path):
+    # the CSV report projects the JSON one: a row per method entry, in the
+    # JSON order, whose values parse back to the JSON values
     inst = gen_instance(tmp_path, seed=22)
-    out = tmp_path / "map.csv"
-    assert run("map", "--instance", inst, "--methods", "rrr,brute",
-               "--seed", 9, "--out", out, "--format", "csv") == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "method,best_score,cost_sweep_equivalents"
-    assert len(lines) == 3
-
-    out2 = tmp_path / "logz.csv"
-    assert run("logz", "--instance", inst, "--methods", "exact,rrr-is",
-               "--seed", 9, "--out", out2, "--format", "csv",
-               "--samples", 500) == 0
-    lines = out2.read_text().strip().split("\n")
-    assert lines[0] == "method,log_z"
-    assert lines[1].startswith("exact,")
-    assert lines[2].startswith("rrr-is,")
-    assert lines[3].startswith("rrr-is-exact-support,")
+    cases = (
+        ("map", "rrr,ag,brute", ("best_score", "cost_sweep_equivalents"), ()),
+        ("logz", "exact,ais,rrr-low,rrr-is", ("log_z",),
+         ("--samples", 500, "--num-temps", 100, "--num-runs", 10)),
+    )
+    for command, methods, columns, extra in cases:
+        out = {}
+        for fmt in ("json", "csv"):
+            out[fmt] = tmp_path / f"{command}.{fmt}"
+            assert run(command, "--instance", inst, "--methods", methods,
+                       "--seed", 9, "--out", out[fmt], "--format", fmt,
+                       *extra) == 0
+        doc = json.loads(out["json"].read_text())
+        assert list(doc["methods"]) == methods.split(",")
+        want = []
+        for name, entry in doc["methods"].items():
+            want.append([name] + [entry[col] for col in columns])
+            if name == "rrr-is":
+                want.append(["rrr-is-exact-support", entry["log_z_exact_support"]])
+        lines = out["csv"].read_text().split("\n")
+        assert lines.pop() == ""
+        assert lines[0] == ",".join(("method",) + columns)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [entry[0] for entry in want]
+        for row, entry in zip(rows, want):
+            assert [json.loads(value) for value in row[1:]] == entry[1:]

@@ -21,7 +21,6 @@ from relaxround import (
     embed,
     gen_hard_rbm,
     gen_random_rbm,
-    rbm_to_mrf,
     rrr_ag,
     rrr_map_sample,
     score,
@@ -114,8 +113,20 @@ def _sweep_rows(A, X, U, temperature=1.0):
 
 
 def test_uncoupled_runs_of_rbm_embedding():
-    emb = rbm_to_mrf(gen_random_rbm(7, 5, seed=1))
+    emb = embed(gen_random_rbm(7, 5, seed=1)).mrf
     assert _scan_spans(emb.A) == [(0, 1, False), (1, 8, True), (8, 13, True)]
+
+
+@pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
+def test_scan_spans_of_embedded_rbm_in_either_domain(domain):
+    # the {0,1} embedding has a nonzero diagonal; only the off-diagonal
+    # zeros decide the runs
+    rng = np.random.default_rng(5)
+    rbm = RbmParams(rng.normal(size=(4, 3)), rng.normal(size=4),
+                    rng.normal(size=3), domain)
+    A = embed(rbm).mrf.A
+    assert np.diag(A).any() == (domain is Domain.ZERO_ONE)
+    assert _scan_spans(A) == [(0, 1, False), (1, 5, True), (5, 8, True)]
 
 
 def test_uncoupled_runs_of_dense_matrix():
@@ -132,7 +143,7 @@ def test_uncoupled_runs_of_dense_matrix():
 
 def test_uncoupled_runs_split_at_tiny_coupling():
     # an exact zero keeps a run together; 1e-300 is a coupling
-    A = rbm_to_mrf(gen_random_rbm(7, 5, seed=1)).A.copy()
+    A = embed(gen_random_rbm(7, 5, seed=1)).mrf.A.copy()
     A[4, 2] = A[2, 4] = 1e-300
     assert _scan_spans(A) == [(0, 1, False), (1, 4, True), (4, 8, True), (8, 13, True)]
     A[4, 2] = A[2, 4] = -0.0
@@ -385,7 +396,7 @@ def test_block_conditional_value():
 def test_block_conditional_matches_embedded_single_site():
     rng = np.random.default_rng(12)
     rbm = gen_random_rbm(4, 3, seed=13)
-    emb = rbm_to_mrf(rbm)
+    emb = embed(rbm).mrf
     for _ in range(20):
         v = rng.choice([-1, 1], size=4)
         h = rng.choice([-1, 1], size=3)
@@ -468,7 +479,7 @@ def test_annealing_traps_planted_pairs():
     # chains started with planted pairs at (-1,-1) cannot cross the coupling
     # barrier, so they end below the true optimum
     rbm = gen_hard_rbm(6, 6, pairs=3, couple=50.0, bias=5.0, seed=18)
-    emb = rbm_to_mrf(rbm)
+    emb = embed(rbm).mrf
     x_map, best = brute_force_map(emb)
     vis, hid = np.where(rbm.W == 50.0)
 
@@ -541,7 +552,7 @@ def test_rrr_ag_beats_components_often():
     trials = 50
     for trial in range(trials):
         rbm = gen_random_rbm(6, 4, seed=300 + trial)
-        emb = rbm_to_mrf(rbm)
+        emb = embed(rbm).mrf
         sol = solve_lrp(emb, LrpOptions(k=2, restarts=4, seed=trial))
 
         rrr_best = rrr_map_sample(emb, sol.X, 8, seed=trial).scores.max()

@@ -1,4 +1,4 @@
-"""Model core: scores, reductions, embeddings, brute force, generators, IO."""
+"""Model core: scores, the {-1,+1} embedding, brute force, generators, IO."""
 
 import itertools
 import json
@@ -12,26 +12,19 @@ from relaxround import (
     Domain,
     Embedding,
     InstanceFormatError,
-    LinearReduction,
     MrfParams,
     RbmParams,
-    bits_to_hyp,
     brute_force_map,
-    canonicalize_auxiliary,
     check_assignment,
     dump_instance,
     dumps_instance,
     embed,
-    fold_linear_bits,
-    fold_linear_hyp,
     gen_hard_rbm,
     gen_random_rbm,
-    hyp_to_bits,
     iter_corner_blocks,
     load_instance,
     loads_instance,
     rbm_score,
-    rbm_to_mrf,
     score,
     score_batch,
 )
@@ -129,21 +122,25 @@ def test_rbm_score_single_coupling():
 def test_rbm_score_matches_embedding_exhaustively():
     rng = np.random.default_rng(21)
     rbm = RbmParams(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3))
-    emb = rbm_to_mrf(rbm)
+    emb = embed(rbm).mrf
     for v in corners(3):
         for h in corners(3):
             x = np.concatenate([[1.0], v, h])
             assert_allclose(rbm_score(rbm, v, h), score(emb, x), rtol=1e-12)
 
 
-def test_rbm_to_mrf_zero():
-    emb = rbm_to_mrf(RbmParams(np.zeros((2, 2)), np.zeros(2), np.zeros(2)))
-    assert emb.n == 5
-    assert np.all(emb.A == 0.0)
+# ------------------------------------------------------------- embedding
 
 
-def test_rbm_to_mrf_single_weight():
-    emb = rbm_to_mrf(RbmParams(np.array([[1.0]]), np.zeros(1), np.zeros(1)))
+def test_embed_zero_rbm():
+    emb = embed(RbmParams(np.zeros((2, 2)), np.zeros(2), np.zeros(2)))
+    assert emb.has_aux and emb.offset == 0.0
+    assert emb.mrf.n == 5
+    assert np.all(emb.mrf.A == 0.0)
+
+
+def test_embed_rbm_single_weight():
+    emb = embed(RbmParams(np.array([[1.0]]), np.zeros(1), np.zeros(1))).mrf
     want = np.zeros((3, 3))
     want[1, 2] = want[2, 1] = 0.5
     assert_allclose(emb.A, want)
@@ -153,10 +150,10 @@ def test_rbm_to_mrf_single_weight():
             assert_allclose(score(emb, x), v * h, rtol=1e-12)
 
 
-def test_rbm_to_mrf_score_equivalence_m2_p2():
+def test_embed_rbm_score_equivalence_m2_p2():
     rng = np.random.default_rng(22)
     rbm = RbmParams(rng.normal(size=(2, 2)), rng.normal(size=2), rng.normal(size=2))
-    emb = rbm_to_mrf(rbm)
+    emb = embed(rbm).mrf
     checked = 0
     for v in corners(2):
         for h in corners(2):
@@ -166,162 +163,136 @@ def test_rbm_to_mrf_score_equivalence_m2_p2():
     assert checked == 16
 
 
-def test_rbm_to_mrf_rejects_zero_one_domain():
-    rbm = RbmParams(np.ones((2, 2)), np.zeros(2), np.zeros(2), Domain.ZERO_ONE)
-    with pytest.raises(ValueError):
-        rbm_to_mrf(rbm)
+def test_embed_rbm_biases_fill_the_auxiliary_row():
+    # W = 0: the whole score is linear and sits in row and column 0 as a/2, b/2
+    emb = embed(RbmParams(np.zeros((1, 1)), np.array([1.0]), np.array([-2.0]))).mrf
+    assert_allclose(emb.A, [[0.0, 0.5, -1.0], [0.5, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    for v in (-1.0, 1.0):
+        for h in (-1.0, 1.0):
+            assert_allclose(score(emb, np.array([1.0, v, h])), v - 2.0 * h)
 
 
-# ------------------------------------------------------------ reductions
+def test_embed_rbm_zero_biases_leave_the_auxiliary_row_zero():
+    W = np.random.default_rng(33).normal(size=(3, 2))
+    emb = embed(RbmParams(W, np.zeros(3), np.zeros(2))).mrf
+    assert np.all(emb.A[0] == 0.0) and np.all(emb.A[:, 0] == 0.0)
+    assert np.array_equal(emb.A[1:4, 4:], W / 2.0)
+    assert np.array_equal(emb.A[4:, 1:4], W.T / 2.0)
 
 
-def test_bits_to_hyp_zero():
-    hyp, red = bits_to_hyp(MrfParams(np.zeros((3, 3)), Domain.ZERO_ONE))
-    assert np.all(hyp.A == 0.0)
-    assert np.all(red.b == 0.0)
-    assert red.c == 0.0
+def test_embed_zero_one_mrf_zero():
+    emb = embed(MrfParams(np.zeros((3, 3)), Domain.ZERO_ONE))
+    assert emb.has_aux and emb.offset == 0.0
+    assert emb.mrf.n == 4
+    assert np.all(emb.mrf.A == 0.0)
 
 
-def test_bits_to_hyp_closed_form():
-    A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    hyp, red = bits_to_hyp(MrfParams(A, Domain.ZERO_ONE))
-    assert_allclose(hyp.A, [[0.0, 0.25], [0.25, 0.0]])
-    assert_allclose(red.b, [0.5, 0.5])
-    assert_allclose(red.c, 0.5)
-    # exhaustive: bit score == spin score + b.x + c with x = 2*bits - 1
-    m01 = MrfParams(A, Domain.ZERO_ONE)
+def test_embed_zero_one_two_cycle_closed_form():
+    # x = (t + 1)/2: couplings A/4, linear term (A'1 + A1)/4 = (0.5, 0.5) as
+    # the auxiliary row 0.25, offset 1'A1/4 = 0.5
+    m01 = MrfParams(np.array([[0.0, 1.0], [1.0, 0.0]]), Domain.ZERO_ONE)
+    emb = embed(m01)
+    assert_allclose(emb.mrf.A, np.full((3, 3), 0.25) - np.diag([0.25] * 3))
+    assert emb.offset == 0.5
     for bits in corners(2, Domain.ZERO_ONE):
-        x = 2 * bits - 1
-        assert_allclose(
-            score(m01, bits), score(hyp, x) + red.b @ x + red.c, atol=1e-12
-        )
+        x = np.concatenate([[1.0], 2 * bits - 1])
+        assert_allclose(score(m01, bits), score(emb.mrf, x) + emb.offset, atol=1e-12)
 
 
-def test_bits_to_hyp_random_corner_identity():
-    rng = np.random.default_rng(31)
-    A = rng.normal(size=(5, 5))
-    A = (A + A.T) / 2
-    m01 = MrfParams(A, Domain.ZERO_ONE)
-    hyp, red = bits_to_hyp(m01)
-    for bits in corners(5, Domain.ZERO_ONE):
-        x = 2 * bits - 1
-        want = score(m01, bits)
-        got = score(hyp, x) + red.b @ x + red.c
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+def test_embed_zero_one_rbm_biases_on_bits():
+    # W = 0, a = 1, b = 2: the native score is v + 2h on bits
+    rbm = RbmParams(np.zeros((1, 1)), np.array([1.0]), np.array([2.0]), Domain.ZERO_ONE)
+    emb = embed(rbm)
+    for v in (0.0, 1.0):
+        for h in (0.0, 1.0):
+            x = np.array([1.0, 2 * v - 1, 2 * h - 1])
+            assert score(emb.mrf, x) + emb.offset == v + 2.0 * h
 
 
-def test_hyp_to_bits_zero():
-    back, red = hyp_to_bits(MrfParams(np.zeros((3, 3))))
-    assert np.all(back.A == 0.0)
-    assert np.all(red.b == 0.0)
-    assert red.c == 0.0
-
-
-def test_hyp_to_bits_n1():
-    back, red = hyp_to_bits(MrfParams(np.array([[1.0]])))
-    assert_allclose(back.A, [[4.0]])
-    assert_allclose(red.b, [-4.0])
-    assert_allclose(red.c, 1.0)
-    # (2u - 1)^2 = 4u^2 - 4u + 1 at u in {0, 1}
-    for u in (0.0, 1.0):
-        assert_allclose(4 * u * u - 4 * u + 1, (2 * u - 1) ** 2)
-
-
-def test_hyp_to_bits_random_corner_identity():
-    rng = np.random.default_rng(32)
-    A = rng.normal(size=(5, 5))
-    m = MrfParams(A)
-    back, red = hyp_to_bits(m)
-    for x in corners(5):
-        bits = (x + 1) / 2
-        want = score(m, x)
-        got = score(back, bits) + red.b @ bits + red.c
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_fold_linear_hyp_pure_linear():
-    red = LinearReduction(np.zeros((1, 1)), np.array([1.0]), 0.0)
-    aug = fold_linear_hyp(MrfParams(np.zeros((1, 1))), red)
-    assert_allclose(aug.A, [[0.0, 0.5], [0.5, 0.0]])
-    for x in (-1.0, 1.0):
-        assert_allclose(score(aug, np.array([1.0, x])), x)
-
-
-def test_fold_linear_hyp_zero_linear_part():
-    rng = np.random.default_rng(33)
-    A = rng.normal(size=(3, 3))
-    A = (A + A.T) / 2
-    m = MrfParams(A)
-    red = LinearReduction(A, np.zeros(3), 0.0)
-    aug = fold_linear_hyp(m, red)
-    for x in corners(3):
-        assert_allclose(score(aug, np.concatenate([[1.0], x])), score(m, x))
-
-
-def test_fold_linear_hyp_random_corner_identity():
-    rng = np.random.default_rng(34)
-    A = rng.normal(size=(4, 4))
-    A = (A + A.T) / 2
-    b = rng.normal(size=4)
-    m = MrfParams(A)
-    aug = fold_linear_hyp(m, LinearReduction(A, b, 0.0))
-    for x in corners(4):
-        want = score(m, x) + b @ x
-        got = score(aug, np.concatenate([[1.0], x]))
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_fold_linear_bits_explicit():
-    red = LinearReduction(np.zeros((2, 2)), np.array([1.0, 2.0]), 0.0)
-    folded = fold_linear_bits(MrfParams(np.zeros((2, 2)), Domain.ZERO_ONE), red)
-    assert score(folded, np.array([1.0, 1.0])) == 3.0
-
-
-def test_fold_linear_bits_zero_linear_part():
-    A = np.array([[1.0, 0.5], [0.5, -2.0]])
-    m = MrfParams(A, Domain.ZERO_ONE)
-    folded = fold_linear_bits(m, LinearReduction(A, np.zeros(2), 0.0))
-    assert_allclose(folded.A, A)
-
-
-def test_fold_linear_bits_random_corner_identity():
-    rng = np.random.default_rng(35)
-    A = rng.normal(size=(5, 5))
-    A = (A + A.T) / 2
-    b = rng.normal(size=5)
-    m = MrfParams(A, Domain.ZERO_ONE)
-    folded = fold_linear_bits(m, LinearReduction(A, b, 0.0))
-    for bits in corners(5, Domain.ZERO_ONE):
-        want = score(m, bits) + b @ bits
-        got = score(folded, bits)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_reduction_round_trip_through_fold():
-    # {0,1} score == augmented spin score + c at every corner, n <= 6
+def test_embed_zero_one_mrf_corner_identity_up_to_n6():
+    # {0,1} score == embedded spin score + offset at every corner, n <= 6
     rng = np.random.default_rng(36)
     for n in range(1, 7):
-        A = rng.normal(size=(n, n))
-        m01 = MrfParams(A, Domain.ZERO_ONE)
-        hyp, red = bits_to_hyp(m01)
-        aug = fold_linear_hyp(hyp, red)
+        m01 = MrfParams(rng.normal(size=(n, n)), Domain.ZERO_ONE)
+        emb = embed(m01)
         for bits in corners(n, Domain.ZERO_ONE):
             x = np.concatenate([[1.0], 2 * bits - 1])
             want = score(m01, bits)
-            got = score(aug, x) + red.c
+            got = score(emb.mrf, x) + emb.offset
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_canonicalize_auxiliary():
+def test_embed_canonical_leaves_input_untouched():
+    emb = embed(RbmParams(np.zeros((1, 1)), np.zeros(1), np.zeros(1)))
     x = np.array([-1, 1, -1], dtype=np.int8)
-    flipped = canonicalize_auxiliary(x)
+    flipped = emb.canonical(x)
     assert list(flipped) == [1, -1, 1]
     assert list(x) == [-1, 1, -1]  # input untouched
-    same = canonicalize_auxiliary(np.array([1, -1, 1], dtype=np.int8))
+    same = emb.canonical(np.array([1, -1, 1], dtype=np.int8))
     assert list(same) == [1, -1, 1]
     rows = np.array([[-1, 1, -1], [1, 1, -1]], dtype=np.int8)
-    assert canonicalize_auxiliary(rows).tolist() == [[1, -1, 1], [1, 1, -1]]
+    assert emb.canonical(rows).tolist() == [[1, -1, 1], [1, 1, -1]]
     assert rows.tolist() == [[-1, 1, -1], [1, 1, -1]]  # input untouched
+    # without an auxiliary spin nothing is flipped
+    assert list(embed(MrfParams(np.eye(3))).canonical(x)) == [-1, 1, -1]
+
+
+def reference_embedding(inst):
+    """(coupling matrix, offset) composed in four steps, each through its own
+    model object: quadratic block, bias onto the {0,1} diagonal, bits to
+    spins, auxiliary row. The library builds the same matrix in one pass."""
+    pm1 = Domain.PLUS_MINUS_ONE
+    if isinstance(inst, MrfParams):
+        if inst.domain is pm1:
+            return inst.A, 0.0
+        A, linear = inst.A, None
+    else:
+        m, p = inst.m, inst.p
+        if inst.domain is pm1:
+            A = np.zeros((1 + m + p, 1 + m + p))
+            A[0, 1:1 + m] = A[1:1 + m, 0] = inst.a / 2.0
+            A[0, 1 + m:] = A[1 + m:, 0] = inst.b / 2.0
+            A[1:1 + m, 1 + m:] = inst.W / 2.0
+            A[1 + m:, 1:1 + m] = inst.W.T / 2.0
+            return MrfParams(A).A, 0.0
+        quad = np.zeros((m + p, m + p))
+        quad[:m, m:] = inst.W / 2.0
+        quad[m:, :m] = inst.W.T / 2.0
+        quad = MrfParams(quad, Domain.ZERO_ONE).A
+        bias = np.concatenate([inst.a, inst.b])
+        A = MrfParams(quad + np.diag(bias), Domain.ZERO_ONE).A
+    one = np.ones(A.shape[0])
+    hyp = MrfParams(A / 4.0).A
+    linear = (A.T @ one + A @ one) / 4.0
+    offset = float(one @ A @ one) / 4.0
+    aux = np.zeros((A.shape[0] + 1, A.shape[0] + 1))
+    aux[0, 1:] = linear / 2.0
+    aux[1:, 0] = linear / 2.0
+    aux[1:, 1:] = hyp
+    return MrfParams(aux).A, offset
+
+
+def test_embed_matches_reference_composition_bit_for_bit():
+    rng = np.random.default_rng(38)
+    cases = [(kind, domain) for kind in ("mrf", "rbm")
+             for domain in (Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE)]
+    for trial in range(240):
+        kind, domain = cases[trial % 4]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        if kind == "mrf":
+            n = int(rng.integers(1, 40))
+            inst = MrfParams(scale * rng.normal(size=(n, n)), domain)
+        else:
+            m, p = (int(v) for v in rng.integers(1, 40, size=2))
+            inst = RbmParams(scale * rng.normal(size=(m, p)),
+                             scale * rng.normal(size=m),
+                             scale * rng.normal(size=p), domain)
+        want_A, want_offset = reference_embedding(inst)
+        emb = embed(inst)
+        assert emb.mrf.A.shape == want_A.shape
+        assert emb.mrf.A.tobytes() == want_A.tobytes(), (trial, kind, domain)
+        assert emb.offset == want_offset and type(emb.offset) is float
+        assert emb.has_aux == (kind == "rbm" or domain is Domain.ZERO_ONE)
 
 
 @pytest.mark.parametrize("kind", ["mrf", "rbm"])
@@ -457,8 +428,9 @@ def test_gen_hard_rbm_no_pairs_matches_random():
 
 def test_gen_hard_rbm_planted_pairs_on_at_map():
     r = gen_hard_rbm(6, 6, pairs=2, couple=50.0, bias=5.0, seed=4)
-    x, _ = brute_force_map(rbm_to_mrf(r))
-    x = canonicalize_auxiliary(x)
+    emb = embed(r)
+    x, _ = brute_force_map(emb.mrf)
+    x = emb.canonical(x)
     v, h = x[1:7], x[7:]
     vis, hid = np.where(r.W == 50.0)
     for i, j in zip(vis, hid):

@@ -10,12 +10,12 @@ from relaxround import (
     LrpOptions,
     MrfParams,
     brute_force_map,
+    embed,
     estimate_lipschitz,
     gen_hard_rbm,
     gen_random_rbm,
     lrp_objective,
     project_rows,
-    rbm_to_mrf,
     solve_lrp,
 )
 from relaxround import relaxation
@@ -112,7 +112,7 @@ def test_lipschitz_meets_ascent_contract():
     # 2 * ||A||_2 by a few percent: the estimate must still be at least half
     # of it, and power iteration never overshoots ||A||_2
     for seed in range(40):
-        A = rbm_to_mrf(gen_hard_rbm(30, 30, seed=seed)).A
+        A = embed(gen_hard_rbm(30, 30, seed=seed)).mrf.A
         true = 2.0 * np.linalg.norm(A, 2)
         est, _ = estimate_lipschitz(A)
         assert 0.5 * true <= est <= 1.01 * true * (1 + 1e-12)
@@ -208,7 +208,7 @@ def test_fixed_step_trace_is_monotone():
     # the step 1/L with the estimate at least L/2 never decreases the
     # objective, up to rounding
     for seed in range(10):
-        m = rbm_to_mrf(gen_hard_rbm(30, 30, seed=seed))
+        m = embed(gen_hard_rbm(30, 30, seed=seed)).mrf
         sol = solve_lrp(m, LrpOptions(k=2, max_iters=500, seed=seed))
         diffs = np.diff(sol.trace)
         assert (diffs >= -1e-12 * np.maximum(1.0, np.abs(sol.trace[1:]))).all()
@@ -218,9 +218,9 @@ def test_batched_restarts_match_reference_loop():
     # every restart's final objective matches the one-restart-at-a-time
     # loop; the stacked product rounds differently, so not bit for bit
     instances = [
-        rbm_to_mrf(gen_random_rbm(30, 20)),
-        rbm_to_mrf(gen_hard_rbm(30, 30)),
-        rbm_to_mrf(gen_random_rbm(300, 200)),
+        embed(gen_random_rbm(30, 20)).mrf,
+        embed(gen_hard_rbm(30, 30)).mrf,
+        embed(gen_random_rbm(300, 200)).mrf,
     ]
     assert instances[-1].n == 501
     for seed, m in enumerate(instances):
