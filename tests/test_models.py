@@ -222,6 +222,43 @@ def test_embed_zero_one_mrf_corner_identity_up_to_n6():
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_bits_to_hyp_random_corner_identity():
+    # {0,1} MRF -> spins: 0/1 score == spin score + offset with t = 2u - 1
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(5, 5))
+    m01 = MrfParams((A + A.T) / 2, Domain.ZERO_ONE)
+    emb = embed(m01)
+    for bits in corners(5, Domain.ZERO_ONE):
+        x = np.concatenate([[1.0], 2 * bits - 1])
+        want = score(m01, bits)
+        got = score(emb.mrf, x) + emb.offset
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_fold_linear_hyp_random_corner_identity():
+    # spin biases fold into the auxiliary row: x0 = +1 scores them exactly
+    rng = np.random.default_rng(34)
+    rbm = RbmParams(rng.normal(size=(2, 2)), rng.normal(size=2),
+                    rng.normal(size=2))
+    emb = embed(rbm)
+    for x in corners(4):
+        want = rbm_score(rbm, x[:2], x[2:])
+        got = score(emb.mrf, np.concatenate([[1.0], x])) + emb.offset
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_fold_linear_bits_random_corner_identity():
+    # {0,1} biases fold onto the bit diagonal (u_i^2 = u_i) before the spin map
+    rng = np.random.default_rng(35)
+    rbm = RbmParams(rng.normal(size=(2, 3)), rng.normal(size=2),
+                    rng.normal(size=3), Domain.ZERO_ONE)
+    emb = embed(rbm)
+    for bits in corners(5, Domain.ZERO_ONE):
+        want = rbm_score(rbm, bits[:2], bits[2:])
+        got = score(emb.mrf, np.concatenate([[1.0], 2 * bits - 1])) + emb.offset
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_embed_canonical_leaves_input_untouched():
     emb = embed(RbmParams(np.zeros((1, 1)), np.zeros(1), np.zeros(1)))
     x = np.array([-1, 1, -1], dtype=np.int8)
