@@ -11,12 +11,10 @@ from .gibbs import (
     AnnealSchedule,
     ChainState,
     annealed_gibbs,
-    block_gibbs_rbm_sweep,
     rrr_ag,
 )
 from .instances import (
     InstanceFormatError,
-    dump_instance,
     dumps_instance,
     load_instance,
     loads_instance,
@@ -40,14 +38,12 @@ from .models import (
     score_batch,
 )
 from .partition import (
-    BRUTE_LOGZ_CAP,
     Budget,
     EstimateReport,
     ais_logz,
     exact_logz_mrf,
     exact_logz_rbm,
     rrr_is,
-    rrr_is_exact,
     rrr_low,
 )
 from .relaxation import (
@@ -64,7 +60,6 @@ from .rounding import (
     build_px_k2,
     enumerate_support_k2,
     px_query,
-    round_once,
     rrr_map_sample,
 )
 
@@ -73,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealSchedule",
     "BRUTE_FORCE_CAP",
-    "BRUTE_LOGZ_CAP",
     "Budget",
     "CapExceededError",
     "ChainState",
@@ -89,12 +83,10 @@ __all__ = [
     "SampleBatch",
     "ais_logz",
     "annealed_gibbs",
-    "block_gibbs_rbm_sweep",
     "brute_force_map",
     "build_px_k2",
     "check_assignment",
     "domain_values",
-    "dump_instance",
     "dumps_instance",
     "embed",
     "enumerate_support_k2",
@@ -110,10 +102,8 @@ __all__ = [
     "project_rows",
     "px_query",
     "rbm_score",
-    "round_once",
     "rrr_ag",
     "rrr_is",
-    "rrr_is_exact",
     "rrr_low",
     "rrr_map_sample",
     "score",

@@ -23,7 +23,6 @@ _EXP_MAX = math.log(sys.float_info.max)
 __all__ = [
     "AnnealSchedule",
     "ChainState",
-    "block_gibbs_rbm_sweep",
     "annealed_gibbs",
     "rrr_ag",
 ]
@@ -236,23 +235,6 @@ def _tempered_block_sweep(
         pv = 1.0 / (1.0 + np.exp(-(gain * beta * (H @ params.W.T + params.a))))
         V = np.where(rng.random(pv.shape) < pv, 1, lo).astype(np.int8)
     return V, H, scores
-
-
-def block_gibbs_rbm_sweep(
-    params: RbmParams, v, h, temperature: float, rng: np.random.Generator
-):
-    """One block sweep: resample all hidden units given v, then all visible
-    units given the new h. Conditionals are logistic(2 * field / T)."""
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("block sampling expects the {-1,+1} domain")
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
-    vv = check_assignment(v, params.m, params.domain)
-    hv = check_assignment(h, params.p, params.domain)
-    V, H, _ = _tempered_block_sweep(
-        params, vv[None, :], hv[None, :], 1.0 / temperature, rng
-    )
-    return V[0], H[0]
 
 
 def _run_schedule(

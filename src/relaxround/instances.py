@@ -77,11 +77,6 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def dump_instance(params, path: str) -> None:
-    """Write an instance file atomically."""
-    write_atomic(path, dumps_instance(params))
-
-
 def _reject_constant(token: str):
     raise InstanceFormatError(f"non-finite number {token!r} in instance")
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .gibbs import _tempered_block_sweep
 from .models import (
+    BRUTE_FORCE_CAP,
     Domain,
     MrfParams,
     RbmParams,
@@ -27,9 +28,6 @@ from .rounding import (
     build_px_k2,
     enumerate_support_k2,
 )
-
-BRUTE_LOGZ_CAP = 24
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -47,12 +45,12 @@ class Budget:
 
 @dataclass(frozen=True, eq=False)
 class EstimateReport:
-    """One log-partition estimate with its budget and provenance. `details`
-    carries estimator-specific extras (e.g. the spread of AIS run weights)."""
+    """One log-partition estimate with its budget and wall-clock time.
+    `details` carries estimator-specific extras (e.g. the spread of AIS run
+    weights)."""
 
     log_z: float
     budget: Budget
-    seed: int
     wall_clock: float
     details: dict = field(default_factory=dict)
 
@@ -84,9 +82,9 @@ def _streaming_logsumexp(chunks) -> float:
 
 def exact_logz_mrf(params: MrfParams) -> float:
     """log sum_x exp(x' A x) over all corners of the model's domain, by
-    streaming enumeration, for n up to BRUTE_LOGZ_CAP."""
-    if params.n > BRUTE_LOGZ_CAP:
-        raise CapExceededError(f"n={params.n} exceeds enumeration cap {BRUTE_LOGZ_CAP}")
+    streaming enumeration, for n up to BRUTE_FORCE_CAP."""
+    if params.n > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"n={params.n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
     return _streaming_logsumexp(
         score_batch(params, block)
         for block in iter_corner_blocks(params.n, params.domain)
@@ -99,11 +97,11 @@ def exact_logz_rbm(params: RbmParams) -> float:
     Enumerates the 2**m visible configurations and applies the analytic
     per-hidden-unit factor: log(2 cosh(z_j)) on the {-1,+1} domain,
     log(1 + exp(z_j)) on the {0,1} domain, with z = v'W + b. The visible
-    layer is capped at BRUTE_LOGZ_CAP units; the hidden layer size is
+    layer is capped at BRUTE_FORCE_CAP units; the hidden layer size is
     unbounded.
     """
-    if params.m > BRUTE_LOGZ_CAP:
-        raise CapExceededError(f"m={params.m} exceeds enumeration cap {BRUTE_LOGZ_CAP}")
+    if params.m > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"m={params.m} exceeds enumeration cap {BRUTE_FORCE_CAP}")
 
     def blocks():
         for V in iter_corner_blocks(params.m, params.domain):
@@ -156,7 +154,6 @@ def ais_logz(
     return EstimateReport(
         log_z=log_z,
         budget=Budget(samples=num_runs, temperatures=num_temps, sweeps=num_temps - 1),
-        seed=seed,
         wall_clock=time.perf_counter() - start,
         details={"weight_std": float(np.std(log_weights))},
     )
@@ -216,8 +213,7 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     time; at width k=2 (at most 2n patterns) that is one block. Memory is
     one block plus a few copies of the distinct keys (n/8 bytes each), and
     the merges cost O(count log count) key comparisons however many rows
-    are distinct; no samples x n matrix is built. The report's seed is 0:
-    the rows carry their own provenance.
+    are distinct; no samples x n matrix is built.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("rrr_low takes {-1,+1} assignments")
@@ -230,26 +226,9 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     return EstimateReport(
         log_z=log_z,
         budget=Budget(samples=count),
-        seed=0,
         wall_clock=time.perf_counter() - start,
         details={"distinct": int(keys.size)},
     )
-
-
-def _score_support(params: MrfParams, X):
-    """The width-2 support pass of `rrr_is` and `rrr_is_exact`: checks the
-    arguments, builds the rounding distribution, enumerates its at most 2n
-    patterns and scores them once. Returns the distribution, the scores
-    and the probabilities, both in `enumerate_support_k2` order."""
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("rounding produces {-1,+1} assignments")
-    X = _check_feasible_rows(params, X)
-    if X.shape[1] != 2:
-        raise ValueError("importance sampling requires width k=2")
-    dist = build_px_k2(X)
-    support = enumerate_support_k2(dist, X)
-    scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
-    return dist, scores, np.array([p for _, p in support])
 
 
 def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
@@ -267,14 +246,25 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     `enumerate_support_k2`, where rounding a nonzero one would take the
     sign of its tiny product with g. No samples x n matrix is built.
 
-    The same scores give the sampler's exact expectation, so `details`
-    carries `log_z_exact_support`, equal to `rrr_is_exact(params, X).log_z`,
-    and `support_size`, the number of patterns.
+    The same scores give the sampler's exact expectation: the mean of
+    exp(score)/p over the rounding distribution is the sum of exp(score)
+    over the support. `details` carries its log, `log_z_exact_support`,
+    which lower-bounds the log partition, with equality when the support
+    covers every corner, and does not depend on `count` or `seed`; and
+    `support_size`, the number of patterns.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     start = time.perf_counter()
-    dist, scores, probs = _score_support(params, X)
+    if params.domain is not Domain.PLUS_MINUS_ONE:
+        raise ValueError("rounding produces {-1,+1} assignments")
+    X = _check_feasible_rows(params, X)
+    if X.shape[1] != 2:
+        raise ValueError("importance sampling requires width k=2")
+    dist = build_px_k2(X)
+    support = enumerate_support_k2(dist, X)
+    scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
+    probs = np.array([p for _, p in support])
     rng = np.random.default_rng(seed)
     hits = np.zeros(scores.size, dtype=np.int64)
     for G in _direction_blocks(rng, count, 2):
@@ -287,29 +277,9 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     return EstimateReport(
         log_z=log_z,
         budget=Budget(samples=count),
-        seed=seed,
         wall_clock=time.perf_counter() - start,
         details={
             "log_z_exact_support": _streaming_logsumexp(scores),
             "support_size": int(scores.size),
         },
-    )
-
-
-def rrr_is_exact(params: MrfParams, X) -> EstimateReport:
-    """Exact expectation of the width-2 importance sampler.
-
-    The mean of exp(score)/p over the rounding distribution equals the sum
-    of exp(score) over the support, computed here by enumerating it. This
-    lower-bounds the log partition (with equality when the support covers
-    every corner) and is deterministic.
-    """
-    start = time.perf_counter()
-    _, scores, _ = _score_support(params, X)
-    return EstimateReport(
-        log_z=_streaming_logsumexp(scores),
-        budget=Budget(samples=int(scores.size)),
-        seed=0,
-        wall_clock=time.perf_counter() - start,
-        details={"exact_support": True},
     )

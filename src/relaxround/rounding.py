@@ -39,11 +39,10 @@ SAMPLE_BLOCK_ROWS = 2048
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Rounded samples as int8 rows, their scores, and the seed used."""
+    """Rounded samples as int8 rows and their scores."""
 
     samples: np.ndarray
     scores: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.scores.shape != (self.samples.shape[0],):
@@ -74,15 +73,6 @@ class RoundingDistributionK2:
         return self.thetas.shape[0]
 
 
-def round_once(X, g) -> np.ndarray:
-    """Sign pattern sign(X g) with sign(0) := +1, as an int8 vector."""
-    X = np.asarray(X, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if X.ndim != 2 or g.shape != (X.shape[1],):
-        raise ValueError(f"shape mismatch: X {X.shape}, g {g.shape}")
-    return _round_rows(g[None, :], X)[0]
-
-
 def _check_feasible_rows(params: MrfParams, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != params.n:
@@ -95,7 +85,7 @@ def _check_feasible_rows(params: MrfParams, X) -> np.ndarray:
 
 def _round_rows(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The sign patterns sign(X g) of the direction rows g of G, as int8
-    rows: the one rounding kernel, behind `round_once`, the samplers and
+    rows: the one rounding kernel, behind the samplers and
     `enumerate_support_k2`."""
     # the sign bits b as int8, mapped to 2b - 1: a tenth of the time of
     # np.where, and no int64 temporary
@@ -119,14 +109,14 @@ def _direction_blocks(rng: np.random.Generator, count: int, k: int):
 
 
 def _sample_batch(
-    params: MrfParams, X, count: int, rng: np.random.Generator, seed: int
+    params: MrfParams, X, count: int, rng: np.random.Generator
 ) -> SampleBatch:
     blocks = list(rrr_sample_blocks(params, X, count, rng))
     # a single block (the map commands' default 1000 draws) is used as
     # is: copying it raised their peak RSS by about 0.5 MB
     samples = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     scores = score_batch(params, samples)
-    return SampleBatch(samples=samples, scores=scores, seed=seed)
+    return SampleBatch(samples=samples, scores=scores)
 
 
 def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
@@ -140,7 +130,7 @@ def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
 def rrr_map_sample(params: MrfParams, X, count: int, seed: int) -> SampleBatch:
     """Draw `count` rounded samples of a feasible relaxed solution and
     score each one. Deterministic given the seed."""
-    return _sample_batch(params, X, count, np.random.default_rng(seed), seed)
+    return _sample_batch(params, X, count, np.random.default_rng(seed))
 
 
 def rrr_sample_blocks(params: MrfParams, X, count: int, seed):

@@ -11,6 +11,16 @@ import numpy as np
 from scipy.special import expit
 
 from relaxround import Domain, MrfParams, iter_corner_blocks, score_batch
+from relaxround.gibbs import _tempered_block_sweep
+
+
+def block_sweep(params, v, h, T, rng):
+    """One block sweep of AIS's kernel on a single RBM chain at temperature
+    T: the hidden units given v, then the visible units given the new h."""
+    V, H, _ = _tempered_block_sweep(
+        params, np.asarray(v, float)[None], np.asarray(h, float)[None], 1.0 / T, rng
+    )
+    return V[0], H[0]
 
 
 def reference_sweep(A, x, temperature, rng):

@@ -16,12 +16,13 @@ from relaxround import (
     Domain,
     MrfParams,
     RbmParams,
-    dump_instance,
+    dumps_instance,
     load_instance,
     rbm_score,
 )
-from relaxround import cli, partition
+from relaxround import cli, gibbs, instances, models, partition, relaxation, rounding
 from relaxround.cli import main
+from relaxround.instances import write_atomic
 
 
 def run(*argv):
@@ -56,7 +57,7 @@ def test_gen_reserialize_round_trip(tmp_path):
     text = path.read_text()
     back = load_instance(path)
     out = tmp_path / "copy.json"
-    dump_instance(back, out)
+    write_atomic(out, dumps_instance(back))
     assert out.read_text() == text
 
 
@@ -123,7 +124,7 @@ def test_map_zero_one_instances(tmp_path):
     A = rng.normal(size=(5, 5))
     m01 = MrfParams(A, Domain.ZERO_ONE)
     inst = tmp_path / "m01.json"
-    dump_instance(m01, inst)
+    write_atomic(inst, dumps_instance(m01))
     out = tmp_path / "out.json"
     assert run("map", "--instance", inst, "--methods", "brute,rrr",
                "--seed", 5, "--out", out) == 0
@@ -144,7 +145,7 @@ def test_map_and_logz_zero_one_rbm(tmp_path):
     rbm = RbmParams(rng.normal(size=(4, 3)), rng.normal(size=4),
                     rng.normal(size=3), Domain.ZERO_ONE)
     inst = tmp_path / "rbm01.json"
-    dump_instance(rbm, inst)
+    write_atomic(inst, dumps_instance(rbm))
     out = tmp_path / "map.json"
     assert run("map", "--instance", inst, "--methods", "brute,rrr,ag,rrr-ag",
                "--seed", 6, "--out", out, "--samples", 200, "--sweeps", 80) == 0
@@ -321,7 +322,8 @@ def test_commands_run_without_scipy(tmp_path):
 
 def test_logz_zero_rbm_exact_and_ais(tmp_path):
     inst = tmp_path / "zero.json"
-    dump_instance(RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2)), inst)
+    zero = RbmParams(np.zeros((3, 2)), np.zeros(3), np.zeros(2))
+    write_atomic(inst, dumps_instance(zero))
     out = tmp_path / "logz.json"
     assert run("logz", "--instance", inst, "--methods", "exact,ais",
                "--seed", 4, "--out", out, "--num-temps", 50,
@@ -364,7 +366,7 @@ def test_logz_random_s_shape_pattern(tmp_path):
 
 def test_logz_rejects_mrf_instance(tmp_path):
     inst = tmp_path / "mrf.json"
-    dump_instance(MrfParams(np.zeros((3, 3))), inst)
+    write_atomic(inst, dumps_instance(MrfParams(np.zeros((3, 3)))))
     assert run("logz", "--instance", inst, "--methods", "exact",
                "--seed", 0, "--out", tmp_path / "x.json") == 1
 
@@ -481,3 +483,32 @@ def test_csv_formats(tmp_path):
         assert [row[0] for row in rows] == [entry[0] for entry in want]
         for row, entry in zip(rows, want):
             assert [json.loads(value) for value in row[1:]] == entry[1:]
+
+
+# ---------------------------------------------------------------- surface
+
+
+def test_public_surface():
+    # every export is a deliberate edit of this list
+    assert sorted(relaxround.__all__) == [
+        "AnnealSchedule", "BRUTE_FORCE_CAP", "Budget", "CapExceededError",
+        "ChainState", "Domain", "Embedding", "EstimateReport",
+        "InstanceFormatError", "LrpOptions", "MrfParams", "RbmParams",
+        "RelaxedSolution", "RoundingDistributionK2", "SampleBatch",
+        "ais_logz", "annealed_gibbs", "brute_force_map", "build_px_k2",
+        "check_assignment", "domain_values", "dumps_instance", "embed",
+        "enumerate_support_k2", "estimate_lipschitz", "exact_logz_mrf",
+        "exact_logz_rbm", "gen_hard_rbm", "gen_random_rbm",
+        "iter_corner_blocks", "load_instance", "loads_instance",
+        "lrp_objective", "project_rows", "px_query", "rbm_score", "rrr_ag",
+        "rrr_is", "rrr_low", "rrr_map_sample", "score", "score_batch",
+        "solve_lrp",
+    ]
+    for name in relaxround.__all__:
+        assert hasattr(relaxround, name), name
+    gone = ("rrr_is_exact", "round_once", "dump_instance",
+            "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP")
+    for module in (relaxround, cli, gibbs, instances, models, partition,
+                   relaxation, rounding):
+        for name in gone:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

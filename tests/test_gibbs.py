@@ -16,7 +16,6 @@ from relaxround import (
     MrfParams,
     RbmParams,
     annealed_gibbs,
-    block_gibbs_rbm_sweep,
     brute_force_map,
     embed,
     gen_hard_rbm,
@@ -37,6 +36,7 @@ from relaxround.gibbs import (
 from relaxround.rounding import _sample_batch
 
 from chain_utils import (
+    block_sweep,
     conditional_table,
     exact_distribution,
     fast_chain_trajectory,
@@ -260,8 +260,8 @@ def test_lockstep_chains_match_reference_replays(case):
     chains, seed = 3, 35
     # rrr_ag's seed derivation
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
-    starts = _sample_batch(emb, sol.X, chains, np.random.default_rng(sample_ss),
-                           seed).samples
+    starts = _sample_batch(emb, sol.X, chains,
+                           np.random.default_rng(sample_ss)).samples
     chain_seeds = anneal_ss.spawn(chains)
     states = _run_schedule(emb, sched.temperatures, starts,
                            [np.random.default_rng(ss) for ss in chain_seeds])
@@ -370,7 +370,7 @@ def test_block_sweep_zero_weights_uniform():
     v = np.ones(3, dtype=np.int8)
     h = np.ones(3, dtype=np.int8)
     for _ in range(10_000):
-        v, h = block_gibbs_rbm_sweep(zero, v, h, 1.0, rng)
+        v, h = block_sweep(zero, v, h, 1.0, rng)
         plus += h > 0
     sigma = math.sqrt(10_000 * 0.25)
     assert np.all(np.abs(plus - 5000) <= 4 * sigma)
@@ -387,7 +387,7 @@ def test_block_conditional_value():
     hits = 0
     rng = np.random.default_rng(11)
     for _ in range(20_000):
-        _, h = block_gibbs_rbm_sweep(rbm, v, np.array([1], dtype=np.int8), 1.0, rng)
+        _, h = block_sweep(rbm, v, np.array([1], dtype=np.int8), 1.0, rng)
         hits += h[0] > 0
     sigma = math.sqrt(20_000 * expit(2.0) * (1 - expit(2.0)))
     assert abs(hits - 20_000 * expit(2.0)) <= 4 * sigma
@@ -428,7 +428,7 @@ def test_block_chain_marginals_match_enumeration():
     plus = np.zeros(6)
     sweeps = 400_000
     for _ in range(sweeps):
-        v, h = block_gibbs_rbm_sweep(rbm, v, h, 1.0, rng)
+        v, h = block_sweep(rbm, v, h, 1.0, rng)
         plus += np.concatenate([v, h]) > 0
     assert np.abs(plus / sweeps - exact_marginals).max() <= 0.01
 
@@ -511,10 +511,8 @@ def test_rrr_ag_empty_schedule_returns_sample():
     assert set(np.unique(state.x)) <= {-1, 1}
 
     # the returned assignment is exactly the drawn rounding sample
-    from relaxround.rounding import _sample_batch
-
     sample_ss, _ = np.random.SeedSequence(21).spawn(2)
-    batch = _sample_batch(m, sol.X, 1, np.random.default_rng(sample_ss), 21)
+    batch = _sample_batch(m, sol.X, 1, np.random.default_rng(sample_ss))
     assert np.array_equal(state.x, batch.samples[0])
 
 
@@ -530,9 +528,7 @@ def test_rrr_ag_returns_best_chain():
     # chain visits, its start included
     root = np.random.SeedSequence(24)
     sample_ss, anneal_ss = root.spawn(2)
-    from relaxround.rounding import _sample_batch
-
-    batch = _sample_batch(m, sol.X, chains, np.random.default_rng(sample_ss), 24)
+    batch = _sample_batch(m, sol.X, chains, np.random.default_rng(sample_ss))
     visited = []
     for idx, chain_ss in enumerate(anneal_ss.spawn(chains)):
         x = batch.samples[idx].copy()

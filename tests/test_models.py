@@ -16,7 +16,6 @@ from relaxround import (
     RbmParams,
     brute_force_map,
     check_assignment,
-    dump_instance,
     dumps_instance,
     embed,
     gen_hard_rbm,
@@ -28,6 +27,7 @@ from relaxround import (
     score,
     score_batch,
 )
+from relaxround.instances import write_atomic
 
 
 def corners(n, domain=Domain.PLUS_MINUS_ONE):
@@ -486,7 +486,7 @@ def test_instance_round_trip_mrf(tmp_path):
     rng = np.random.default_rng(51)
     m = MrfParams(rng.normal(size=(4, 4)), Domain.ZERO_ONE)
     path = tmp_path / "m.json"
-    dump_instance(m, path)
+    write_atomic(path, dumps_instance(m))
     back = load_instance(path)
     assert isinstance(back, MrfParams)
     assert back.domain is Domain.ZERO_ONE
@@ -496,7 +496,7 @@ def test_instance_round_trip_mrf(tmp_path):
 def test_instance_round_trip_rbm(tmp_path):
     r = gen_random_rbm(5, 3, seed=6)
     path = tmp_path / "r.json"
-    dump_instance(r, path)
+    write_atomic(path, dumps_instance(r))
     back = load_instance(path)
     assert isinstance(back, RbmParams)
     assert np.array_equal(back.W, r.W)
@@ -512,7 +512,7 @@ def test_instance_serialization_deterministic():
 def test_reserialize_byte_identical(tmp_path):
     r = gen_random_rbm(4, 2, seed=8)
     path = tmp_path / "x.json"
-    dump_instance(r, path)
+    write_atomic(path, dumps_instance(r))
     text = path.read_text()
     assert dumps_instance(load_instance(path)) == text
 

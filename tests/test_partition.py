@@ -20,13 +20,12 @@ from relaxround import (
     SampleBatch,
     ais_logz,
     embed,
+    enumerate_support_k2,
     exact_logz_mrf,
     exact_logz_rbm,
     gen_random_rbm,
     rbm_score,
-    round_once,
     rrr_is,
-    rrr_is_exact,
     rrr_low,
     rrr_map_sample,
     score,
@@ -36,6 +35,7 @@ from relaxround import (
 from relaxround.partition import _distinct_keys, _streaming_logsumexp, _unpack_keys
 from relaxround.rounding import (
     _px_query_batch,
+    _round_rows,
     _sample_batch,
     build_px_k2,
     rrr_sample_blocks,
@@ -160,7 +160,6 @@ def test_ais_report_fields():
     rbm = gen_random_rbm(3, 2, seed=6)
     report = ais_logz(rbm, num_temps=30, num_runs=8, seed=7)
     assert report.budget == Budget(samples=8, temperatures=30, sweeps=29)
-    assert report.seed == 7
     assert report.wall_clock >= 0.0
     assert np.isfinite(report.log_z)
 
@@ -244,9 +243,7 @@ def test_ais_validation():
 
 def _single_sample_batch(m, x):
     x = np.asarray(x, dtype=np.int8)
-    return SampleBatch(
-        samples=x[None, :], scores=np.array([score(m, x)]), seed=0
-    )
+    return SampleBatch(samples=x[None, :], scores=np.array([score(m, x)]))
 
 
 def test_rrr_low_single_sample():
@@ -265,7 +262,6 @@ def test_rrr_low_duplicates_collapse():
     batch = SampleBatch(
         samples=np.tile(x, (50, 1)),
         scores=np.full(50, score(m, x)),
-        seed=0,
     )
     assert_allclose(rrr_low(m, batch.samples).log_z, score(m, x), rtol=1e-12)
 
@@ -297,7 +293,6 @@ def test_rrr_low_monotone_in_batch_size():
         sub = SampleBatch(
             samples=batch.samples[:count],
             scores=batch.scores[:count],
-            seed=batch.seed,
         )
         values.append(rrr_low(m, sub.samples).log_z)
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -397,26 +392,26 @@ def test_rrr_low_streamed_peak_memory_flat():
 def test_rrr_is_identical_rows_support():
     m = MrfParams(np.array([[0.0, 0.7], [0.7, 0.0]]))
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
-    report = rrr_is_exact(m, X)
+    report = rrr_is(m, X, 1, 0)
     x = np.array([1, 1])
     want = math.log(2.0) + score(m, x)  # {x, -x}, equal scores
-    assert_allclose(report.log_z, want, rtol=1e-12)
-    assert report.details["exact_support"] is True
+    assert_allclose(report.details["log_z_exact_support"], want, rtol=1e-12)
+    assert report.details["support_size"] == 2
 
 
 def test_rrr_is_sampled_near_exact_support():
     rng = np.random.default_rng(21)
     m = MrfParams(rng.normal(size=(7, 7)) * 0.4)
     sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=22))
-    exact = rrr_is_exact(m, sol.X)
-    exact_support = exact.log_z
+    exact_support = rrr_is(m, sol.X, 1, 0).details["log_z_exact_support"]
     sampled = rrr_is(m, sol.X, 100_000, seed=23)
-    # the sampler's one pass over the support also gives the exact value
+    # the exact-support value depends on neither the draw count nor the seed
     assert sampled.details["log_z_exact_support"] == exact_support
-    assert sampled.details["support_size"] == exact.budget.samples
+    support = enumerate_support_k2(build_px_k2(sol.X), sol.X)
+    assert sampled.details["support_size"] == len(support)
 
     # 3 standard errors, computed from the weight spread on a fresh batch
-    batch = _sample_batch(m, sol.X, 100_000, np.random.default_rng(24), 24)
+    batch = _sample_batch(m, sol.X, 100_000, np.random.default_rng(24))
     probs = _px_query_batch(build_px_k2(sol.X), batch.samples)
     w = np.exp(batch.scores - np.log(probs) - exact_support)
     se = w.std() / (w.mean() * math.sqrt(len(w)))
@@ -429,7 +424,7 @@ def test_rrr_is_support_below_exact():
         n = int(rng.integers(2, 9))
         m = MrfParams(rng.normal(size=(n, n)))
         sol = solve_lrp(m, LrpOptions(k=2, restarts=3, seed=trial))
-        support_value = rrr_is_exact(m, sol.X).log_z
+        support_value = rrr_is(m, sol.X, 1, 0).details["log_z_exact_support"]
         assert support_value <= exact_logz_mrf(m) + 1e-9
 
 
@@ -437,7 +432,8 @@ def test_rrr_is_equality_when_support_covers_everything():
     # n=1: the support is {+1, -1}, i.e. every corner
     m = MrfParams(np.array([[0.4]]))
     X = np.array([[1.0, 0.0]])
-    assert_allclose(rrr_is_exact(m, X).log_z, exact_logz_mrf(m), rtol=1e-12)
+    support_value = rrr_is(m, X, 1, 0).details["log_z_exact_support"]
+    assert_allclose(support_value, exact_logz_mrf(m), rtol=1e-12)
 
 
 def reference_rrr_is(params, X, count, seed, degenerate_plus=True):
@@ -445,7 +441,7 @@ def reference_rrr_is(params, X, count, seed, degenerate_plus=True):
     each draw's pattern probability, and log-mean-exp in draw order.
     Degenerate rows read +1, as in enumerate_support_k2, unless
     `degenerate_plus` is False: then they keep their rounded sign."""
-    batch = _sample_batch(params, X, count, np.random.default_rng(seed), seed)
+    batch = _sample_batch(params, X, count, np.random.default_rng(seed))
     dist = build_px_k2(X)
     samples = batch.samples.copy()
     if degenerate_plus:
@@ -520,7 +516,7 @@ def test_rrr_is_merged_boundaries_take_the_arc_pattern():
 
     X = rows(0.5e-13)
     assert build_px_k2(X).angles.size == 4
-    sliver = round_once(X, g)
+    sliver = _round_rows(g[None, :], X)[0]
     assert sliver[0] != sliver[1]  # the draw itself rounds inside the sliver
     report = rrr_is(m, X, 200, seed)
     assert np.isfinite(report.log_z)
@@ -540,4 +536,4 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(samples=-1)
     with pytest.raises(ValueError):
-        EstimateReport(math.nan, Budget(), 0, 0.0)
+        EstimateReport(math.nan, Budget(), 0.0)

@@ -304,3 +304,18 @@ def test_option_validation():
         solve_lrp(m, LrpOptions(k=3))
     with pytest.raises(ValueError):
         solve_lrp(MrfParams(np.zeros((2, 2)), Domain.ZERO_ONE), LrpOptions(k=2))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a fixed 1/L step set by the planted couplings",
+)
+def test_relaxation_converges_on_default_hard_instance(caplog):
+    # the gen command's default hard instance (couplings 5000, biases 500),
+    # embedded n = 33: no restart should run out of iterations
+    m = embed(gen_hard_rbm(20, 12, seed=3)).mrf
+    opts = LrpOptions(k=2, restarts=8, seed=1)
+    with caplog.at_level(logging.WARNING, logger="relaxround.relaxation"):
+        sol = solve_lrp(m, opts)
+    assert not caplog.records
+    assert sol.iterations < opts.restarts * opts.max_iters

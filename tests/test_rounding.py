@@ -13,12 +13,16 @@ from relaxround import (
     build_px_k2,
     enumerate_support_k2,
     px_query,
-    round_once,
     rrr_map_sample,
     score,
     solve_lrp,
 )
-from relaxround.rounding import SAMPLE_BLOCK_ROWS, _arc_index, rrr_sample_blocks
+from relaxround.rounding import (
+    SAMPLE_BLOCK_ROWS,
+    _arc_index,
+    _round_rows,
+    rrr_sample_blocks,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,23 +44,23 @@ def chi_square_ok(observed, probs, alpha=0.01):
     return stat <= stats.chi2.ppf(1.0 - alpha, df=len(obs) - 1)
 
 
-# ------------------------------------------------------------- round_once
+# ------------------------------------------------------- rounding kernel
 
 
 def test_round_once_aligned_rows():
     g = np.array([0.6, 0.8])
     X = np.tile(g, (4, 1))
-    assert list(round_once(X, g)) == [1, 1, 1, 1]
+    assert list(_round_rows(g[None, :], X)[0]) == [1, 1, 1, 1]
 
 
 def test_round_once_opposed_row():
     g = np.array([1.0, 0.0])
-    assert list(round_once(np.array([[-1.0, 0.0]]), g)) == [-1]
+    assert list(_round_rows(g[None, :], np.array([[-1.0, 0.0]]))[0]) == [-1]
 
 
 def test_round_once_zero_row_gets_plus_one():
     g = np.array([0.0, 1.0])
-    assert list(round_once(np.array([[0.0, 0.0]]), g)) == [1]
+    assert list(_round_rows(g[None, :], np.array([[0.0, 0.0]]))[0]) == [1]
 
 
 # ---------------------------------------------------------------- sampler
@@ -92,7 +96,6 @@ def test_batch_scores_match_score_function():
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     batch = rrr_map_sample(m, X, 200, seed=7)
     assert len(batch) == 200
-    assert batch.seed == 7
     for i in range(0, 200, 37):
         assert_allclose(batch.scores[i], score(m, batch.samples[i]), rtol=1e-12)
 
@@ -266,14 +269,14 @@ def test_support_matches_query_and_normalizes():
             assert len(supp) == 1 and supp[0][1] == 1.0
             assert_array_equal(supp[0][0], np.ones(n))
             continue
-        # entry j: the pattern round_once gives at the midpoint of the arc
+        # entry j: the rounding kernel's pattern at the midpoint of the arc
         # [angles[j], angles[j+1]) (the last one wraps), degenerate rows +1;
         # its probability, the arc's width over 2 pi
         stops = np.append(dist.angles[1:], dist.angles[0] + TWO_PI)
         assert len(supp) == dist.angles.size
         for (x, p), a0, a1 in zip(supp, dist.angles, stops):
             mid = 0.5 * (a0 + a1)
-            want = round_once(X, np.array([np.cos(mid), np.sin(mid)]))
+            want = _round_rows(np.array([[np.cos(mid), np.sin(mid)]]), X)[0]
             want[dist.degenerate] = 1
             assert_array_equal(x, want)
             assert p == (a1 - a0) / TWO_PI
@@ -374,9 +377,10 @@ def test_arc_index_boundary_rule():
     # on the boundary, the arc starting there wins, although sign(0) := +1
     # would round row 0 to the pattern of the arc before it
     assert arcs.tolist() == [j, j, (j - 1) % dist.angles.size]
-    assert round_once(X, G[0])[0] == 1 and supp[j][0][0] == -1
-    assert_array_equal(round_once(X, G[1]), supp[j][0])
-    assert_array_equal(round_once(X, G[2]), supp[arcs[2]][0])
+    rounded = _round_rows(G, X)
+    assert rounded[0][0] == 1 and supp[j][0][0] == -1
+    assert_array_equal(rounded[1], supp[j][0])
+    assert_array_equal(rounded[2], supp[arcs[2]][0])
     # below the first boundary and at 2*pi (mod rounding up) wrap to the last arc
     first = dist.angles[0]
     wrap = np.array([[math.cos(first / 2), math.sin(first / 2)], [1.0, -1e-300]])
