@@ -2,7 +2,7 @@
 
 Quadratic models over {-1,+1} or {0,1} assignments (including RBMs via an
 auxiliary-variable rewrite) are relaxed to a block ball-constrained program,
-solved by projected gradient ascent, and rounded back through random
+solved by block-coordinate ascent, and rounded back through random
 hyperplanes. The rounding distribution doubles as a proposal for partition
 function estimation; tempered Gibbs sampling provides the baselines.
 """
@@ -49,9 +49,7 @@ from .partition import (
 from .relaxation import (
     LrpOptions,
     RelaxedSolution,
-    estimate_lipschitz,
     lrp_objective,
-    project_rows,
     solve_lrp,
 )
 from .rounding import (
@@ -90,7 +88,6 @@ __all__ = [
     "dumps_instance",
     "embed",
     "enumerate_support_k2",
-    "estimate_lipschitz",
     "exact_logz_mrf",
     "exact_logz_rbm",
     "gen_hard_rbm",
@@ -99,7 +96,6 @@ __all__ = [
     "load_instance",
     "loads_instance",
     "lrp_objective",
-    "project_rows",
     "px_query",
     "rbm_score",
     "rrr_ag",

@@ -325,16 +325,21 @@ def _build_parser() -> _Parser:
     gen.set_defaults(func=_run_gen)
 
     map_cmd = sub.add_parser("map", help="search for a maximum-score assignment")
-    map_cmd.add_argument("--instance", required=True)
-    map_cmd.add_argument(
-        "--methods", required=True, help=f"comma-separated: {','.join(MAP_METHODS)}"
-    )
-    map_cmd.add_argument("--seed", type=int, required=True)
-    map_cmd.add_argument("--out", required=True, help="report path")
-    map_cmd.add_argument("--format", choices=("json", "csv"), default="json")
-    map_cmd.add_argument("--k", type=int, default=2, help="relaxation width")
-    map_cmd.add_argument("--samples", type=int, default=1000, help="rounding draws")
-    map_cmd.add_argument("--restarts", type=int, default=8)
+    logz = sub.add_parser("logz", help="estimate the log partition function")
+    for cmd, methods, samples in (
+        (map_cmd, MAP_METHODS, 1000), (logz, LOGZ_METHODS, 10_000)
+    ):
+        cmd.add_argument("--instance", required=True)
+        cmd.add_argument(
+            "--methods", required=True, help=f"comma-separated: {','.join(methods)}"
+        )
+        cmd.add_argument("--seed", type=int, required=True)
+        cmd.add_argument("--out", required=True, help="report path")
+        cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        cmd.add_argument("--k", type=int, default=2, help="relaxation width")
+        cmd.add_argument("--samples", type=int, default=samples, help="rounding draws")
+        cmd.add_argument("--restarts", type=int, default=8)
+
     map_cmd.add_argument("--sweeps", type=int, default=500, help="annealing sweeps")
     map_cmd.add_argument(
         "--chain-sweeps",
@@ -346,17 +351,6 @@ def _build_parser() -> _Parser:
     map_cmd.add_argument("--chains", type=int, default=8)
     map_cmd.set_defaults(func=_run_map)
 
-    logz = sub.add_parser("logz", help="estimate the log partition function")
-    logz.add_argument("--instance", required=True)
-    logz.add_argument(
-        "--methods", required=True, help=f"comma-separated: {','.join(LOGZ_METHODS)}"
-    )
-    logz.add_argument("--seed", type=int, required=True)
-    logz.add_argument("--out", required=True, help="report path")
-    logz.add_argument("--format", choices=("json", "csv"), default="json")
-    logz.add_argument("--k", type=int, default=2, help="relaxation width")
-    logz.add_argument("--samples", type=int, default=10_000, help="rounding draws")
-    logz.add_argument("--restarts", type=int, default=8)
     logz.add_argument("--num-temps", type=int, default=1000)
     logz.add_argument("--num-runs", type=int, default=100)
     logz.set_defaults(func=_run_logz)

@@ -13,20 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import Domain, MrfParams, RbmParams, check_assignment
+from .models import Domain, MrfParams, RbmParams, _scan_spans, check_assignment
 from .rounding import rrr_sample_blocks
 
 # machine epsilon, and the largest argument math.exp takes without overflow
 _EPS = sys.float_info.epsilon
 _EXP_MAX = math.log(sys.float_info.max)
-
-__all__ = [
-    "AnnealSchedule",
-    "ChainState",
-    "annealed_gibbs",
-    "rrr_ag",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class AnnealSchedule:
@@ -115,32 +107,6 @@ def _field_error(A: np.ndarray) -> float:
     n = A.shape[0]
     sums = [np.abs(A[i : i + 64]).sum(axis=1).max() for i in range(0, n, 64)]
     return 4.0 * (n + 1) * _EPS * float(max(sums, default=0.0))
-
-
-def _scan_spans(A: np.ndarray) -> list:
-    """`_sweep`'s plan of the scan: (start, stop, blocked) triples covering
-    0..n-1 in order.
-
-    The scan splits into the maximal runs of consecutive sites whose
-    couplings to each other, A[i, j] for i != j inside the run, are all
-    exact zeros. No field of a run's site reads another site of the run,
-    so a run of two or more sites is one blocked span, decided at once.
-    Consecutive singleton runs merge into one span, scanned site by site.
-    An RBM embedding (auxiliary site 0, then the visible, then the hidden
-    block) has the spans [0, 1), [1, m + 1) and [m + 1, n); a dense matrix
-    has one span of n singletons.
-    """
-    n = A.shape[0]
-    spans, start = [], 0
-    for stop in range(1, n + 1):
-        if stop < n and not A[stop, start:stop].any():
-            continue  # site `stop` joins the run [start, stop)
-        blocked = stop - start > 1
-        if not blocked and spans and not spans[-1][2]:
-            start = spans.pop()[0]
-        spans.append((start, stop, blocked))
-        start = stop
-    return spans
 
 
 def _sweep(

@@ -139,6 +139,33 @@ def rbm_score(params: RbmParams, v, h) -> float:
     return float(vv @ params.W @ hv + params.a @ vv + params.b @ hv)
 
 
+def _scan_spans(A: np.ndarray) -> list:
+    """The scan plan of `gibbs._sweep` and of the relaxation's block ascent
+    (`relaxation._ascend`): (start, stop, blocked) triples covering 0..n-1
+    in order.
+
+    The scan splits into the maximal runs of consecutive sites whose
+    couplings to each other, A[i, j] for i != j inside the run, are all
+    exact zeros. No field of a run's site reads another site of the run,
+    so a run of two or more sites is one blocked span, decided at once.
+    Consecutive singleton runs merge into one span, scanned site by site.
+    An RBM embedding (auxiliary site 0, then the visible, then the hidden
+    block) has the spans [0, 1), [1, m + 1) and [m + 1, n); a dense matrix
+    has one span of n singletons.
+    """
+    n = A.shape[0]
+    spans, start = [], 0
+    for stop in range(1, n + 1):
+        if stop < n and not A[stop, start:stop].any():
+            continue  # site `stop` joins the run [start, stop)
+        blocked = stop - start > 1
+        if not blocked and spans and not spans[-1][2]:
+            start = spans.pop()[0]
+        spans.append((start, stop, blocked))
+        start = stop
+    return spans
+
+
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """An instance rewritten as a {-1,+1} quadratic model `mrf`.

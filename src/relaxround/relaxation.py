@@ -1,8 +1,9 @@
 """Low-rank relaxation of the binary quadratic problem.
 
 Replaces each spin with a row vector of width k constrained to the unit
-ball and maximizes tr(X' A X) by projected gradient ascent. Width 1 is the
-box relaxation; width n is the full factored semidefinite relaxation.
+ball and maximizes tr(X' A X) by block-coordinate ascent in sweeps along
+the Gibbs scan plan. Width 1 is the box relaxation; width n is the full
+factored semidefinite relaxation.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Domain, MrfParams
+from .models import Domain, MrfParams, _scan_spans
 
 logger = logging.getLogger(__name__)
 
-# Stopping rule compares objectives this many iterations apart.
+# Stopping rule compares objectives this many sweeps apart.
 _STALL_WINDOW = 5
 
 # estimate_lipschitz's power iteration: its cap on products, and the
@@ -27,8 +28,9 @@ _LIPSCHITZ_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LrpOptions:
-    """Solver options. `k` is the relaxation width, `restarts` the number of
-    independent random initializations, and `seed` drives all of them."""
+    """Solver options. `k` is the relaxation width, `max_iters` the cap on
+    sweeps per restart, `rel_tol` the stall tolerance, `restarts` the number
+    of independent random initializations, and `seed` drives all of them."""
 
     k: int = 2
     max_iters: int = 10_000
@@ -50,11 +52,10 @@ class LrpOptions:
 @dataclass(frozen=True, eq=False)
 class RelaxedSolution:
     """Best iterate found: row matrix X, its objective, the total number of
-    gradient steps across all restarts, the winning run's objective trace
-    (entry 0 is the objective at initialization), and the number of
-    n-vector products with A the solve did (`matvecs`: the power iteration
-    of estimate_lipschitz included, a product with an n x k block counted
-    as k)."""
+    sweeps across all restarts, the winning run's objective trace (entry 0
+    at initialization, then one per sweep), and the solve's work in
+    n-vector products with A (`matvecs`): a b x c block of A times w columns
+    counts b*c*w / n^2, power iterations included, rounded up once."""
 
     X: np.ndarray
     objective: float
@@ -133,32 +134,71 @@ def _init_rows_in_ball(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return g * (radii / norms)[:, None]
 
 
-def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float, step: float):
-    """Projected gradient ascent with a fixed step on R restarts at once.
+def _times(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B @ X for a (b, c) block of A and a (c, R, k) stack of row matrices."""
+    return (B @ X.reshape(X.shape[0], -1)).reshape(B.shape[0], *X.shape[1:])
 
-    X has shape (n, R, k): restart r starts from the row matrix X[:, r].
-    Every iteration does one product of A with the n x (R'k) block of the
-    R' restarts still running. That product P = AX gives each restart's
-    objective tr(X'AX) and is kept as the next step's gradient 2P. A
-    restart leaves the block once its objective has changed by less than
-    rel_tol (relative) over the last _STALL_WINDOW steps.
 
-    Returns (best_X, best_f, traces, capped), sequences indexed by restart
-    except `capped`: each restart's best iterate (first one wins ties) and
-    its objective, its objective trace (entry 0 at the start, one entry per
-    step), and how many restarts were still running after max_iters steps.
+def _row_maximizer(G, d: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each row's maximizer over the unit ball of d_i |x|^2 + 2 g.x, for the
+    rows g of G (the fields) along the last axis and d = A[i, i] of shape
+    (b, 1, 1): g / max(|g|, -d_i), which is g/|g| if d_i >= 0 and -g/d_i
+    clipped to the ball if d_i < 0. Where that is 0/0 (g = 0 and d_i >= 0)
+    the row of X is kept."""
+    G = np.broadcast_to(G, X.shape)
+    scale = np.maximum(np.linalg.norm(G, axis=-1, keepdims=True), -d)
+    kept = scale == 0.0
+    return np.where(kept, X, G / np.where(kept, 1.0, scale))
+
+
+def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: float):
+    """Block-coordinate ascent on the restarts X[:, r] of an (n, R, k) stack.
+
+    `plan` holds (start, stop, step) per span S of `_scan_spans(A)`, step
+    None where S has no couplings among its own sites. A sweep updates the
+    spans in order from their fields G = A[S, :start] X[:start] +
+    A[S, stop:] X[stop:], earlier spans at this sweep's rows: an uncoupled
+    span takes `_row_maximizer`, a coupled one a projected step of `step`
+    along 2(P + G), P = A[S, S] X[S] kept from its last update. The
+    objective sums <X_S, P + 2 A[S, :start] X[:start]> over the spans, so a
+    dense A (one coupled span) costs one product per sweep. A restart stops
+    once its objective has changed by less than rel_tol (relative) over
+    _STALL_WINDOW sweeps. Returns (best_X, best_f, traces, capped): per
+    restart its best iterate (the first wins ties), that objective and its
+    trace, and how many restarts were still running after max_iters sweeps.
     """
-    n = X.shape[0]
-    P = (A @ X.reshape(n, -1)).reshape(X.shape)
-    f = np.einsum("irk,irk->r", X, P).tolist()
+    n, d = X.shape[0], A.diagonal()[:, None, None]
+    P = np.empty_like(X)  # A[S, S] X[S] for every span S
+
+    def sweep(X, update):
+        # the objective of X, or with `update` the next sweep's rows and
+        # theirs; those are C-ordered whatever X's layout once restarts
+        # leave, as einsum's summation order, down to the last bit of a
+        # dense objective, follows the layout
+        new, terms = np.empty(X.shape) if update else X, []
+        for start, stop, step in plan:
+            S = slice(start, stop)
+            lower = _times(A[S, :start], new[:start]) if start else 0.0
+            xs = X[S]
+            if update:
+                G = lower + (_times(A[S, stop:], X[stop:]) if stop < n else 0.0)
+                if step is None:
+                    xs = _row_maximizer(G, d[S], xs)
+                else:
+                    xs = project_rows(xs + (2.0 * step) * (P[S] + G))
+                new[S] = xs
+            P[S] = Q = d[S] * xs if step is None else _times(A[S, S], xs)
+            terms.append(np.einsum("irk,irk->r", xs, Q + 2.0 * lower))
+        return new, np.sum(terms, axis=0).tolist()
+
+    X, f = sweep(X, False)
     traces = [[v] for v in f]
     best = [(v, X[:, r]) for r, v in enumerate(f)]
     run = list(range(len(f)))  # restart in each column of the block
     for _ in range(max_iters):
-        X = project_rows(X + (2.0 * step) * P)  # gradient 2P
-        P = (A @ X.reshape(n, -1)).reshape(X.shape)
+        X, f = sweep(X, True)
         keep = []
-        for j, v in enumerate(np.einsum("irk,irk->r", X, P).tolist()):
+        for j, v in enumerate(f):
             r = run[j]
             trace = traces[r]
             trace.append(v)
@@ -181,13 +221,11 @@ def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float, step: 
 def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
     """Maximize tr(X' A X) over row matrices with unit-ball rows.
 
-    Runs `opts.restarts` projected gradient ascents, each from a random
-    start drawn from its own child of SeedSequence(opts.seed), with the
-    fixed step 1/L from estimate_lipschitz. The restarts advance together
-    as one n x (restarts*k) block, so each iteration reads A once, and the
-    product that yields the objectives is reused as the next gradient. A
-    restart stops when its objective changes by less than rel_tol
-    (relative) across a fixed window, or at max_iters, which logs one
+    Runs `opts.restarts` block-coordinate ascents (`_ascend`) on the Gibbs
+    scan plan, together as one n x (restarts*k) block, each from a random
+    start drawn from its own child of SeedSequence(opts.seed). A span of
+    coupled sites steps by 1/L, L from estimate_lipschitz of its own block
+    of A; uncoupled runs need no step. Reaching max_iters sweeps logs one
     warning per solve. Returns the best iterate seen; the first restart
     wins ties.
     """
@@ -195,15 +233,21 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
         raise ValueError("relaxation expects a {-1,+1}-domain model")
     if opts.k > params.n:
         raise ValueError(f"width k={opts.k} exceeds n={params.n}")
-    A = params.A
-    L, lipschitz_matvecs = estimate_lipschitz(A)
-    step = 1.0 / L if L > 0 else 1.0
+    A, n = params.A, params.n
+    plan, work = [], 0  # work: entries of A read by products, times columns
+    for start, stop, blocked in _scan_spans(A):
+        step = None
+        if not blocked and stop - start > 1:
+            L, count = estimate_lipschitz(A[start:stop, start:stop])
+            step = 1.0 / L if L > 0 else 1.0
+            work += count * (stop - start) ** 2
+        plan.append((start, stop, step))
     starts = [
-        _init_rows_in_ball(params.n, opts.k, np.random.default_rng(child))
+        _init_rows_in_ball(n, opts.k, np.random.default_rng(child))
         for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)
     ]
     best_X, best_f, traces, capped = _ascend(
-        A, np.stack(starts, axis=1), opts.max_iters, opts.rel_tol, step
+        A, plan, np.stack(starts, axis=1), opts.max_iters, opts.rel_tol
     )
     if capped:
         logger.warning(
@@ -211,11 +255,17 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
             opts.max_iters, capped, opts.restarts,
         )
     iterations = sum(len(trace) - 1 for trace in traces)
+    # entries per restart column: the first pass reads A[S, :start], a sweep
+    # A[S, :start] and A[S, stop:], both A[S, S] of a coupled span
+    coupled = sum((e - s) ** 2 for s, e, step in plan if step is not None)
+    first = coupled + sum((e - s) * s for s, e, _ in plan)
+    sweep = coupled + sum((e - s) * (n - e + s) for s, e, _ in plan)
+    work += opts.k * (opts.restarts * first + iterations * sweep)
     win = int(np.argmax(best_f))
     return RelaxedSolution(
         X=best_X[win].copy(),
         objective=best_f[win],
         iterations=iterations,
         trace=np.asarray(traces[win]),
-        matvecs=lipschitz_matvecs + opts.k * (opts.restarts + iterations),
+        matvecs=-(-work // (n * n)),
     )

@@ -497,12 +497,11 @@ def test_public_surface():
         "RelaxedSolution", "RoundingDistributionK2", "SampleBatch",
         "ais_logz", "annealed_gibbs", "brute_force_map", "build_px_k2",
         "check_assignment", "domain_values", "dumps_instance", "embed",
-        "enumerate_support_k2", "estimate_lipschitz", "exact_logz_mrf",
-        "exact_logz_rbm", "gen_hard_rbm", "gen_random_rbm",
-        "iter_corner_blocks", "load_instance", "loads_instance",
-        "lrp_objective", "project_rows", "px_query", "rbm_score", "rrr_ag",
-        "rrr_is", "rrr_low", "rrr_map_sample", "score", "score_batch",
-        "solve_lrp",
+        "enumerate_support_k2", "exact_logz_mrf", "exact_logz_rbm",
+        "gen_hard_rbm", "gen_random_rbm", "iter_corner_blocks",
+        "load_instance", "loads_instance", "lrp_objective", "px_query",
+        "rbm_score", "rrr_ag", "rrr_is", "rrr_low", "rrr_map_sample", "score",
+        "score_batch", "solve_lrp",
     ]
     for name in relaxround.__all__:
         assert hasattr(relaxround, name), name

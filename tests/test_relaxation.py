@@ -1,4 +1,4 @@
-"""Projected gradient ascent on the ball-constrained low-rank relaxation."""
+"""Block-coordinate ascent on the ball-constrained low-rank relaxation."""
 
 import logging
 
@@ -9,17 +9,17 @@ from numpy.testing import assert_allclose
 from relaxround import (
     LrpOptions,
     MrfParams,
+    RbmParams,
     brute_force_map,
     embed,
-    estimate_lipschitz,
     gen_hard_rbm,
     gen_random_rbm,
     lrp_objective,
-    project_rows,
     solve_lrp,
 )
 from relaxround import relaxation
-from relaxround.models import Domain
+from relaxround.models import Domain, _scan_spans
+from relaxround.relaxation import estimate_lipschitz, project_rows
 
 
 def reference_ascend(A, X, max_iters, rel_tol, step):
@@ -39,6 +39,78 @@ def reference_ascend(A, X, max_iters, rel_tol, step):
         if len(trace) > 5 and abs(trace[-1] - trace[-6]) < rel_tol * max(1.0, abs(f)):
             break
     return best_X, best_f, np.asarray(trace)
+
+
+def reference_block_ascend(A, X, max_iters, rel_tol):
+    """The per-restart block sweep the batched solver must match, one span
+    of `_scan_spans` at a time, updated in place: a span without couplings
+    among its sites (a run, or a single site) sets each row to its exact
+    maximizer, g/|g| for a diagonal entry d >= 0 and -g/d clipped to the
+    ball for d < 0; a coupled span takes a projected step of 1/L of its
+    own block. The objective is recomputed in full after each sweep.
+    Returns (best_X, best_f, trace)."""
+    X = X.copy()
+    f = lrp_objective(A, X)
+    trace = [f]
+    best_X, best_f = X.copy(), f
+    for _ in range(max_iters):
+        for start, stop, blocked in _scan_spans(A):
+            S = slice(start, stop)
+            d = A.diagonal()[S][:, None]
+            if blocked or stop - start == 1:
+                g = A[S] @ X - d * X[S]  # the field, the row's own entry left out
+                norms = np.linalg.norm(g, axis=1, keepdims=True)
+                safe = np.where(norms > 0, norms, 1.0)
+                up = np.where(norms > 0, g / safe, X[S])
+                down = project_rows(-g / np.where(d < 0, d, -1.0))
+                X[S] = np.where(d >= 0, up, down)
+            else:
+                step = 1.0 / estimate_lipschitz(A[S, S])[0]
+                X[S] = project_rows(X[S] + step * 2.0 * (A[S] @ X))
+        f = lrp_objective(A, X)
+        trace.append(f)
+        if f > best_f:
+            best_X, best_f = X.copy(), f
+        if len(trace) > 5 and abs(trace[-1] - trace[-6]) < rel_tol * max(1.0, abs(f)):
+            break
+    return best_X, best_f, np.asarray(trace)
+
+
+def _plan(A):
+    """solve_lrp's span plan: a step of 1/L for each coupled span."""
+    return [
+        (start, stop, None if blocked or stop - start == 1
+         else 1.0 / estimate_lipschitz(A[start:stop, start:stop])[0])
+        for start, stop, blocked in _scan_spans(A)
+    ]
+
+
+def _rbm01(m, p, seed):
+    """A {0,1} RBM; its embedding keeps a nonzero diagonal."""
+    rng = np.random.default_rng(seed)
+    return RbmParams(rng.normal(size=(m, p)), rng.normal(size=m),
+                     rng.normal(size=p), Domain.ZERO_ONE)
+
+
+def _mixed(seed):
+    """A 12-site matrix with the spans [0, 4) coupled, [4, 8) an uncoupled
+    run and [8, 12) coupled, and a diagonal of both signs."""
+    A = np.random.default_rng(seed).normal(size=(12, 12))
+    A[4:8, 4:8] = np.diag(np.diag(A)[4:8])
+    m = MrfParams(A)
+    assert _scan_spans(m.A) == [(0, 4, False), (4, 8, True), (8, 12, False)]
+    return m
+
+
+class _CountingMatrix(np.ndarray):
+    """A coupling matrix that tallies, for each product `block @ X`, the
+    entries of the block times the columns of X."""
+
+    read = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.read += self.size * other.shape[1]
+        return np.asarray(self) @ other
 
 
 def test_objective_identity_case():
@@ -205,18 +277,54 @@ def test_solution_feasible_and_consistent():
 
 
 def test_fixed_step_trace_is_monotone():
-    # the step 1/L with the estimate at least L/2 never decreases the
-    # objective, up to rounding
-    for seed in range(10):
-        m = embed(gen_hard_rbm(30, 30, seed=seed)).mrf
+    # every span update maximizes the objective over its rows (exact row
+    # updates) or does not decrease it (a step of 1/L with the estimate at
+    # least L/2), so sweeps never decrease it, up to rounding; the {0,1}
+    # embedding has a nonzero diagonal, and the dense MRF is one coupled span
+    instances = [embed(gen_hard_rbm(30, 30, seed=seed)).mrf for seed in range(10)]
+    instances += [embed(gen_random_rbm(30, 20, seed=seed)).mrf for seed in range(3)]
+    instances += [embed(_rbm01(12, 9, seed)).mrf for seed in range(3)]
+    instances.append(MrfParams(np.random.default_rng(9).normal(size=(20, 20))))
+    assert (instances[-2].A.diagonal() != 0).any()
+    for seed, m in enumerate(instances):
         sol = solve_lrp(m, LrpOptions(k=2, max_iters=500, seed=seed))
         diffs = np.diff(sol.trace)
         assert (diffs >= -1e-12 * np.maximum(1.0, np.abs(sol.trace[1:]))).all()
 
 
+def test_row_maximizer_matches_grid_oracle():
+    # each row's update against a grid search over the unit ball of
+    # d |x|^2 + 2 g.x, in one and two dimensions
+    radii = np.linspace(0.0, 1.0, 401)
+    angles = np.linspace(0.0, 2 * np.pi, 1441)
+    circle = np.stack([np.cos(angles), np.sin(angles)], -1)
+    disc = (radii[:, None, None] * circle).reshape(-1, 2)
+    segment = np.linspace(-1.0, 1.0, 4001)[:, None]
+    x0 = np.array([0.6, -0.8])  # a unit start row, the one kept when g = 0
+    cases = [
+        (0.7, [1.2, -0.5]), (0.0, [0.3, 0.4]), (-0.5, [1.2, 0.9]),
+        (-2.0, [0.3, -0.5]), (-2.0, [0.0, 0.0]), (0.0, [0.0, 0.0]),
+        (0.7, [0.0, 0.0]),
+    ]
+    for k, grid in ((1, segment), (2, disc)):
+        d = np.array([c[0] for c in cases])
+        G = np.array([c[1][:k] for c in cases])[:, None, :]
+        X = np.tile(x0[:k] / np.linalg.norm(x0[:k]), (len(cases), 1, 1))
+        out = relaxation._row_maximizer(G, d[:, None, None], X)
+        assert out.shape == X.shape
+        for (di, gi), row, x in zip(cases, out[:, 0], X[:, 0]):
+            gi = np.asarray(gi[:k])
+            value = di * row @ row + 2.0 * gi @ row
+            best = (di * np.einsum("gk,gk->g", grid, grid) + 2.0 * grid @ gi).max()
+            assert np.linalg.norm(row) <= 1.0 + 1e-12
+            assert best - 1e-12 <= value <= best + 1e-4, (k, di, gi)
+            if not gi.any() and di >= 0:
+                assert np.array_equal(row, x)
+
+
 def test_batched_restarts_match_reference_loop():
     # every restart's final objective matches the one-restart-at-a-time
-    # loop; the stacked product rounds differently, so not bit for bit
+    # block sweep; the stacked products round differently, so not bit for bit
     instances = [
         embed(gen_random_rbm(30, 20)).mrf,
         embed(gen_hard_rbm(30, 30)).mrf,
@@ -225,29 +333,92 @@ def test_batched_restarts_match_reference_loop():
     assert instances[-1].n == 501
     for seed, m in enumerate(instances):
         A = m.A
-        step = 1.0 / estimate_lipschitz(A)[0]
         starts = [
             relaxation._init_rows_in_ball(m.n, 2, np.random.default_rng(child))
             for child in np.random.SeedSequence(seed).spawn(4)
         ]
         best_X, best_f, _, _ = relaxation._ascend(
-            A, np.stack(starts, axis=1), 10_000, 1e-8, step
+            A, _plan(A), np.stack(starts, axis=1), 10_000, 1e-8
         )
         for r, X0 in enumerate(starts):
-            _, want_f, _ = reference_ascend(A, X0, 10_000, 1e-8, step)
+            _, want_f, _ = reference_block_ascend(A, X0, 10_000, 1e-8)
             assert_allclose(best_f[r], want_f, rtol=1e-9)
             assert_allclose(lrp_objective(A, best_X[r]), best_f[r], rtol=1e-12)
 
 
-def test_matvecs_counts_every_product():
+def test_dense_restarts_match_fixed_step_reference():
+    # a dense MRF is one coupled span: every restart follows the fixed-step
+    # projected gradient loop, one product per step
+    rng = np.random.default_rng(16)
+    for n in (9, 40):
+        A = MrfParams(rng.normal(size=(n, n))).A
+        plan = _plan(A)
+        assert [span[:2] for span in plan] == [(0, n)]
+        starts = [
+            relaxation._init_rows_in_ball(n, 3, np.random.default_rng(child))
+            for child in np.random.SeedSequence(n).spawn(4)
+        ]
+        _, best_f, _, _ = relaxation._ascend(
+            A, plan, np.stack(starts, axis=1), 10_000, 1e-8
+        )
+        for r, X0 in enumerate(starts):
+            _, want_f, _ = reference_ascend(A, X0, 10_000, 1e-8, plan[0][2])
+            assert_allclose(best_f[r], want_f, rtol=1e-9)
+
+
+def test_mixed_spans_match_reference_block_sweep():
+    # coupled spans take fixed steps of their own 1/L between exact run
+    # updates; the trace stays monotone
+    for seed in range(3):
+        m = _mixed(seed)
+        starts = [
+            relaxation._init_rows_in_ball(12, 2, np.random.default_rng(child))
+            for child in np.random.SeedSequence(seed).spawn(3)
+        ]
+        _, best_f, traces, _ = relaxation._ascend(
+            m.A, _plan(m.A), np.stack(starts, axis=1), 10_000, 1e-8
+        )
+        for r, X0 in enumerate(starts):
+            _, want_f, _ = reference_block_ascend(m.A, X0, 10_000, 1e-8)
+            assert_allclose(best_f[r], want_f, rtol=1e-9)
+            trace = np.asarray(traces[r])
+            assert (np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:]))).all()
+
+
+def test_matvecs_counts_every_product(monkeypatch):
+    # sol.matvecs against the products counted as they happen: a b x c
+    # block of A times w columns is b*c*w / n^2 products, rounded up once
+    def counted_solve(m, opts):
+        object.__setattr__(m, "A", m.A.view(_CountingMatrix))
+        _CountingMatrix.read = 0
+        sol = solve_lrp(m, opts)
+        return sol, _CountingMatrix.read
+
     rng = np.random.default_rng(14)
     m = MrfParams(rng.normal(size=(12, 12)))
     opts = LrpOptions(k=3, restarts=5, seed=10)
-    sol = solve_lrp(m, opts)
-    power = sol.matvecs - opts.k * (opts.restarts + sol.iterations)
-    assert 1 <= power <= 50
+    sol, read = counted_solve(m, opts)
     _, lipschitz_matvecs = estimate_lipschitz(m.A)
-    assert power == lipschitz_matvecs
+    assert 1 <= lipschitz_matvecs <= 50
+    assert read == opts.k * (opts.restarts + sol.iterations) * 12 * 12
+    assert sol.matvecs == lipschitz_matvecs + opts.k * (opts.restarts + sol.iterations)
+
+    # Lipschitz estimates of the coupled spans only, each product with a
+    # b x b block counted as b^2 / n^2
+    m = _mixed(1)
+    sol, read = counted_solve(m, opts)
+    power = sum(estimate_lipschitz(m.A[s:e, s:e])[1] * (e - s) ** 2
+                for s, e in ((0, 4), (8, 12)))
+    assert sol.matvecs == -(-(read + power) // 144)
+
+    def no_lipschitz(A):
+        raise AssertionError("estimate_lipschitz ran on an uncoupled span")
+
+    monkeypatch.setattr(relaxation, "estimate_lipschitz", no_lipschitz)
+    m = embed(gen_random_rbm(30, 20, seed=4)).mrf
+    sol, read = counted_solve(m, opts)
+    assert 0 < read < opts.k * (opts.restarts + sol.iterations) * m.n**2
+    assert sol.matvecs == -(-read // m.n**2)
 
 
 def test_max_iters_warns_once_per_solve(caplog):
@@ -306,10 +477,6 @@ def test_option_validation():
         solve_lrp(MrfParams(np.zeros((2, 2)), Domain.ZERO_ONE), LrpOptions(k=2))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: a fixed 1/L step set by the planted couplings",
-)
 def test_relaxation_converges_on_default_hard_instance(caplog):
     # the gen command's default hard instance (couplings 5000, biases 500),
     # embedded n = 33: no restart should run out of iterations
