@@ -264,10 +264,8 @@ def rrr_ag(
     included. The first chain wins ties in both. With an empty schedule
     both are the best initial sample, unchanged. Seed derivation: the root
     seed spawns (sampling, annealing); the annealing child spawns one
-    generator per chain.
+    generator per chain. `rrr_sample_blocks` checks the domain and X.
     """
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("single-site sampling expects the {-1,+1} domain")
     if chains < 1:
         raise ValueError("chains must be >= 1")
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)

@@ -1,8 +1,9 @@
 """Reading and writing model instances as JSON files.
 
 The writer emits floats with 17 significant digits so values round-trip
-exactly; the reader rejects non-finite numbers and malformed shapes.
-Writes are atomic (temp file plus rename).
+exactly; the reader rejects missing fields and malformed shapes, and the
+model constructors it calls reject non-finite entries. Writes are atomic
+(temp file plus rename).
 """
 
 from __future__ import annotations
@@ -94,17 +95,13 @@ def _as_int(doc: dict, key: str) -> int:
     return value
 
 
-def _as_array(doc: dict, key: str, ndim: int) -> np.ndarray:
-    value = _get(doc, key)
+def _as_array(doc: dict, key: str) -> np.ndarray:
+    """The field as a float array, unchecked: the shape checks below and
+    the model constructors validate it."""
     try:
-        arr = np.array(value, dtype=float)
+        return np.array(_get(doc, key), dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"field {key!r} is not a numeric array") from exc
-    if arr.ndim != ndim:
-        raise InstanceFormatError(f"field {key!r} must be {ndim}-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise InstanceFormatError(f"field {key!r} contains non-finite entries")
-    return arr
 
 
 def loads_instance(text: str):
@@ -125,7 +122,7 @@ def loads_instance(text: str):
     kind = _get(doc, "kind")
     if kind == "mrf":
         n = _as_int(doc, "n")
-        A = _as_array(doc, "A", 2)
+        A = _as_array(doc, "A")
         if A.shape != (n, n):
             raise InstanceFormatError(f"A has shape {A.shape}, expected ({n}, {n})")
         try:
@@ -135,9 +132,9 @@ def loads_instance(text: str):
     if kind == "rbm":
         m = _as_int(doc, "m")
         p = _as_int(doc, "p")
-        W = _as_array(doc, "W", 2)
-        a = _as_array(doc, "a", 1)
-        b = _as_array(doc, "b", 1)
+        W = _as_array(doc, "W")
+        a = _as_array(doc, "a")
+        b = _as_array(doc, "b")
         if W.shape != (m, p):
             raise InstanceFormatError(f"W has shape {W.shape}, expected ({m}, {p})")
         if a.shape != (m,) or b.shape != (p,):

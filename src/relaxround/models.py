@@ -284,21 +284,11 @@ def brute_force_map(params: MrfParams):
     return x, score(params, x)
 
 
-def _draw_rbm(rng: np.random.Generator, m: int, p: int):
-    W = rng.standard_normal((m, p))
-    a = rng.standard_normal(m)
-    b = rng.standard_normal(p)
-    return W, a, b
-
-
 def gen_random_rbm(m: int, p: int, seed: int = 0) -> RbmParams:
-    """Standard-Gaussian RBM over the {-1,+1} domain. W, a, b are drawn in
-    that order from one generator seeded with `seed`."""
-    if m < 1 or p < 1:
-        raise ValueError("m and p must be positive")
-    rng = np.random.default_rng(seed)
-    W, a, b = _draw_rbm(rng, m, p)
-    return RbmParams(W, a, b, Domain.PLUS_MINUS_ONE)
+    """Standard-Gaussian RBM over the {-1,+1} domain: W, a, b are drawn in
+    that order from one generator seeded with `seed`. The same instance as
+    gen_hard_rbm(m, p, pairs=0, seed=seed)."""
+    return gen_hard_rbm(m, p, pairs=0, seed=seed)
 
 
 def gen_hard_rbm(
@@ -311,17 +301,19 @@ def gen_hard_rbm(
 ) -> RbmParams:
     """Random RBM with planted strong couplings that trap local samplers.
 
-    Starts from the same draw as gen_random_rbm(m, p, seed), then picks
-    `pairs` disjoint (visible, hidden) index pairs and overwrites
-    W[i, j] = couple, a[i] = b[j] = bias. With pairs=0 the output equals
-    gen_random_rbm(m, p, seed) exactly.
+    Draws standard-Gaussian W, a, b in that order from one generator seeded
+    with `seed`, then picks `pairs` disjoint (visible, hidden) index pairs
+    and overwrites W[i, j] = couple, a[i] = b[j] = bias. With pairs=0 the
+    output is the plain Gaussian draw, gen_random_rbm(m, p, seed).
     """
     if m < 1 or p < 1:
         raise ValueError("m and p must be positive")
     if pairs < 0 or pairs > min(m, p):
         raise ValueError(f"pairs must lie in [0, min(m, p)] = [0, {min(m, p)}]")
     rng = np.random.default_rng(seed)
-    W, a, b = _draw_rbm(rng, m, p)
+    W = rng.standard_normal((m, p))
+    a = rng.standard_normal(m)
+    b = rng.standard_normal(p)
     vis = rng.permutation(m)[:pairs]
     hid = rng.permutation(p)[:pairs]
     W[vis, hid] = couple

@@ -23,7 +23,7 @@ from .models import (
 from .rounding import (
     SAMPLE_BLOCK_ROWS,
     _arc_index,
-    _check_feasible_rows,
+    _check_sampling,
     _direction_blocks,
     build_px_k2,
     enumerate_support_k2,
@@ -31,16 +31,14 @@ from .rounding import (
 
 @dataclass(frozen=True)
 class Budget:
-    """Work counters for an estimate: sample count, temperature count, and
-    sweeps per run. Unused counters are zero."""
+    """Work counter for an estimate: its sample count (AIS runs, rounding
+    draws or rows)."""
 
     samples: int = 0
-    temperatures: int = 0
-    sweeps: int = 0
 
     def __post_init__(self):
-        if min(self.samples, self.temperatures, self.sweeps) < 0:
-            raise ValueError("budget counters must be non-negative")
+        if self.samples < 0:
+            raise ValueError("samples must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +151,7 @@ def ais_logz(
     log_z = float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))
     return EstimateReport(
         log_z=log_z,
-        budget=Budget(samples=num_runs, temperatures=num_temps, sweeps=num_temps - 1),
+        budget=Budget(samples=num_runs),
         wall_clock=time.perf_counter() - start,
         details={"weight_std": float(np.std(log_weights))},
     )
@@ -210,7 +208,8 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     bytes sort like the int8 rows (-1 < +1, variable 0 most significant),
     so the distinct rows are those of np.unique(rows, axis=0), in its
     order. The distinct keys are unpacked and scored SAMPLE_BLOCK_ROWS at a
-    time; at width k=2 (at most 2n patterns) that is one block. Memory is
+    time; at width k=2 (at most 2n patterns) that is one block while
+    2n <= SAMPLE_BLOCK_ROWS, i.e. n <= 1024. Memory is
     one block plus a few copies of the distinct keys (n/8 bytes each), and
     the merges cost O(count log count) key comparisons however many rows
     are distinct; no samples x n matrix is built.
@@ -241,10 +240,10 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     2n patterns of `enumerate_support_k2` is scored once and weighted by
     count/p. A direction on a boundary, or within rounding distance of
     one, takes the pattern of the arc that searchsorted(angles,
-    atan2(g) mod 2*pi, side="right") picks. Degenerate rows (norm below
-    DEGENERATE_NORM) read +1 in every pattern, as in
-    `enumerate_support_k2`, where rounding a nonzero one would take the
-    sign of its tiny product with g. No samples x n matrix is built.
+    atan2(g) mod 2*pi, side="right") picks. A zero row reads +1 in every
+    pattern, as rounding gives it; any nonzero row, however short, takes
+    the sign the rounding kernel gives it on its arc. No samples x n matrix
+    is built.
 
     The same scores give the sampler's exact expectation: the mean of
     exp(score)/p over the rounding distribution is the sum of exp(score)
@@ -253,16 +252,9 @@ def rrr_is(params: MrfParams, X, count: int, seed: int) -> EstimateReport:
     covers every corner, and does not depend on `count` or `seed`; and
     `support_size`, the number of patterns.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     start = time.perf_counter()
-    if params.domain is not Domain.PLUS_MINUS_ONE:
-        raise ValueError("rounding produces {-1,+1} assignments")
-    X = _check_feasible_rows(params, X)
-    if X.shape[1] != 2:
-        raise ValueError("importance sampling requires width k=2")
-    dist = build_px_k2(X)
-    support = enumerate_support_k2(dist, X)
+    dist = build_px_k2(_check_sampling(params, X, count))
+    support = enumerate_support_k2(dist)
     scores = score_batch(params, np.stack([pattern for pattern, _ in support]))
     probs = np.array([p for _, p in support])
     rng = np.random.default_rng(seed)

@@ -23,10 +23,6 @@ import numpy as np
 
 from .models import Domain, MrfParams, check_assignment, score_batch
 
-# Rows shorter than this are excluded from the arc geometry and treated as
-# unconstrained by the distribution queries.
-DEGENERATE_NORM = 1e-12
-
 # Boundary angles closer than this merge into one boundary.
 _MERGE_TOL = 1e-12
 
@@ -58,29 +54,21 @@ class SampleBatch:
 class RoundingDistributionK2:
     """Preprocessed arc arrangement for a width-2 row matrix.
 
-    `angles` are the distinct boundary angles in [0, 2*pi) sorted
-    increasingly, `thetas` holds each row's direction angle (NaN for
-    degenerate rows), and `degenerate` is a read-only boolean mask of the
-    rows shorter than DEGENERATE_NORM.
+    `X` is a read-only copy of the rows it was built from, `angles` are the
+    distinct boundary angles in [0, 2*pi) sorted increasingly, `thetas`
+    holds each row's direction angle (NaN for degenerate rows), and
+    `degenerate` is a read-only boolean mask of the rows that are exactly
+    zero. A zero row rounds to +1 for every direction.
     """
 
+    X: np.ndarray
     angles: np.ndarray
     thetas: np.ndarray
     degenerate: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.thetas.shape[0]
-
-
-def _check_feasible_rows(params: MrfParams, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != params.n:
-        raise ValueError(f"X has shape {X.shape}, expected ({params.n}, k)")
-    norms = np.linalg.norm(X, axis=1)
-    if norms.size and norms.max() > 1.0 + 1e-9:
-        raise ValueError(f"infeasible rows: max norm {norms.max()}")
-    return X
+        return self.X.shape[0]
 
 
 def _round_rows(G: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -120,11 +108,18 @@ def _sample_batch(
 
 
 def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
+    """The argument checks of every rounding sampler; X back as floats."""
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("rounding produces {-1,+1} assignments")
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _check_feasible_rows(params, X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != params.n:
+        raise ValueError(f"X has shape {X.shape}, expected ({params.n}, k)")
+    norms = np.linalg.norm(X, axis=1)
+    if norms.size and norms.max() > 1.0 + 1e-9:
+        raise ValueError(f"infeasible rows: max norm {norms.max()}")
+    return X
 
 
 def rrr_map_sample(params: MrfParams, X, count: int, seed: int) -> SampleBatch:
@@ -144,26 +139,20 @@ def rrr_sample_blocks(params: MrfParams, X, count: int, seed):
     return (_round_rows(G, X) for G in _direction_blocks(rng, count, X.shape[1]))
 
 
-def _check_width2(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) row matrix, got shape {X.shape}")
-    return X
-
-
 def build_px_k2(X) -> RoundingDistributionK2:
-    """Preprocess the rounding distribution of a width-2 row matrix.
+    """Preprocess the rounding distribution of a width-2 row matrix, keeping
+    a read-only copy of X for the queries.
 
-    Each non-degenerate row with direction angle theta contributes the two
+    Each nonzero row with direction angle theta contributes the two
     boundary angles theta +- pi/2 (mod 2*pi) where its sign flips.
     Coincident boundaries (up to 1e-12, including across the wraparound)
     merge into one.
     """
-    X = _check_width2(X)
-    n = X.shape[0]
-    norms = np.linalg.norm(X, axis=1)
-    degenerate = norms < DEGENERATE_NORM
-    thetas = np.full(n, np.nan)
+    X = np.array(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) row matrix, got shape {X.shape}")
+    degenerate = ~X.any(axis=1)
+    thetas = np.full(X.shape[0], np.nan)
     live = ~degenerate
     thetas[live] = np.arctan2(X[live, 1], X[live, 0])
 
@@ -179,58 +168,53 @@ def build_px_k2(X) -> RoundingDistributionK2:
     if len(angles) >= 2 and (_TWO_PI - angles[-1]) + angles[0] <= _MERGE_TOL:
         angles.pop()
 
-    thetas.setflags(write=False)
-    degenerate.setflags(write=False)
+    for arr in (X, thetas, degenerate):
+        arr.setflags(write=False)
     return RoundingDistributionK2(
-        angles=np.asarray(angles), thetas=thetas, degenerate=degenerate
+        X=X, angles=np.asarray(angles), thetas=thetas, degenerate=degenerate
     )
 
 
-def px_query(dist: RoundingDistributionK2, X, x) -> float:
-    """Probability that rounding produces the sign pattern x.
+def px_query(dist: RoundingDistributionK2, x) -> float:
+    """Probability that rounding dist.X produces the sign pattern x.
 
     The admissible directions form the intersection of one closed
-    half-circle per non-degenerate row (centered on the row direction for
-    +1, opposite it for -1), which is a single arc; the probability is its
-    length over 2*pi. Degenerate rows accept either sign. O(n) per query.
+    half-circle per nonzero row (centered on the row direction for +1,
+    opposite it for -1), which is a single arc; the probability is its
+    length over 2*pi. A zero row rounds to +1, so a pattern with -1 there
+    has probability 0. O(n) per query.
     """
-    X = _check_width2(X)
-    if X.shape[0] != dist.n:
-        raise ValueError(f"X has {X.shape[0]} rows, distribution has {dist.n}")
     xv = check_assignment(x, dist.n, Domain.PLUS_MINUS_ONE)
     return float(_px_query_batch(dist, xv[None, :])[0])
 
 
 def _px_query_batch(dist: RoundingDistributionK2, S: np.ndarray) -> np.ndarray:
     """px_query over sample rows, without argument checks."""
+    allowed = ~(S[:, dist.degenerate] < 0).any(axis=1)
     mask = ~dist.degenerate
     if not mask.any():
-        return np.ones(S.shape[0])
+        return allowed.astype(float)
     centers = dist.thetas[mask][None, :] + np.where(S[:, mask] < 0, np.pi, 0.0)
     rel = np.mod(centers - centers[:, :1] + np.pi, _TWO_PI) - np.pi
     width = (rel.min(axis=1) + np.pi / 2.0) - (rel.max(axis=1) - np.pi / 2.0)
-    return np.maximum(width, 0.0) / _TWO_PI
+    return np.where(allowed, np.maximum(width, 0.0) / _TWO_PI, 0.0)
 
 
-def enumerate_support_k2(dist: RoundingDistributionK2, X) -> list:
-    """All realizable sign patterns with their probabilities.
+def enumerate_support_k2(dist: RoundingDistributionK2) -> list:
+    """All realizable sign patterns of dist.X with their probabilities.
 
     Sweeps the direction angle across consecutive boundary arcs and reads
-    off the constant pattern on each arc at its midpoint. Entry j is the
-    arc [angles[j], angles[j+1]), the last one wrapping to angles[0]; the
-    merged boundaries are more than 1e-12 apart, so every arc has positive
-    width. Degenerate rows are reported as +1. Probabilities sum to 1.
+    off the rounding kernel's pattern on each arc at its midpoint. Entry j
+    is the arc [angles[j], angles[j+1]), the last one wrapping to
+    angles[0]; the merged boundaries are more than 1e-12 apart, so every
+    arc has positive width. Zero rows read +1. Probabilities sum to 1.
     """
-    X = _check_width2(X)
-    if X.shape[0] != dist.n:
-        raise ValueError(f"X has {X.shape[0]} rows, distribution has {dist.n}")
     if dist.angles.size == 0:
         return [(np.ones(dist.n, dtype=np.int8), 1.0)]
     starts = dist.angles
     stops = np.append(starts[1:], starts[0] + _TWO_PI)
     mids = 0.5 * (starts + stops)
-    patterns = _round_rows(np.column_stack([np.cos(mids), np.sin(mids)]), X)
-    patterns[:, dist.degenerate] = 1
+    patterns = _round_rows(np.column_stack([np.cos(mids), np.sin(mids)]), dist.X)
     return list(zip(patterns, (stops - starts) / _TWO_PI))
 
 
@@ -241,7 +225,7 @@ def _arc_index(dist: RoundingDistributionK2, G: np.ndarray) -> np.ndarray:
     A direction on a boundary, or within rounding distance of one, takes
     the arc that searchsorted(angles, atan2(g) mod 2*pi, side="right")
     picks; below angles[0] it wraps to the last arc. Without boundaries
-    (every row degenerate) there is one arc, 0.
+    (every row zero) there is one arc, 0.
     """
     if dist.angles.size == 0:
         return np.zeros(G.shape[0], dtype=np.intp)

@@ -152,14 +152,14 @@ def test_criterion_03_rounding_distribution_exactness(capsys):
         X = rng.normal(size=(n, 2))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         dist = build_px_k2(X)
-        support = enumerate_support_k2(dist, X)
+        support = enumerate_support_k2(dist)
         probs = {tuple(int(t) for t in pat): p for pat, p in support}
 
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-12:
             ok, detail = False, f"trial {trial}: support sums to {total!r}"
             break
-        if any(abs(px_query(dist, X, np.array(pat, dtype=float)) - p) > 1e-12
+        if any(abs(px_query(dist, np.array(pat, dtype=float)) - p) > 1e-12
                for pat, p in probs.items()):
             ok, detail = False, f"trial {trial}: px_query mismatch"
             break
@@ -197,7 +197,7 @@ def test_criterion_04_two_over_pi_guarantee(capsys):
         X = sol.X / norms[:, None]
         expectation = sum(
             p * float(pat @ params.A @ pat)
-            for pat, p in enumerate_support_k2(build_px_k2(X), X))
+            for pat, p in enumerate_support_k2(build_px_k2(X)))
         relaxed = float(np.trace(X.T @ params.A @ X))
         worst = min(worst, expectation - (2.0 / math.pi) * relaxed)
     _verdict(capsys, 4, "rounded expectation >= (2/pi) relaxed value", t0,

@@ -195,6 +195,46 @@ def test_map_budget_parity_default(tmp_path):
     assert combo["chains"] * combo["chain_sweeps"] == ag_cost
 
 
+def test_map_chain_sweeps_and_t_high(tmp_path):
+    inst = gen_instance(tmp_path, seed=15)
+    out = tmp_path / "map.json"
+    assert run("map", "--instance", inst, "--methods", "rrr,rrr-ag", "--seed", 3,
+               "--out", out, "--chains", 2, "--chain-sweeps", 3) == 0
+    doc = json.loads(out.read_text())
+    combo = doc["methods"]["rrr-ag"]
+    assert doc["config"]["chain_sweeps"] == combo["chain_sweeps"] == 3
+    assert len(combo["score_trace"]) == 3
+    # both entries count the one shared solve; rrr-ag adds its two starts'
+    # rounding and chains * chain_sweeps sweeps
+    n, k, samples = doc["embedded_n"], doc["config"]["k"], doc["config"]["samples"]
+    extra = combo["cost_sweep_equivalents"] - doc["methods"]["rrr"]["cost_sweep_equivalents"]
+    assert extra == math.ceil(2 * k / n) + 2 * 3 - math.ceil(samples * k / n)
+    # a schedule must cool from t_high >= 1 down to 1
+    assert run("map", "--instance", inst, "--methods", "rrr-ag", "--seed", 3,
+               "--out", out, "--t-high", 0.5) == 1
+
+
+def test_malformed_instances_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    docs = {
+        "inf.json": '{"kind": "mrf", "domain": "pm1", "n": 2, "A": [[0, 1e999], [0, 0]]}',
+        "ndim.json": '{"kind": "mrf", "domain": "pm1", "n": 2, "A": [0, 1]}',
+        "shape.json": '{"kind": "rbm", "domain": "pm1", "m": 2, "p": 1, '
+                      '"W": [[1], [2]], "a": [0], "b": [0]}',
+        "null.json": '{"kind": "rbm", "domain": "01", "m": 1, "p": 1, '
+                     '"W": [[1]], "a": [null], "b": [0]}',
+    }
+    capsys.readouterr()
+    for name, text in docs.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert run("map", "--instance", path, "--methods", "rrr", "--seed", 0,
+                   "--out", out) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("relaxround: bad instance:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_map_hard_ordering_over_seeds(tmp_path):
     inst = gen_instance(tmp_path, kind="hard", m=6, p=6, seed=21,
                         pairs=3, couple=50.0, bias=5.0)

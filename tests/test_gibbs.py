@@ -516,6 +516,16 @@ def test_rrr_ag_empty_schedule_returns_sample():
     assert np.array_equal(state.x, batch.samples[0])
 
 
+def test_rrr_ag_rejects_bits_and_infeasible_rows():
+    # the rounding sampler checks the domain and X for rrr_ag
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    sched = AnnealSchedule.linear(2.0, 3)
+    with pytest.raises(ValueError, match="rounding produces"):
+        rrr_ag(MrfParams(np.eye(2), Domain.ZERO_ONE), X, sched, chains=2, seed=0)
+    with pytest.raises(ValueError, match="infeasible"):
+        rrr_ag(MrfParams(np.eye(2)), 2.0 * X, sched, chains=2, seed=0)
+
+
 def test_rrr_ag_returns_best_chain():
     rng = np.random.default_rng(22)
     m = MrfParams(rng.normal(size=(8, 8)))

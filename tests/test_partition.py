@@ -159,7 +159,7 @@ def test_ais_zero_rbm_is_exact():
 def test_ais_report_fields():
     rbm = gen_random_rbm(3, 2, seed=6)
     report = ais_logz(rbm, num_temps=30, num_runs=8, seed=7)
-    assert report.budget == Budget(samples=8, temperatures=30, sweeps=29)
+    assert report.budget == Budget(samples=8)
     assert report.wall_clock >= 0.0
     assert np.isfinite(report.log_z)
 
@@ -407,7 +407,7 @@ def test_rrr_is_sampled_near_exact_support():
     sampled = rrr_is(m, sol.X, 100_000, seed=23)
     # the exact-support value depends on neither the draw count nor the seed
     assert sampled.details["log_z_exact_support"] == exact_support
-    support = enumerate_support_k2(build_px_k2(sol.X), sol.X)
+    support = enumerate_support_k2(build_px_k2(sol.X))
     assert sampled.details["support_size"] == len(support)
 
     # 3 standard errors, computed from the weight spread on a fresh batch
@@ -436,21 +436,14 @@ def test_rrr_is_equality_when_support_covers_everything():
     assert_allclose(support_value, exact_logz_mrf(m), rtol=1e-12)
 
 
-def reference_rrr_is(params, X, count, seed, degenerate_plus=True):
+def reference_rrr_is(params, X, count, seed):
     """The per-draw importance sampler: round and score every draw, query
-    each draw's pattern probability, and log-mean-exp in draw order.
-    Degenerate rows read +1, as in enumerate_support_k2, unless
-    `degenerate_plus` is False: then they keep their rounded sign."""
+    each draw's pattern probability, and log-mean-exp in draw order."""
     batch = _sample_batch(params, X, count, np.random.default_rng(seed))
-    dist = build_px_k2(X)
-    samples = batch.samples.copy()
-    if degenerate_plus:
-        samples[:, dist.degenerate] = 1
-    probs = _px_query_batch(dist, samples)
+    probs = _px_query_batch(build_px_k2(X), batch.samples)
     if np.any(probs <= 0.0):
         raise RuntimeError("sampled pattern has zero computed probability")
-    scores = score_batch(params, samples)
-    return float(_streaming_logsumexp(scores - np.log(probs)) - np.log(count))
+    return float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
 
 
 def test_rrr_is_matches_per_draw_reference():
@@ -483,9 +476,9 @@ def test_rrr_is_matches_per_draw_reference_rbm501():
 
 
 def test_rrr_is_tiny_nonzero_row_reads_plus_one():
-    # a row of norm 1e-13 is feasible but degenerate: rounding gives it the
-    # sign of its tiny product with g, while rrr_is, like the support
-    # enumeration, reads it as +1 in every pattern
+    # a row of norm 1e-13 is no zero row: rounding gives it the sign of its
+    # tiny product with g, and rrr_is, like the support enumeration, reads
+    # the drawn sign; only an exactly zero row reads +1 in every pattern
     rng = np.random.default_rng(74)
     n = 6
     A = rng.normal(size=(n, n))
@@ -493,12 +486,15 @@ def test_rrr_is_tiny_nonzero_row_reads_plus_one():
     X = rng.normal(size=(n, 2))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X[2] *= 1e-13
-    assert build_px_k2(X).degenerate.tolist() == [False, False, True] + [False] * 3
+    assert not build_px_k2(X).degenerate.any()
     signs = rrr_map_sample(m, X, 2000, seed=75).samples[:, 2]
     assert -1 in signs and 1 in signs
     got = rrr_is(m, X, 2000, seed=75).log_z
     assert_allclose(got, reference_rrr_is(m, X, 2000, 75), rtol=1e-9)
-    assert abs(got - reference_rrr_is(m, X, 2000, 75, degenerate_plus=False)) > 1e-6
+    X[2] = 0.0
+    assert build_px_k2(X).degenerate.tolist() == [False, False, True] + [False] * 3
+    assert_allclose(rrr_is(m, X, 2000, seed=75).log_z,
+                    reference_rrr_is(m, X, 2000, 75), rtol=1e-9)
 
 
 def test_rrr_is_merged_boundaries_take_the_arc_pattern():

@@ -1,5 +1,6 @@
 """Hyperplane rounding, the width-2 rounding distribution, and its sampler."""
 
+import itertools
 import math
 
 import numpy as np
@@ -165,15 +166,15 @@ def test_degenerate_rows_tracked():
 def test_px_identical_rows():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
     dist = build_px_k2(X)
-    assert_allclose(px_query(dist, X, np.array([1, 1])), 0.5, atol=1e-15)
-    assert_allclose(px_query(dist, X, np.array([-1, -1])), 0.5, atol=1e-15)
-    assert px_query(dist, X, np.array([1, -1])) == 0.0
+    assert_allclose(px_query(dist, np.array([1, 1])), 0.5, atol=1e-15)
+    assert_allclose(px_query(dist, np.array([-1, -1])), 0.5, atol=1e-15)
+    assert px_query(dist, np.array([1, -1])) == 0.0
 
 
 def test_px_orthogonal_rows():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     dist = build_px_k2(X)
-    assert_allclose(px_query(dist, X, np.array([1, 1])), 0.25, atol=1e-15)
+    assert_allclose(px_query(dist, np.array([1, 1])), 0.25, atol=1e-15)
 
 
 def test_px_relative_angle_formula():
@@ -181,7 +182,7 @@ def test_px_relative_angle_formula():
         X = np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)]])
         dist = build_px_k2(X)
         want = (math.pi - theta) / TWO_PI
-        assert_allclose(px_query(dist, X, np.array([1, 1])), want, atol=1e-14)
+        assert_allclose(px_query(dist, np.array([1, 1])), want, atol=1e-14)
 
 
 def test_px_relative_angle_monte_carlo():
@@ -200,18 +201,51 @@ def test_px_antipodal_symmetry():
     X = rng.normal(size=(6, 2))
     X /= np.linalg.norm(X, axis=1)[:, None]
     dist = build_px_k2(X)
-    for x, _ in enumerate_support_k2(dist, X):
+    for x, _ in enumerate_support_k2(dist):
         assert_allclose(
-            px_query(dist, X, x), px_query(dist, X, -x), rtol=0, atol=1e-15
+            px_query(dist, x), px_query(dist, -x), rtol=0, atol=1e-15
         )
 
 
 def test_px_degenerate_row_unconstrained():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     dist = build_px_k2(X)
-    # second coordinate is free: probability +-1/2 on the first alone
-    for second in (1, -1):
-        assert_allclose(px_query(dist, X, np.array([1, second])), 0.5)
+    # a zero row rounds to +1 for every direction, as the kernel gives it
+    assert_allclose(px_query(dist, np.array([1, 1])), 0.5)
+    assert px_query(dist, np.array([1, -1])) == 0.0
+
+
+def test_px_sums_to_one_over_corners_with_a_zero_row():
+    X = np.array([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8]])
+    dist = build_px_k2(X)
+    corners = np.array(list(itertools.product([-1, 1], repeat=3)))
+    assert_allclose(sum(px_query(dist, x) for x in corners), 1.0, rtol=1e-15)
+
+
+def test_support_of_a_short_row_matches_the_draws():
+    # a row of norm 1e-13 is no zero row: the sampler gives it the sign of
+    # its product with g, and the distribution follows it
+    X = np.array([[1.0, 0.0], [-1e-13, 0.0]])
+    supp = enumerate_support_k2(build_px_k2(X))
+    assert sorted(tuple(x) for x, _ in supp) == [(-1, 1), (1, -1)]
+    drawn = rrr_map_sample(MrfParams(np.zeros((2, 2))), X, 10_000, seed=9).samples
+    assert {tuple(row) for row in drawn} == {(-1, 1), (1, -1)}
+
+
+def test_distribution_keeps_a_copy_of_its_rows():
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(6, 2))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    dist = build_px_k2(X)
+    assert not dist.X.flags.writeable
+    before = [(x.copy(), p) for x, p in enumerate_support_k2(dist)]
+    queried = [px_query(dist, x) for x, _ in before]
+    X[:] = -X[::-1]
+    after = enumerate_support_k2(dist)
+    assert len(after) == len(before)
+    for (x0, p0), (x1, p1), q in zip(before, after, queried):
+        assert_array_equal(x1, x0)
+        assert p1 == p0 and px_query(dist, x0) == q
 
 
 # ---------------------------------------------------- support enumeration
@@ -219,7 +253,7 @@ def test_px_degenerate_row_unconstrained():
 
 def test_support_identical_rows():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
-    supp = enumerate_support_k2(build_px_k2(X), X)
+    supp = enumerate_support_k2(build_px_k2(X))
     assert sorted((tuple(x), p) for x, p in supp) == [
         ((-1, -1), 0.5),
         ((1, 1), 0.5),
@@ -228,14 +262,14 @@ def test_support_identical_rows():
 
 def test_support_orthogonal_rows():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
-    supp = enumerate_support_k2(build_px_k2(X), X)
+    supp = enumerate_support_k2(build_px_k2(X))
     assert len(supp) == 4
     assert_allclose([p for _, p in supp], 0.25)
 
 
 def _special_rows(rng, n):
-    """n feasible width-2 rows, some of them zero, some of norm 1e-13 (both
-    degenerate), and some a copy of another row, negated or halved (their
+    """n feasible width-2 rows, some of them zero (degenerate), some of norm
+    1e-13, and some a copy of another row, negated or halved (their
     boundaries coincide)."""
     X = rng.normal(size=(n, 2))
     kind = rng.integers(0, 5, size=n)
@@ -259,25 +293,25 @@ def test_support_matches_query_and_normalizes():
     for X in arrangements:
         n = X.shape[0]
         dist = build_px_k2(X)
-        supp = enumerate_support_k2(dist, X)
+        supp = enumerate_support_k2(dist)
         assert len(supp) <= 2 * n
         total = sum(p for _, p in supp)
         assert abs(total - 1.0) <= 1e-12
         for x, p in supp:
-            assert abs(px_query(dist, X, x) - p) <= 1e-12
+            assert abs(px_query(dist, x) - p) <= 1e-12
         if dist.angles.size == 0:  # every row degenerate
             assert len(supp) == 1 and supp[0][1] == 1.0
             assert_array_equal(supp[0][0], np.ones(n))
             continue
         # entry j: the rounding kernel's pattern at the midpoint of the arc
-        # [angles[j], angles[j+1]) (the last one wraps), degenerate rows +1;
-        # its probability, the arc's width over 2 pi
+        # [angles[j], angles[j+1]) (the last one wraps), zero rows +1; its
+        # probability, the arc's width over 2 pi
         stops = np.append(dist.angles[1:], dist.angles[0] + TWO_PI)
         assert len(supp) == dist.angles.size
         for (x, p), a0, a1 in zip(supp, dist.angles, stops):
             mid = 0.5 * (a0 + a1)
             want = _round_rows(np.array([[np.cos(mid), np.sin(mid)]]), X)[0]
-            want[dist.degenerate] = 1
+            assert np.all(want[dist.degenerate] == 1)
             assert_array_equal(x, want)
             assert p == (a1 - a0) / TWO_PI
 
@@ -287,14 +321,14 @@ def test_off_support_patterns_get_zero():
     X = rng.normal(size=(7, 2))
     X /= np.linalg.norm(X, axis=1)[:, None]
     dist = build_px_k2(X)
-    on = {tuple(x) for x, _ in enumerate_support_k2(dist, X)}
+    on = {tuple(x) for x, _ in enumerate_support_k2(dist)}
     found = 0
     for x in on.copy():
         for i in range(7):
             y = np.array(x, dtype=np.int8)
             y[i] = -y[i]
             if tuple(y) not in on:
-                assert px_query(dist, X, y) == 0.0
+                assert px_query(dist, y) == 0.0
                 found += 1
     assert found > 0
 
@@ -305,7 +339,7 @@ def test_sampling_agreement_chi_square():
     X /= np.linalg.norm(X, axis=1)[:, None]
     m = MrfParams(rng.normal(size=(8, 8)))
     dist = build_px_k2(X)
-    supp = enumerate_support_k2(dist, X)
+    supp = enumerate_support_k2(dist)
     batch = rrr_map_sample(m, X, 100_000, seed=18)
     index = {tuple(x): i for i, (x, _) in enumerate(supp)}
     counts = np.zeros(len(supp))
@@ -325,7 +359,7 @@ def test_two_over_pi_exact_expectation_psd():
         assert norms.min() >= 1.0 - 1e-9  # PSD pushes every row to the boundary
         X = sol.X / norms[:, None]
         dist = build_px_k2(X)
-        supp = enumerate_support_k2(dist, X)
+        supp = enumerate_support_k2(dist)
         expectation = sum(p * score(m, x) for x, p in supp)
         relaxed = float(np.sum(X * (m.A @ X)))
         assert expectation >= (2.0 / math.pi) * relaxed - 1e-9
@@ -364,7 +398,7 @@ def test_arc_index_boundary_rule():
     # exactly on it: atan2(1, 0) is the same double as 0 + pi/2
     X = np.array([[1.0, 0.0], [math.cos(0.3), math.sin(0.3)], [-0.6, 0.8]])
     dist = build_px_k2(X)
-    supp = enumerate_support_k2(dist, X)
+    supp = enumerate_support_k2(dist)
     j = int(np.flatnonzero(dist.angles == math.pi / 2)[0])
     below = math.pi / 2
     above = math.pi / 2
@@ -392,6 +426,6 @@ def test_arc_index_counts_follow_rounded_patterns():
     X = rng.normal(size=(12, 2))
     X /= np.linalg.norm(X, axis=1)[:, None]
     dist = build_px_k2(X)
-    supp = np.stack([x for x, _ in enumerate_support_k2(dist, X)])
+    supp = np.stack([x for x, _ in enumerate_support_k2(dist)])
     G = rng.standard_normal((5000, 2))
     assert_array_equal(supp[_arc_index(dist, G)], np.where(G @ X.T >= 0, 1, -1))
