@@ -179,28 +179,46 @@ def _sweep(
                         half -= A[i]
 
 
+def _resample_layer(layer, field, bias, scale, lo, u, rng) -> None:
+    """layer = 1 where u < 1 / (1 + exp(-(scale * (field + bias)))), else lo."""
+    field += bias
+    field *= -scale  # exactly -(scale * field): rounding is symmetric in sign
+    with np.errstate(over="ignore"):  # exp(-z) = inf where the probability is 0
+        np.exp(field, out=field)
+    field += 1.0
+    np.reciprocal(field, out=field)
+    rng.random(out=u)
+    np.less(u, field, out=layer)
+    layer *= 1 - lo
+    layer += lo
+
+
 def _tempered_block_sweep(
     params: RbmParams,
     V: np.ndarray,
     H: np.ndarray,
     beta: float,
     rng: np.random.Generator,
-):
-    """Block sweep targeting exp(beta * score), vectorized over chains.
-    Returns the new (V, H) and the scores of the input state, which the
-    hidden conditional's product V @ W also gives. Conditionals are
-    1 / (1 + exp(-z)) on arrays; exp(-z) overflows to inf where the
-    probability is 0."""
-    gain = 2.0 if params.domain is Domain.PLUS_MINUS_ONE else 1.0
-    lo = -1 if params.domain is Domain.PLUS_MINUS_ONE else 0
-    VW = V @ params.W
-    scores = np.einsum("rp,rp->r", VW, H.astype(float)) + V @ params.a + H @ params.b
-    with np.errstate(over="ignore"):
-        ph = 1.0 / (1.0 + np.exp(-(gain * beta * (VW + params.b))))
-        H = np.where(rng.random(ph.shape) < ph, 1, lo).astype(np.int8)
-        pv = 1.0 / (1.0 + np.exp(-(gain * beta * (H @ params.W.T + params.a))))
-        V = np.where(rng.random(pv.shape) < pv, 1, lo).astype(np.int8)
-    return V, H, scores
+    work: tuple,
+) -> np.ndarray:
+    """Block sweep targeting exp(beta * score), in place on the float64
+    chain states V (runs x m) and H (runs x p), entries in {lo, 1}: H given
+    V, then V given the new H. Returns the scores of the input state, which
+    the hidden conditional's product V @ W also gives. `work` is a float64
+    (2, runs, p) and a (2, runs, m) buffer, a field and uniforms per layer,
+    allocated once by the caller. Each logistic takes the operations of
+    1 / (1 + exp(-(gain * beta * (field + bias)))) in that order (the sign
+    inside the product, which is exact), so every probability and decision
+    is bit for bit that of the expression; another order (say, gain * beta
+    folded into the bias) moves probabilities by ulps."""
+    gain, lo = (2.0, -1) if params.domain is Domain.PLUS_MINUS_ONE else (1.0, 0)
+    (field_h, u_h), (field_v, u_v) = work
+    np.matmul(V, params.W, out=field_h)
+    scores = np.einsum("rp,rp->r", field_h, H) + V @ params.a + H @ params.b
+    _resample_layer(H, field_h, params.b, gain * beta, lo, u_h, rng)
+    np.matmul(H, params.W.T, out=field_v)
+    _resample_layer(V, field_v, params.a, gain * beta, lo, u_v, rng)
+    return scores
 
 
 def _run_schedule(

@@ -117,9 +117,7 @@ def _uniform_states(
     rng: np.random.Generator, rows: int, cols: int, domain: Domain
 ) -> np.ndarray:
     bits = rng.integers(0, 2, size=(rows, cols), dtype=np.int8)
-    if domain is Domain.PLUS_MINUS_ONE:
-        return (2 * bits - 1).astype(np.int8)
-    return bits
+    return 2.0 * bits - 1.0 if domain is Domain.PLUS_MINUS_ONE else bits.astype(float)
 
 
 def ais_logz(
@@ -129,10 +127,12 @@ def ais_logz(
 
     Interpolates exp(beta * score) along a linear beta grid on [0, 1].
     Each run accumulates sum_t (beta_{t+1} - beta_t) * score(x_t) and
-    advances x with one block sweep per temperature, whose product V @ W
-    also gives score(x_t). The estimate is (m+p) log 2 plus the
-    log-mean-exp of the run weights, reduced in run order. `details`
-    reports the standard deviation of the run weights.
+    advances x with one in-place block sweep per temperature, whose
+    product V @ W also gives score(x_t). The runs are float64 state
+    arrays, and the sweep's work buffers are allocated once per call.
+    The estimate is (m+p) log 2 plus the log-mean-exp of the run weights,
+    reduced in run order. `details` reports the standard deviation of
+    the run weights.
     """
     if num_temps < 2:
         raise ValueError("num_temps must be >= 2")
@@ -143,9 +143,10 @@ def ais_logz(
     betas = np.linspace(0.0, 1.0, num_temps)
     V = _uniform_states(rng, num_runs, params.m, params.domain)
     H = _uniform_states(rng, num_runs, params.p, params.domain)
+    work = np.empty((2, num_runs, params.p)), np.empty((2, num_runs, params.m))
     log_weights = np.zeros(num_runs)
     for t in range(1, num_temps):
-        V, H, scores = _tempered_block_sweep(params, V, H, float(betas[t]), rng)
+        scores = _tempered_block_sweep(params, V, H, float(betas[t]), rng, work)
         log_weights += (betas[t] - betas[t - 1]) * scores
     log_base = (params.m + params.p) * np.log(2.0)
     log_z = float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))

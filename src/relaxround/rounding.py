@@ -75,6 +75,9 @@ def _round_rows(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The sign patterns sign(X g) of the direction rows g of G, as int8
     rows: the one rounding kernel, behind the samplers and
     `enumerate_support_k2`."""
+    # an exact power-of-two scale puts each nonzero row's largest |entry| in
+    # [0.5, 1), so g . x of a subnormal row does not underflow to 0 (+1)
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1, initial=0.0))[1][:, None])
     # the sign bits b as int8, mapped to 2b - 1: a tenth of the time of
     # np.where, and no int64 temporary
     return 2 * (G @ X.T >= 0.0).view(np.int8) - 1

@@ -15,12 +15,11 @@ from relaxround.gibbs import _tempered_block_sweep
 
 
 def block_sweep(params, v, h, T, rng):
-    """One block sweep of AIS's kernel on a single RBM chain at temperature
-    T: the hidden units given v, then the visible units given the new h."""
-    V, H, _ = _tempered_block_sweep(
-        params, np.asarray(v, float)[None], np.asarray(h, float)[None], 1.0 / T, rng
-    )
-    return V[0], H[0]
+    """One block sweep of AIS's kernel, in place, on a single RBM chain at
+    temperature T: the float64 hidden units h given v, then the float64
+    visible units v given the new h."""
+    work = np.empty((2, 1, params.p)), np.empty((2, 1, params.m))
+    _tempered_block_sweep(params, v[None], h[None], 1.0 / T, rng, work)
 
 
 def reference_sweep(A, x, temperature, rng):

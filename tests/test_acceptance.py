@@ -272,7 +272,7 @@ def test_criterion_08_hard_instance_separation(capsys):
     def anneal_best(v, h, temps, rng):
         best = rbm_score(rbm, v, h)
         for t in temps:
-            v, h = block_sweep(rbm, v, h, t, rng)
+            block_sweep(rbm, v, h, t, rng)
             best = max(best, rbm_score(rbm, v, h))
         return best
 

@@ -367,27 +367,55 @@ def test_block_sweep_zero_weights_uniform():
     zero = RbmParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
     rng = np.random.default_rng(10)
     plus = np.zeros(3)
-    v = np.ones(3, dtype=np.int8)
-    h = np.ones(3, dtype=np.int8)
+    v, h = np.ones(3), np.ones(3)
     for _ in range(10_000):
-        v, h = block_sweep(zero, v, h, 1.0, rng)
+        block_sweep(zero, v, h, 1.0, rng)
         plus += h > 0
     sigma = math.sqrt(10_000 * 0.25)
     assert np.all(np.abs(plus - 5000) <= 4 * sigma)
+
+
+@pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
+def test_block_sweep_probabilities_match_the_expression(domain):
+    # the in-place logistic keeps the expression's operation order: the
+    # probabilities it leaves in the work buffers, and so every decision,
+    # are bit for bit those of 1 / (1 + exp(-(gain * beta * (field + bias))))
+    gain, lo = (2.0, -1.0) if domain is Domain.PLUS_MINUS_ONE else (1.0, 0.0)
+    bench = gen_random_rbm(16, 484, seed=1)
+    hard = gen_hard_rbm(12, 10, pairs=3, couple=5000.0, bias=5.0, seed=3)
+    for r, beta in ((bench, 0.37), (hard, 0.9)):
+        rbm = RbmParams(r.W, r.a, r.b, domain)
+        rng = np.random.default_rng(21)
+        V0 = rng.choice([lo, 1.0], size=(50, rbm.m))
+        H0 = rng.choice([lo, 1.0], size=(50, rbm.p))
+        V, H = V0.copy(), H0.copy()
+        work = np.empty((2, 50, rbm.p)), np.empty((2, 50, rbm.m))
+        scores = gibbs_module._tempered_block_sweep(
+            rbm, V, H, beta, np.random.default_rng(22), work)
+        ref = np.random.default_rng(22)
+        with np.errstate(over="ignore"):
+            ph = 1.0 / (1.0 + np.exp(-(gain * beta * (V0 @ rbm.W + rbm.b))))
+            h = np.where(ref.random(ph.shape) < ph, 1.0, lo)
+            pv = 1.0 / (1.0 + np.exp(-(gain * beta * (h @ rbm.W.T + rbm.a))))
+            v = np.where(ref.random(pv.shape) < pv, 1.0, lo)
+        for got, want in ((work[0][0], ph), (H, h), (work[1][0], pv), (V, v)):
+            assert np.array_equal(got, want)
+        want = ((V0 @ rbm.W) * H0).sum(axis=1) + V0 @ rbm.a + H0 @ rbm.b
+        assert_allclose(scores, want, rtol=1e-12, atol=1e-9)
 
 
 def test_block_conditional_value():
     # a hidden unit with total input 1.0 turns on with probability
     # logistic(2) ~ 0.88080; cross-checked against the two-state ratio
     rbm = RbmParams(np.array([[1.0]]), np.zeros(1), np.zeros(1))
-    v = np.array([1], dtype=np.int8)
     sp, sm = 1.0, -1.0  # rbm scores at h=+1 / h=-1
     ratio = math.exp(sp) / (math.exp(sp) + math.exp(sm))
     assert abs(ratio - expit(2.0)) <= 1e-15
     hits = 0
     rng = np.random.default_rng(11)
     for _ in range(20_000):
-        _, h = block_sweep(rbm, v, np.array([1], dtype=np.int8), 1.0, rng)
+        v, h = np.ones(1), np.ones(1)  # the sweep moves v too: reset it
+        block_sweep(rbm, v, h, 1.0, rng)
         hits += h[0] > 0
     sigma = math.sqrt(20_000 * expit(2.0) * (1 - expit(2.0)))
     assert abs(hits - 20_000 * expit(2.0)) <= 4 * sigma
@@ -423,12 +451,11 @@ def test_block_chain_marginals_match_enumeration():
     w = np.exp(scores - scores.max())
     exact_marginals = (w / w.sum()) @ (states > 0)
 
-    v = np.ones(3, dtype=np.int8)
-    h = np.ones(3, dtype=np.int8)
+    v, h = np.ones(3), np.ones(3)
     plus = np.zeros(6)
     sweeps = 400_000
     for _ in range(sweeps):
-        v, h = block_sweep(rbm, v, h, 1.0, rng)
+        block_sweep(rbm, v, h, 1.0, rng)
         plus += np.concatenate([v, h]) > 0
     assert np.abs(plus / sweeps - exact_marginals).max() <= 0.01
 

@@ -23,6 +23,7 @@ from relaxround import (
     enumerate_support_k2,
     exact_logz_mrf,
     exact_logz_rbm,
+    gen_hard_rbm,
     gen_random_rbm,
     rbm_score,
     rrr_is,
@@ -221,13 +222,21 @@ def _reference_ais(params, num_temps, num_runs, seed):
 @pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
 def test_ais_matches_reference_loop(domain):
     # weights taken after the hidden resample, or from a stale V @ W,
-    # would move log Z by far more than one ulp
+    # would move log Z by far more than one ulp. The bench-shaped case
+    # (m=16, p=484, 100 runs) runs BLAS-sized products on the float
+    # states, the planted one (couple 5000) exp's overflow to inf.
     rng = np.random.default_rng(13)
-    rbm = RbmParams(rng.normal(size=(9, 7)), rng.normal(size=9),
-                    rng.normal(size=7), domain)
-    for seed in (0, 1, 2):
-        got = ais_logz(rbm, num_temps=60, num_runs=12, seed=seed).log_z
-        assert got == _reference_ais(rbm, 60, 12, seed)
+    small = RbmParams(rng.normal(size=(9, 7)), rng.normal(size=9),
+                      rng.normal(size=7), domain)
+    bench = gen_random_rbm(16, 484, seed=1)
+    hard = gen_hard_rbm(12, 10, pairs=3, couple=5000.0, bias=5.0, seed=3)
+    cases = [(small, 60, 12, (0, 1, 2))] + [
+        (RbmParams(r.W, r.a, r.b, domain), 30, 100, (0, 1)) for r in (bench, hard)
+    ]
+    for rbm, temps, runs, seeds in cases:
+        for seed in seeds:
+            got = ais_logz(rbm, num_temps=temps, num_runs=runs, seed=seed).log_z
+            assert got == _reference_ais(rbm, temps, runs, seed)
 
 
 def test_ais_validation():

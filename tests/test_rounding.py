@@ -224,12 +224,15 @@ def test_px_sums_to_one_over_corners_with_a_zero_row():
 
 def test_support_of_a_short_row_matches_the_draws():
     # a row of norm 1e-13 is no zero row: the sampler gives it the sign of
-    # its product with g, and the distribution follows it
-    X = np.array([[1.0, 0.0], [-1e-13, 0.0]])
-    supp = enumerate_support_k2(build_px_k2(X))
-    assert sorted(tuple(x) for x, _ in supp) == [(-1, 1), (1, -1)]
-    drawn = rrr_map_sample(MrfParams(np.zeros((2, 2))), X, 10_000, seed=9).samples
-    assert {tuple(row) for row in drawn} == {(-1, 1), (1, -1)}
+    # its product with g, and the distribution follows it. So does a row
+    # of one subnormal entry, whose product with g would underflow to 0
+    # (read as +1) without the kernel's power-of-two rescale.
+    for short in (-1e-13, -5e-324):
+        X = np.array([[1.0, 0.0], [short, 0.0]])
+        supp = enumerate_support_k2(build_px_k2(X))
+        assert sorted(tuple(x) for x, _ in supp) == [(-1, 1), (1, -1)]
+        drawn = rrr_map_sample(MrfParams(np.zeros((2, 2))), X, 10_000, seed=9).samples
+        assert {tuple(row) for row in drawn} == {(-1, 1), (1, -1)}
 
 
 def test_distribution_keeps_a_copy_of_its_rows():
