@@ -49,7 +49,6 @@ from .partition import (
 from .relaxation import (
     LrpOptions,
     RelaxedSolution,
-    lrp_objective,
     solve_lrp,
 )
 from .rounding import (
@@ -95,7 +94,6 @@ __all__ = [
     "iter_corner_blocks",
     "load_instance",
     "loads_instance",
-    "lrp_objective",
     "px_query",
     "rbm_score",
     "rrr_ag",

@@ -345,7 +345,7 @@ def _build_parser() -> _Parser:
         "--chain-sweeps",
         type=int,
         default=None,
-        help="sweeps per warm-started chain (default: sweeps // chains)",
+        help="sweeps per warm-started chain (default: max(1, sweeps // chains))",
     )
     map_cmd.add_argument("--t-high", type=float, default=10.0)
     map_cmd.add_argument("--chains", type=int, default=8)

@@ -22,22 +22,21 @@ _EXP_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True, eq=False)
 class AnnealSchedule:
-    """Sequence of strictly positive, non-increasing temperatures ending at
-    1.0. May be empty (no sweeps at all)."""
+    """Nonempty sequence of strictly positive, non-increasing temperatures
+    ending at 1.0."""
 
     temperatures: np.ndarray
 
     def __post_init__(self):
         temps = np.array(self.temperatures, dtype=float)
-        if temps.ndim != 1:
-            raise ValueError("temperatures must be a 1-dimensional sequence")
-        if temps.size:
-            if not np.all(temps > 0.0):
-                raise ValueError("temperatures must be strictly positive")
-            if np.any(np.diff(temps) > 0.0):
-                raise ValueError("temperatures must be non-increasing")
-            if temps[-1] != 1.0:
-                raise ValueError("the final temperature must be 1.0")
+        if temps.ndim != 1 or temps.size == 0:
+            raise ValueError("temperatures must be a nonempty 1-dimensional sequence")
+        if not np.all(temps > 0.0):
+            raise ValueError("temperatures must be strictly positive")
+        if np.any(np.diff(temps) > 0.0):
+            raise ValueError("temperatures must be non-increasing")
+        if temps[-1] != 1.0:
+            raise ValueError("the final temperature must be 1.0")
         temps.setflags(write=False)
         object.__setattr__(self, "temperatures", temps)
 
@@ -67,14 +66,6 @@ class ChainState:
     score_trace: tuple
     best_x: np.ndarray
     best_score: float
-
-    @property
-    def sweep_count(self) -> int:
-        return len(self.score_trace)
-
-    @property
-    def final_score(self):
-        return self.score_trace[-1] if self.score_trace else None
 
 
 def _site_probability(A: np.ndarray, x, i: int, temperature: float) -> float:
@@ -263,8 +254,6 @@ def annealed_gibbs(
     returned state carries the best state visited next to the final one."""
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("single-site sampling expects the {-1,+1} domain")
-    if len(schedule) == 0:
-        raise ValueError("schedule must be nonempty")
     check_assignment(init, params.n, params.domain)
     rngs = [np.random.default_rng(seed)]
     return _run_schedule(params, schedule.temperatures, [init], rngs)[0]
@@ -279,8 +268,7 @@ def rrr_ag(
     along `schedule`, all chains advancing in lockstep. Returns the final
     state of the chain that ended with the best score; its `best_x` and
     `best_score` hold the best state visited by any chain, starts
-    included. The first chain wins ties in both. With an empty schedule
-    both are the best initial sample, unchanged. Seed derivation: the root
+    included. The first chain wins ties in both. Seed derivation: the root
     seed spawns (sampling, annealing); the annealing child spawns one
     generator per chain. `rrr_sample_blocks` checks the domain and X.
     """
@@ -290,8 +278,6 @@ def rrr_ag(
     starts = np.concatenate(list(rrr_sample_blocks(params, X, chains, sample_ss)))
     rngs = [np.random.default_rng(ss) for ss in anneal_ss.spawn(chains)]
     states = _run_schedule(params, schedule.temperatures, starts, rngs)
-    # max() keeps the first of equal keys; a chain without sweeps ends at
-    # its start, which is its best state
-    final = max(states, key=lambda s: s.final_score if s.sweep_count else s.best_score)
+    final = max(states, key=lambda s: s.score_trace[-1])
     best = max(states, key=lambda s: s.best_score)
     return replace(final, best_x=best.best_x, best_score=best.best_score)

@@ -118,6 +118,14 @@ def check_assignment(x, n: int, domain: Domain) -> np.ndarray:
     return xv
 
 
+def _check_rows_feasible(X) -> None:
+    """Raise unless every row of X lies in the unit ball, up to 1e-9; a row
+    with a NaN entry does not."""
+    norms = np.linalg.norm(X, axis=1)
+    if not np.all(norms <= 1.0 + 1e-9):
+        raise ValueError(f"infeasible rows: max row norm {np.max(norms)}")
+
+
 def score(params: MrfParams, x) -> float:
     """Quadratic score x' A x of a single assignment."""
     xv = check_assignment(x, params.n, params.domain)
@@ -247,8 +255,9 @@ def embed(instance: MrfParams | RbmParams) -> Embedding:
     return Embedding(instance, MrfParams(A), offset, True)
 
 
-def iter_corner_blocks(n: int, domain: Domain, block: int = _CORNER_BLOCK):
-    """Yield all 2**n assignments as float matrices, in lexicographic order.
+def iter_corner_blocks(n: int, domain: Domain):
+    """Yield all 2**n assignments as float matrices of at most _CORNER_BLOCK
+    rows, in lexicographic order.
 
     Variable 0 is the most significant position and low < high, so the
     all-low corner comes first.
@@ -256,8 +265,8 @@ def iter_corner_blocks(n: int, domain: Domain, block: int = _CORNER_BLOCK):
     lo, hi = domain_values(domain)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     total = 1 << n
-    for start in range(0, total, block):
-        codes = np.arange(start, min(start + block, total), dtype=np.uint64)
+    for start in range(0, total, _CORNER_BLOCK):
+        codes = np.arange(start, min(start + _CORNER_BLOCK, total), dtype=np.uint64)
         bits = (codes[:, None] >> shifts) & 1
         yield np.where(bits == 1, hi, lo)
 

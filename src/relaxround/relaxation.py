@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Domain, MrfParams, _scan_spans
+from .models import Domain, MrfParams, _check_rows_feasible, _scan_spans
 
 logger = logging.getLogger(__name__)
 
@@ -64,20 +64,7 @@ class RelaxedSolution:
     matvecs: int
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.X, axis=1)
-        if norms.size and norms.max() > 1.0 + 1e-9:
-            raise ValueError(f"infeasible solution: max row norm {norms.max()}")
-
-
-def lrp_objective(A: np.ndarray, X: np.ndarray) -> float:
-    """tr(X' A X) for an n x n coupling matrix and n x k row matrix."""
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    if X.ndim != 2 or X.shape[0] != A.shape[0]:
-        raise ValueError(f"X has shape {X.shape}, expected ({A.shape[0]}, k)")
-    return float(np.sum(X * (A @ X)))
+        _check_rows_feasible(self.X)
 
 
 def project_rows(X: np.ndarray) -> np.ndarray:
@@ -91,7 +78,7 @@ def project_rows(X: np.ndarray) -> np.ndarray:
 
 def estimate_lipschitz(A: np.ndarray) -> tuple[float, int]:
     """Estimate of the gradient Lipschitz constant L = 2*||A||_2, at least L/2,
-    and the number of products A @ v it took.
+    and the number of products A @ v it took, for a square float array A.
 
     Projected gradient ascent with step 1/estimate is monotone whenever the
     estimate is at least L/2 (a step of at most 2/L never decreases an
@@ -100,9 +87,6 @@ def estimate_lipschitz(A: np.ndarray) -> tuple[float, int]:
     converged value is inflated by 1 percent; truncation can still leave
     the result a few percent under L, so it is not an upper bound.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
     n = A.shape[0]
     rng = np.random.default_rng(0xA11CE)
     v = rng.standard_normal(n)

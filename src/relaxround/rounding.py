@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Domain, MrfParams, check_assignment, score_batch
+from .models import (
+    Domain,
+    MrfParams,
+    _check_rows_feasible,
+    check_assignment,
+    score_batch,
+)
 
 # Boundary angles closer than this merge into one boundary.
 _MERGE_TOL = 1e-12
@@ -119,9 +125,7 @@ def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != params.n:
         raise ValueError(f"X has shape {X.shape}, expected ({params.n}, k)")
-    norms = np.linalg.norm(X, axis=1)
-    if norms.size and norms.max() > 1.0 + 1e-9:
-        raise ValueError(f"infeasible rows: max norm {norms.max()}")
+    _check_rows_feasible(X)
     return X
 
 
@@ -188,19 +192,15 @@ def px_query(dist: RoundingDistributionK2, x) -> float:
     has probability 0. O(n) per query.
     """
     xv = check_assignment(x, dist.n, Domain.PLUS_MINUS_ONE)
-    return float(_px_query_batch(dist, xv[None, :])[0])
-
-
-def _px_query_batch(dist: RoundingDistributionK2, S: np.ndarray) -> np.ndarray:
-    """px_query over sample rows, without argument checks."""
-    allowed = ~(S[:, dist.degenerate] < 0).any(axis=1)
+    if (xv[dist.degenerate] < 0).any():
+        return 0.0
     mask = ~dist.degenerate
     if not mask.any():
-        return allowed.astype(float)
-    centers = dist.thetas[mask][None, :] + np.where(S[:, mask] < 0, np.pi, 0.0)
-    rel = np.mod(centers - centers[:, :1] + np.pi, _TWO_PI) - np.pi
-    width = (rel.min(axis=1) + np.pi / 2.0) - (rel.max(axis=1) - np.pi / 2.0)
-    return np.where(allowed, np.maximum(width, 0.0) / _TWO_PI, 0.0)
+        return 1.0
+    centers = dist.thetas[mask] + np.where(xv[mask] < 0, np.pi, 0.0)
+    rel = np.mod(centers - centers[0] + np.pi, _TWO_PI) - np.pi
+    width = (rel.min() + np.pi / 2.0) - (rel.max() - np.pi / 2.0)
+    return float(np.maximum(width, 0.0) / _TWO_PI)
 
 
 def enumerate_support_k2(dist: RoundingDistributionK2) -> list:

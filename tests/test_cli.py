@@ -539,14 +539,15 @@ def test_public_surface():
         "check_assignment", "domain_values", "dumps_instance", "embed",
         "enumerate_support_k2", "exact_logz_mrf", "exact_logz_rbm",
         "gen_hard_rbm", "gen_random_rbm", "iter_corner_blocks",
-        "load_instance", "loads_instance", "lrp_objective", "px_query",
-        "rbm_score", "rrr_ag", "rrr_is", "rrr_low", "rrr_map_sample", "score",
-        "score_batch", "solve_lrp",
+        "load_instance", "loads_instance", "px_query", "rbm_score", "rrr_ag",
+        "rrr_is", "rrr_low", "rrr_map_sample", "score", "score_batch",
+        "solve_lrp",
     ]
     for name in relaxround.__all__:
         assert hasattr(relaxround, name), name
     gone = ("rrr_is_exact", "round_once", "dump_instance",
-            "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP")
+            "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP", "lrp_objective",
+            "_px_query_batch")
     for module in (relaxround, cli, gibbs, instances, models, partition,
                    relaxation, rounding):
         for name in gone:

@@ -15,12 +15,14 @@ from relaxround import (
     LrpOptions,
     MrfParams,
     RbmParams,
+    RelaxedSolution,
     annealed_gibbs,
     brute_force_map,
     embed,
     gen_hard_rbm,
     gen_random_rbm,
     rrr_ag,
+    rrr_is,
     rrr_map_sample,
     score,
     solve_lrp,
@@ -33,7 +35,7 @@ from relaxround.gibbs import (
     _site_probability,
     _sweep,
 )
-from relaxround.rounding import _sample_batch
+from relaxround.rounding import _sample_batch, rrr_sample_blocks
 
 from chain_utils import (
     block_sweep,
@@ -183,9 +185,8 @@ def test_sweep_trace_scores_consistent():
     m = MrfParams(rng.normal(size=(6, 6)))
     x0 = np.ones(6, dtype=np.int8)
     state = annealed_gibbs(m, AnnealSchedule(np.ones(10)), x0, seed=4)
-    assert state.sweep_count == 10
     assert len(state.score_trace) == 10
-    assert abs(state.final_score - score(m, state.x)) <= 1e-9
+    assert abs(state.score_trace[-1] - score(m, state.x)) <= 1e-9
 
 
 def test_fast_chain_follows_library_chain():
@@ -480,7 +481,8 @@ def test_schedule_validation():
         AnnealSchedule.linear(0.5, 3)
     with pytest.raises(ValueError):
         AnnealSchedule.linear(10.0, 0)
-    assert len(AnnealSchedule(np.array([]))) == 0
+    with pytest.raises(ValueError):
+        AnnealSchedule(np.array([]))  # every schedule has a sweep
     assert_allclose(AnnealSchedule.linear(10.0, 1).temperatures, [1.0])
 
 
@@ -494,12 +496,6 @@ def test_constant_schedule_equals_plain_gibbs():
     x, trace = reference_chain(m.A, np.ones(12), x0, np.random.default_rng(17))
     assert np.array_equal(annealed.x, x)
     assert list(annealed.score_trace) == trace
-
-
-def test_annealed_gibbs_requires_schedule():
-    m = MrfParams(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        annealed_gibbs(m, AnnealSchedule(np.array([])), np.ones(2, dtype=np.int8), 0)
 
 
 def test_annealing_traps_planted_pairs():
@@ -521,36 +517,49 @@ def test_annealing_traps_planted_pairs():
     sched = AnnealSchedule.linear(10.0, 200)
     for seed in range(20):
         state = annealed_gibbs(emb, sched, trapped, seed=100 + seed)
-        finals.append(state.final_score)
+        finals.append(state.score_trace[-1])
     assert np.median(finals) < best
 
 
 # -------------------------------------------------------------- warm start
 
 
-def test_rrr_ag_empty_schedule_returns_sample():
+def test_rrr_ag_chain_starts_at_drawn_sample():
     rng = np.random.default_rng(19)
     m = MrfParams(rng.normal(size=(6, 6)))
     sol = solve_lrp(m, LrpOptions(k=2, restarts=3, seed=20))
-    state = rrr_ag(m, sol.X, AnnealSchedule(np.array([])), chains=1, seed=21)
-    assert state.sweep_count == 0
-    assert state.final_score is None  # no sweeps, no trace
-    assert set(np.unique(state.x)) <= {-1, 1}
+    state = rrr_ag(m, sol.X, AnnealSchedule.linear(10.0, 1), chains=1, seed=21)
 
-    # the returned assignment is exactly the drawn rounding sample
-    sample_ss, _ = np.random.SeedSequence(21).spawn(2)
+    # the chain starts at the drawn rounding sample and takes one reference
+    # sweep from it; its best state counts that start
+    sample_ss, anneal_ss = np.random.SeedSequence(21).spawn(2)
     batch = _sample_batch(m, sol.X, 1, np.random.default_rng(sample_ss))
-    assert np.array_equal(state.x, batch.samples[0])
+    rng_chain = np.random.default_rng(anneal_ss.spawn(1)[0])
+    x, trace = reference_chain(m.A, [1.0], batch.samples[0], rng_chain)
+    assert np.array_equal(state.x, x)
+    assert list(state.score_trace) == trace
+    assert state.best_score == max(score(m, batch.samples[0]), trace[0])
 
 
 def test_rrr_ag_rejects_bits_and_infeasible_rows():
-    # the rounding sampler checks the domain and X for rrr_ag
+    # the rounding sampler checks the domain and X for rrr_ag; one rule,
+    # shared with RelaxedSolution, rejects a long row and a NaN row alike
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     sched = AnnealSchedule.linear(2.0, 3)
     with pytest.raises(ValueError, match="rounding produces"):
         rrr_ag(MrfParams(np.eye(2), Domain.ZERO_ONE), X, sched, chains=2, seed=0)
-    with pytest.raises(ValueError, match="infeasible"):
-        rrr_ag(MrfParams(np.eye(2)), 2.0 * X, sched, chains=2, seed=0)
+    m = MrfParams(np.eye(2))
+    for bad in (2.0 * X, np.array([[1.0, 0.0], [np.nan, 0.0]])):
+        with pytest.raises(ValueError, match="infeasible"):
+            rrr_ag(m, bad, sched, chains=2, seed=0)
+        with pytest.raises(ValueError, match="infeasible"):
+            rrr_map_sample(m, bad, 10, seed=0)
+        with pytest.raises(ValueError, match="infeasible"):
+            rrr_sample_blocks(m, bad, 10, seed=0)  # on the call, before a block
+        with pytest.raises(ValueError, match="infeasible"):
+            rrr_is(m, bad, 10, seed=0)
+        with pytest.raises(ValueError, match="infeasible"):
+            RelaxedSolution(bad, 0.0, 0, np.zeros(1), 0)
 
 
 def test_rrr_ag_returns_best_chain():
@@ -597,6 +606,6 @@ def test_rrr_ag_beats_components_often():
         )
         combo = rrr_ag(emb, sol.X, AnnealSchedule.linear(10.0, 5), chains=8,
                        seed=trial)
-        if combo.final_score >= max(rrr_best, ag.final_score) - 1e-9:
+        if combo.score_trace[-1] >= max(rrr_best, ag.score_trace[-1]) - 1e-9:
             wins += 1
     assert wins >= 0.6 * trials

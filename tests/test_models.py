@@ -27,6 +27,7 @@ from relaxround import (
     score,
     score_batch,
 )
+from relaxround import models
 from relaxround.instances import write_atomic
 
 
@@ -409,8 +410,9 @@ def test_iter_corner_blocks_orders_lexicographically():
     assert [list(r) for r in allc] == want
 
 
-def test_iter_corner_blocks_chunking():
-    blocks = list(iter_corner_blocks(5, Domain.ZERO_ONE, block=8))
+def test_iter_corner_blocks_chunking(monkeypatch):
+    monkeypatch.setattr(models, "_CORNER_BLOCK", 8)
+    blocks = list(iter_corner_blocks(5, Domain.ZERO_ONE))
     assert [len(b) for b in blocks] == [8, 8, 8, 8]
     assert np.vstack(blocks).sum() == 16 * 5 / 2 * 2  # half the entries are 1
 

@@ -35,10 +35,10 @@ from relaxround import (
 )
 from relaxround.partition import _distinct_keys, _streaming_logsumexp, _unpack_keys
 from relaxround.rounding import (
-    _px_query_batch,
     _round_rows,
     _sample_batch,
     build_px_k2,
+    px_query,
     rrr_sample_blocks,
 )
 
@@ -408,6 +408,13 @@ def test_rrr_is_identical_rows_support():
     assert report.details["support_size"] == 2
 
 
+def _px_of_rows(X, samples):
+    """px_query of every sample row, one query per distinct pattern."""
+    dist = build_px_k2(X)
+    patterns, inverse = np.unique(samples, axis=0, return_inverse=True)
+    return np.array([px_query(dist, x) for x in patterns])[inverse.ravel()]
+
+
 def test_rrr_is_sampled_near_exact_support():
     rng = np.random.default_rng(21)
     m = MrfParams(rng.normal(size=(7, 7)) * 0.4)
@@ -421,7 +428,7 @@ def test_rrr_is_sampled_near_exact_support():
 
     # 3 standard errors, computed from the weight spread on a fresh batch
     batch = _sample_batch(m, sol.X, 100_000, np.random.default_rng(24))
-    probs = _px_query_batch(build_px_k2(sol.X), batch.samples)
+    probs = _px_of_rows(sol.X, batch.samples)
     w = np.exp(batch.scores - np.log(probs) - exact_support)
     se = w.std() / (w.mean() * math.sqrt(len(w)))
     assert abs(sampled.log_z - exact_support) <= 3 * se
@@ -449,7 +456,7 @@ def reference_rrr_is(params, X, count, seed):
     """The per-draw importance sampler: round and score every draw, query
     each draw's pattern probability, and log-mean-exp in draw order."""
     batch = _sample_batch(params, X, count, np.random.default_rng(seed))
-    probs = _px_query_batch(build_px_k2(X), batch.samples)
+    probs = _px_of_rows(X, batch.samples)
     if np.any(probs <= 0.0):
         raise RuntimeError("sampled pattern has zero computed probability")
     return float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
