@@ -18,7 +18,13 @@ import sys
 import numpy as np
 
 from .gibbs import AnnealSchedule, annealed_gibbs, rrr_ag
-from .instances import InstanceFormatError, dumps_instance, load_instance, write_atomic
+from .instances import (
+    InstanceFormatError,
+    dumps_instance,
+    instance_header,
+    load_instance,
+    write_atomic,
+)
 from .models import (
     CapExceededError,
     MrfParams,
@@ -26,7 +32,6 @@ from .models import (
     brute_force_map,
     embed,
     gen_hard_rbm,
-    gen_random_rbm,
 )
 from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_low
 from .relaxation import LrpOptions, solve_lrp
@@ -78,17 +83,6 @@ def _relax(mrf: MrfParams, args, tag: int):
     return solve_lrp(mrf, opts)
 
 
-def _instance_meta(inst, path: str) -> dict:
-    meta = {"path": path, "kind": "mrf" if isinstance(inst, MrfParams) else "rbm"}
-    meta["domain"] = inst.domain.value
-    if isinstance(inst, MrfParams):
-        meta["n"] = inst.n
-    else:
-        meta["m"] = inst.m
-        meta["p"] = inst.p
-    return meta
-
-
 def _parse_methods(raw: str, allowed) -> list:
     methods = [item.strip() for item in raw.split(",") if item.strip()]
     if not methods:
@@ -110,11 +104,9 @@ def _run_map(args) -> int:
     n = mrf.n
     methods = _parse_methods(args.methods, MAP_METHODS)
     seed = args.seed
-    if args.chains < 1:
-        raise UsageError("--chains must be >= 1")
-    chain_sweeps = args.chain_sweeps
-    if chain_sweeps is None:
-        chain_sweeps = max(1, args.sweeps // args.chains)
+    if args.sweeps < 1 or args.chains < 1:
+        raise UsageError("--sweeps and --chains must be >= 1")
+    chain_sweeps = max(1, args.sweeps // args.chains)
     # rrr and rrr-ag round one solution; each entry's cost still counts the
     # whole solve, as if its method ran alone.
     if {"rrr", "rrr-ag"} & set(methods):
@@ -178,7 +170,7 @@ def _run_map(args) -> int:
     winner = max(methods, key=lambda name: entries[name]["best_score"])
     doc = {
         "command": "map",
-        "instance": _instance_meta(inst, args.instance),
+        "instance": {"path": args.instance, **instance_header(inst)},
         "seed": seed,
         "config": {
             "methods": methods,
@@ -253,7 +245,7 @@ def _run_logz(args) -> int:
 
     doc = {
         "command": "logz",
-        "instance": _instance_meta(inst, args.instance),
+        "instance": {"path": args.instance, **instance_header(inst)},
         "seed": seed,
         "config": {
             "methods": methods,
@@ -299,12 +291,8 @@ def _write_report(args, doc: dict, columns: tuple) -> None:
 
 
 def _run_gen(args) -> int:
-    if args.kind == "random":
-        params = gen_random_rbm(args.m, args.p, args.seed)
-    else:
-        params = gen_hard_rbm(
-            args.m, args.p, args.pairs, args.couple, args.bias, args.seed
-        )
+    pairs = args.pairs if args.kind == "hard" else 0
+    params = gen_hard_rbm(args.m, args.p, pairs, args.couple, args.bias, args.seed)
     _write_out(args.out, dumps_instance(params))
     return EXIT_OK
 
@@ -341,12 +329,6 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--restarts", type=int, default=8)
 
     map_cmd.add_argument("--sweeps", type=int, default=500, help="annealing sweeps")
-    map_cmd.add_argument(
-        "--chain-sweeps",
-        type=int,
-        default=None,
-        help="sweeps per warm-started chain (default: max(1, sweeps // chains))",
-    )
     map_cmd.add_argument("--t-high", type=float, default=10.0)
     map_cmd.add_argument("--chains", type=int, default=8)
     map_cmd.set_defaults(func=_run_map)

@@ -34,28 +34,29 @@ def _fmt_matrix(M: np.ndarray, indent: str) -> str:
     return "[\n" + indent + "  " + rows + "\n" + indent + "]"
 
 
+def instance_header(params) -> dict:
+    """The kind, domain and sizes of an MrfParams or RbmParams, in the order
+    the instance file writes them; the report's instance block repeats them."""
+    if isinstance(params, MrfParams):
+        return {"kind": "mrf", "domain": params.domain.value, "n": params.n}
+    if isinstance(params, RbmParams):
+        return {"kind": "rbm", "domain": params.domain.value, "m": params.m,
+                "p": params.p}
+    raise ValueError(f"cannot serialize {type(params).__name__}")
+
+
 def dumps_instance(params) -> str:
     """Serialize an MrfParams or RbmParams to the instance JSON format."""
+    fields = [f'"{k}": {json.dumps(v)}' for k, v in instance_header(params).items()]
     if isinstance(params, MrfParams):
-        body = (
-            '  "kind": "mrf",\n'
-            f'  "domain": "{params.domain.value}",\n'
-            f'  "n": {params.n},\n'
-            f'  "A": {_fmt_matrix(params.A, "  ")}\n'
-        )
-    elif isinstance(params, RbmParams):
-        body = (
-            '  "kind": "rbm",\n'
-            f'  "domain": "{params.domain.value}",\n'
-            f'  "m": {params.m},\n'
-            f'  "p": {params.p},\n'
-            f'  "W": {_fmt_matrix(params.W, "  ")},\n'
-            f'  "a": {_fmt_vector(params.a)},\n'
-            f'  "b": {_fmt_vector(params.b)}\n'
-        )
+        fields.append(f'"A": {_fmt_matrix(params.A, "  ")}')
     else:
-        raise ValueError(f"cannot serialize {type(params).__name__}")
-    return "{\n" + body + "}\n"
+        fields += [
+            f'"W": {_fmt_matrix(params.W, "  ")}',
+            f'"a": {_fmt_vector(params.a)}',
+            f'"b": {_fmt_vector(params.b)}',
+        ]
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -60,17 +60,13 @@ class SampleBatch:
 class RoundingDistributionK2:
     """Preprocessed arc arrangement for a width-2 row matrix.
 
-    `X` is a read-only copy of the rows it was built from, `angles` are the
-    distinct boundary angles in [0, 2*pi) sorted increasingly, `thetas`
-    holds each row's direction angle (NaN for degenerate rows), and
-    `degenerate` is a read-only boolean mask of the rows that are exactly
-    zero. A zero row rounds to +1 for every direction.
+    `X` is a read-only copy of the rows it was built from and `angles` are
+    the distinct boundary angles in [0, 2*pi) sorted increasingly. A zero
+    row rounds to +1 for every direction.
     """
 
     X: np.ndarray
     angles: np.ndarray
-    thetas: np.ndarray
-    degenerate: np.ndarray
 
     @property
     def n(self) -> int:
@@ -158,12 +154,10 @@ def build_px_k2(X) -> RoundingDistributionK2:
     X = np.array(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) row matrix, got shape {X.shape}")
-    degenerate = ~X.any(axis=1)
-    thetas = np.full(X.shape[0], np.nan)
-    live = ~degenerate
-    thetas[live] = np.arctan2(X[live, 1], X[live, 0])
+    live = X[X.any(axis=1)]
+    thetas = np.arctan2(live[:, 1], live[:, 0])
 
-    raw = np.concatenate([thetas[live] + np.pi / 2.0, thetas[live] - np.pi / 2.0])
+    raw = np.concatenate([thetas + np.pi / 2.0, thetas - np.pi / 2.0])
     raw = np.mod(raw, _TWO_PI)
     raw[raw >= _TWO_PI] -= _TWO_PI  # mod can round up to the modulus itself
     raw.sort()
@@ -175,11 +169,8 @@ def build_px_k2(X) -> RoundingDistributionK2:
     if len(angles) >= 2 and (_TWO_PI - angles[-1]) + angles[0] <= _MERGE_TOL:
         angles.pop()
 
-    for arr in (X, thetas, degenerate):
-        arr.setflags(write=False)
-    return RoundingDistributionK2(
-        X=X, angles=np.asarray(angles), thetas=thetas, degenerate=degenerate
-    )
+    X.setflags(write=False)
+    return RoundingDistributionK2(X=X, angles=np.asarray(angles))
 
 
 def px_query(dist: RoundingDistributionK2, x) -> float:
@@ -192,12 +183,13 @@ def px_query(dist: RoundingDistributionK2, x) -> float:
     has probability 0. O(n) per query.
     """
     xv = check_assignment(x, dist.n, Domain.PLUS_MINUS_ONE)
-    if (xv[dist.degenerate] < 0).any():
+    mask = dist.X.any(axis=1)
+    if (xv[~mask] < 0).any():
         return 0.0
-    mask = ~dist.degenerate
     if not mask.any():
         return 1.0
-    centers = dist.thetas[mask] + np.where(xv[mask] < 0, np.pi, 0.0)
+    live = dist.X[mask]
+    centers = np.arctan2(live[:, 1], live[:, 0]) + np.where(xv[mask] < 0, np.pi, 0.0)
     rel = np.mod(centers - centers[0] + np.pi, _TWO_PI) - np.pi
     width = (rel.min() + np.pi / 2.0) - (rel.max() - np.pi / 2.0)
     return float(np.maximum(width, 0.0) / _TWO_PI)

@@ -199,7 +199,7 @@ def test_map_chain_sweeps_and_t_high(tmp_path):
     inst = gen_instance(tmp_path, seed=15)
     out = tmp_path / "map.json"
     assert run("map", "--instance", inst, "--methods", "rrr,rrr-ag", "--seed", 3,
-               "--out", out, "--chains", 2, "--chain-sweeps", 3) == 0
+               "--out", out, "--sweeps", 6, "--chains", 2) == 0
     doc = json.loads(out.read_text())
     combo = doc["methods"]["rrr-ag"]
     assert doc["config"]["chain_sweeps"] == combo["chain_sweeps"] == 3
@@ -429,8 +429,9 @@ def test_exit_codes(tmp_path, capsys):
     assert run("map", "--instance", inst, "--methods", "rrr,rrr", "--seed", 0,
                "--out", out) == 1
     assert run("map", "--seed", 0, "--out", out) == 1
-    assert run("map", "--instance", inst, "--methods", "rrr-ag", "--seed", 0,
-               "--out", out, "--chains", 0) == 1
+    for flag in (["--chains", 0], ["--sweeps", 0], ["--sweeps", -5]):
+        assert run("map", "--instance", inst, "--methods", "rrr-ag", "--seed", 0,
+                   "--out", out, *flag) == 1, flag
     # input format: missing file, malformed json
     assert run("map", "--instance", tmp_path / "absent.json", "--methods",
                "rrr", "--seed", 0, "--out", out) == 2

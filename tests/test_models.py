@@ -511,6 +511,38 @@ def test_instance_serialization_deterministic():
     assert dumps_instance(r) == dumps_instance(r)
 
 
+def test_instance_file_bytes():
+    # the header in kind, domain, sizes order, one matrix row per line, and
+    # floats with 17 significant digits
+    mrf = MrfParams(np.array([[0.1, -2.0], [-2.0, 3.0]]))
+    assert dumps_instance(mrf) == (
+        '{\n'
+        '  "kind": "mrf",\n'
+        '  "domain": "pm1",\n'
+        '  "n": 2,\n'
+        '  "A": [\n'
+        '    [0.10000000000000001, -2],\n'
+        '    [-2, 3]\n'
+        '  ]\n'
+        '}\n'
+    )
+    rbm = RbmParams(np.array([[0.5, -0.25]]), np.array([0.1]), np.array([0.0, 1e-20]),
+                    Domain.ZERO_ONE)
+    assert dumps_instance(rbm) == (
+        '{\n'
+        '  "kind": "rbm",\n'
+        '  "domain": "01",\n'
+        '  "m": 1,\n'
+        '  "p": 2,\n'
+        '  "W": [\n'
+        '    [0.5, -0.25]\n'
+        '  ],\n'
+        '  "a": [0.10000000000000001],\n'
+        '  "b": [0, 9.9999999999999995e-21]\n'
+        '}\n'
+    )
+
+
 def test_reserialize_byte_identical(tmp_path):
     r = gen_random_rbm(4, 2, seed=8)
     path = tmp_path / "x.json"

@@ -155,9 +155,11 @@ def test_boundary_count_bound():
 def test_degenerate_rows_tracked():
     X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     dist = build_px_k2(X)
-    assert dist.degenerate.tolist() == [False, True, False]
-    assert not dist.degenerate.flags.writeable
+    assert (~dist.X.any(axis=1)).tolist() == [False, True, False]
     assert len(dist.angles) == 4
+    # the zero row reads +1: the two live rows' quarter circle, or nothing
+    assert_allclose(px_query(dist, np.array([1, 1, 1])), 0.25, atol=1e-15)
+    assert px_query(dist, np.array([1, -1, 1])) == 0.0
 
 
 # ----------------------------------------------------------- point query
@@ -314,7 +316,7 @@ def test_support_matches_query_and_normalizes():
         for (x, p), a0, a1 in zip(supp, dist.angles, stops):
             mid = 0.5 * (a0 + a1)
             want = _round_rows(np.array([[np.cos(mid), np.sin(mid)]]), X)[0]
-            assert np.all(want[dist.degenerate] == 1)
+            assert np.all(want[~dist.X.any(axis=1)] == 1)
             assert_array_equal(x, want)
             assert p == (a1 - a0) / TWO_PI
 
