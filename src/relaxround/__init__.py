@@ -7,12 +7,7 @@ hyperplanes. The rounding distribution doubles as a proposal for partition
 function estimation; tempered Gibbs sampling provides the baselines.
 """
 
-from .gibbs import (
-    AnnealSchedule,
-    ChainState,
-    annealed_gibbs,
-    rrr_ag,
-)
+from .gibbs import ChainState, annealed_gibbs, rrr_ag
 from .instances import (
     InstanceFormatError,
     dumps_instance,
@@ -63,7 +58,6 @@ from .rounding import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealSchedule",
     "BRUTE_FORCE_CAP",
     "Budget",
     "CapExceededError",

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .gibbs import AnnealSchedule, annealed_gibbs, rrr_ag
+from .gibbs import annealed_gibbs, rrr_ag
 from .instances import (
     InstanceFormatError,
     dumps_instance,
@@ -58,6 +58,10 @@ _TAG_LOGZ_AIS = 41
 _TAG_LOGZ_LRP = 51
 _TAG_LOGZ_LOW_SAMPLE = 52
 _TAG_LOGZ_IS = 62
+
+# the least value of each count flag, checked whatever methods run
+_COUNT_MINIMUMS = {"k": 1, "samples": 1, "restarts": 1, "sweeps": 1, "chains": 1,
+                   "num_temps": 2, "num_runs": 1}
 
 
 class UsageError(Exception):
@@ -104,8 +108,6 @@ def _run_map(args) -> int:
     n = mrf.n
     methods = _parse_methods(args.methods, MAP_METHODS)
     seed = args.seed
-    if args.sweeps < 1 or args.chains < 1:
-        raise UsageError("--sweeps and --chains must be >= 1")
     chain_sweeps = max(1, args.sweeps // args.chains)
     # rrr and rrr-ag round one solution; each entry's cost still counts the
     # whole solve, as if its method ran alone.
@@ -132,20 +134,19 @@ def _run_map(args) -> int:
         elif method == "ag":
             init_rng = np.random.default_rng(_derive_seed(seed, _TAG_AG_INIT))
             init = (2 * init_rng.integers(0, 2, size=n) - 1).astype(np.int8)
-            schedule = AnnealSchedule.linear(args.t_high, args.sweeps)
             state = annealed_gibbs(
-                mrf, schedule, init, _derive_seed(seed, _TAG_AG_RUN)
+                mrf, args.t_high, args.sweeps, init, _derive_seed(seed, _TAG_AG_RUN)
             )
             entries[method] = {
                 "best_score": state.best_score + prob.offset,
                 "best_assignment": prob.to_native(state.best_x),
-                "cost_sweep_equivalents": len(schedule),
+                "cost_sweep_equivalents": args.sweeps,
                 "score_trace": [v + prob.offset for v in state.score_trace],
             }
         elif method == "rrr-ag":
-            schedule = AnnealSchedule.linear(args.t_high, chain_sweeps)
             state = rrr_ag(
-                mrf, sol.X, schedule, args.chains, _derive_seed(seed, _TAG_RRRAG_SAMPLE)
+                mrf, sol.X, args.t_high, chain_sweeps, args.chains,
+                _derive_seed(seed, _TAG_RRRAG_SAMPLE),
             )
             entries[method] = {
                 "best_score": state.best_score + prob.offset,
@@ -154,9 +155,9 @@ def _run_map(args) -> int:
                 "relaxation_iterations": sol.iterations,
                 "cost_sweep_equivalents": sol.matvecs
                 + math.ceil(args.chains * args.k / n)
-                + args.chains * len(schedule),
+                + args.chains * chain_sweeps,
                 "chains": args.chains,
-                "chain_sweeps": len(schedule),
+                "chain_sweeps": chain_sweeps,
                 "score_trace": [v + prob.offset for v in state.score_trace],
             }
         elif method == "brute":
@@ -291,8 +292,14 @@ def _write_report(args, doc: dict, columns: tuple) -> None:
 
 
 def _run_gen(args) -> int:
-    pairs = args.pairs if args.kind == "hard" else 0
-    params = gen_hard_rbm(args.m, args.p, pairs, args.couple, args.bias, args.seed)
+    # planted flags left out take gen_hard_rbm's defaults
+    planted = {key: getattr(args, key) for key in ("pairs", "couple", "bias")}
+    planted = {key: value for key, value in planted.items() if value is not None}
+    if args.kind == "random":
+        if planted:
+            raise UsageError(f"--{', --'.join(planted)}: only --kind hard plants pairs")
+        planted["pairs"] = 0
+    params = gen_hard_rbm(args.m, args.p, seed=args.seed, **planted)
     _write_out(args.out, dumps_instance(params))
     return EXIT_OK
 
@@ -306,9 +313,9 @@ def _build_parser() -> _Parser:
     gen.add_argument("--m", type=int, required=True, help="visible units")
     gen.add_argument("--p", type=int, required=True, help="hidden units")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--pairs", type=int, default=3, help="planted pairs (hard)")
-    gen.add_argument("--couple", type=float, default=5000.0)
-    gen.add_argument("--bias", type=float, default=500.0)
+    gen.add_argument("--pairs", type=int, help="planted pairs (hard; default 3)")
+    gen.add_argument("--couple", type=float, help="planted W (hard; default 5000)")
+    gen.add_argument("--bias", type=float, help="planted a, b (hard; default 500)")
     gen.add_argument("--out", required=True, help="output instance path")
     gen.set_defaults(func=_run_gen)
 
@@ -347,6 +354,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
+        for name, least in _COUNT_MINIMUMS.items():
+            if getattr(args, name, least) < least:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
         return args.func(args)
     except UsageError as exc:
         print(f"relaxround: error: {exc}", file=sys.stderr)

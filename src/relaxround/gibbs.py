@@ -21,41 +21,6 @@ _EPS = sys.float_info.epsilon
 _EXP_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True, eq=False)
-class AnnealSchedule:
-    """Nonempty sequence of strictly positive, non-increasing temperatures
-    ending at 1.0."""
-
-    temperatures: np.ndarray
-
-    def __post_init__(self):
-        temps = np.array(self.temperatures, dtype=float)
-        if temps.ndim != 1 or temps.size == 0:
-            raise ValueError("temperatures must be a nonempty 1-dimensional sequence")
-        if not np.all(temps > 0.0):
-            raise ValueError("temperatures must be strictly positive")
-        if np.any(np.diff(temps) > 0.0):
-            raise ValueError("temperatures must be non-increasing")
-        if temps[-1] != 1.0:
-            raise ValueError("the final temperature must be 1.0")
-        temps.setflags(write=False)
-        object.__setattr__(self, "temperatures", temps)
-
-    @classmethod
-    def linear(cls, t_high: float, steps: int) -> "AnnealSchedule":
-        """Linear ramp from t_high down to 1.0 over `steps` sweeps."""
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        if t_high < 1.0:
-            raise ValueError("t_high must be >= 1.0")
-        if steps == 1:
-            return cls(np.array([1.0]))
-        return cls(np.linspace(t_high, 1.0, steps))
-
-    def __len__(self) -> int:
-        return self.temperatures.size
-
-
-@dataclass(frozen=True, eq=False)
 class ChainState:
     """The end of a chain run: the final assignment, the score after each
     sweep, and the best state visited, the start state included, with its
@@ -247,37 +212,51 @@ def _run_schedule(
     ]
 
 
+def _linear_temperatures(t_high: float, sweeps: int) -> np.ndarray:
+    """One temperature per sweep, falling linearly from t_high to 1.0; a
+    single sweep runs at 1.0, and t_high = 1.0 is plain Gibbs sampling."""
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    if not 1.0 <= t_high < math.inf:
+        raise ValueError(f"t_high must be finite and >= 1.0, got {t_high}")
+    return np.linspace(t_high if sweeps > 1 else 1.0, 1.0, sweeps)
+
+
 def annealed_gibbs(
-    params: MrfParams, schedule: AnnealSchedule, init, seed: int
+    params: MrfParams, t_high: float, sweeps: int, init, seed: int
 ) -> ChainState:
-    """Run one sweep per schedule temperature, starting from `init`. The
-    returned state carries the best state visited next to the final one."""
+    """Run `sweeps` sweeps, cooling linearly from t_high to 1.0, starting
+    from `init`. The returned state carries the best state visited next to
+    the final one."""
+    temperatures = _linear_temperatures(t_high, sweeps)
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("single-site sampling expects the {-1,+1} domain")
     check_assignment(init, params.n, params.domain)
     rngs = [np.random.default_rng(seed)]
-    return _run_schedule(params, schedule.temperatures, [init], rngs)[0]
+    return _run_schedule(params, temperatures, [init], rngs)[0]
 
 
 def rrr_ag(
-    params: MrfParams, X, schedule: AnnealSchedule, chains: int, seed: int
+    params: MrfParams, X, t_high: float, sweeps: int, chains: int, seed: int
 ) -> ChainState:
     """Relax-and-round warm start for annealed Gibbs.
 
     Draws `chains` rounded samples of X and anneals one chain from each
-    along `schedule`, all chains advancing in lockstep. Returns the final
-    state of the chain that ended with the best score; its `best_x` and
-    `best_score` hold the best state visited by any chain, starts
-    included. The first chain wins ties in both. Seed derivation: the root
-    seed spawns (sampling, annealing); the annealing child spawns one
-    generator per chain. `rrr_sample_blocks` checks the domain and X.
+    for `sweeps` sweeps from t_high down to 1.0, as `annealed_gibbs`
+    does, all chains advancing in lockstep. Returns the final state of the
+    chain that ended with the best score; its `best_x` and `best_score`
+    hold the best state visited by any chain, starts included. The first
+    chain wins ties in both. Seed derivation: the root seed spawns
+    (sampling, annealing); the annealing child spawns one generator per
+    chain. `rrr_sample_blocks` checks the domain and X.
     """
+    temperatures = _linear_temperatures(t_high, sweeps)
     if chains < 1:
         raise ValueError("chains must be >= 1")
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
     starts = np.concatenate(list(rrr_sample_blocks(params, X, chains, sample_ss)))
     rngs = [np.random.default_rng(ss) for ss in anneal_ss.spawn(chains)]
-    states = _run_schedule(params, schedule.temperatures, starts, rngs)
+    states = _run_schedule(params, temperatures, starts, rngs)
     final = max(states, key=lambda s: s.score_trace[-1])
     best = max(states, key=lambda s: s.best_score)
     return replace(final, best_x=best.best_x, best_score=best.best_score)

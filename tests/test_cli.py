@@ -17,6 +17,7 @@ from relaxround import (
     MrfParams,
     RbmParams,
     dumps_instance,
+    gen_hard_rbm,
     load_instance,
     rbm_score,
 )
@@ -195,7 +196,7 @@ def test_map_budget_parity_default(tmp_path):
     assert combo["chains"] * combo["chain_sweeps"] == ag_cost
 
 
-def test_map_chain_sweeps_and_t_high(tmp_path):
+def test_map_chain_sweeps_and_t_high(tmp_path, capsys, recwarn):
     inst = gen_instance(tmp_path, seed=15)
     out = tmp_path / "map.json"
     assert run("map", "--instance", inst, "--methods", "rrr,rrr-ag", "--seed", 3,
@@ -209,9 +210,16 @@ def test_map_chain_sweeps_and_t_high(tmp_path):
     n, k, samples = doc["embedded_n"], doc["config"]["k"], doc["config"]["samples"]
     extra = combo["cost_sweep_equivalents"] - doc["methods"]["rrr"]["cost_sweep_equivalents"]
     assert extra == math.ceil(2 * k / n) + 2 * 3 - math.ceil(samples * k / n)
-    # a schedule must cool from t_high >= 1 down to 1
-    assert run("map", "--instance", inst, "--methods", "rrr-ag", "--seed", 3,
-               "--out", out, "--t-high", 0.5) == 1
+    # a chain must cool from a finite t_high >= 1 down to 1; each bad value
+    # ends in one error line that names t_high, with no numpy warning
+    capsys.readouterr()
+    for t_high in ("0.5", "inf", "nan"):
+        for method in ("ag", "rrr-ag"):
+            assert run("map", "--instance", inst, "--methods", method, "--seed", 3,
+                       "--out", out, "--t-high", t_high) == 1, (t_high, method)
+            err = capsys.readouterr().err
+            assert err.startswith("relaxround: error: t_high") and err.count("\n") == 1
+    assert not recwarn.list
 
 
 def test_malformed_instances_exit_2(tmp_path, capsys):
@@ -432,6 +440,29 @@ def test_exit_codes(tmp_path, capsys):
     for flag in (["--chains", 0], ["--sweeps", 0], ["--sweeps", -5]):
         assert run("map", "--instance", inst, "--methods", "rrr-ag", "--seed", 0,
                    "--out", out, *flag) == 1, flag
+    # usage: every count flag is checked whatever methods run, with one
+    # error line and no report
+    capsys.readouterr()
+    for command, method, flag in (("map", "ag", ["--k", 0]),
+                                  ("map", "ag", ["--samples", -5]),
+                                  ("map", "ag", ["--restarts", 0]),
+                                  ("logz", "exact", ["--num-temps", 1])):
+        assert run(command, "--instance", inst, "--methods", method, "--seed", 0,
+                   "--out", out, *flag) == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"relaxround: error: {flag[0]} must be >=")
+        assert err.count("\n") == 1
+    assert not out.exists()
+    # usage: the planted flags belong to --kind hard; left out, they take
+    # gen_hard_rbm's defaults
+    for flag in (["--pairs", 2], ["--couple", 50], ["--bias", 5]):
+        assert run("gen", "--kind", "random", "--m", 7, "--p", 4, "--seed", 5,
+                   "--out", out, *flag) == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"relaxround: error: {flag[0]}") and err.count("\n") == 1
+    assert not out.exists()
+    hard = gen_instance(tmp_path, "hard.json", kind="hard", m=7, p=4, seed=5)
+    assert hard.read_text() == dumps_instance(gen_hard_rbm(7, 4, 3, 5000.0, 500.0, 5))
     # input format: missing file, malformed json
     assert run("map", "--instance", tmp_path / "absent.json", "--methods",
                "rrr", "--seed", 0, "--out", out) == 2
@@ -532,7 +563,7 @@ def test_csv_formats(tmp_path):
 def test_public_surface():
     # every export is a deliberate edit of this list
     assert sorted(relaxround.__all__) == [
-        "AnnealSchedule", "BRUTE_FORCE_CAP", "Budget", "CapExceededError",
+        "BRUTE_FORCE_CAP", "Budget", "CapExceededError",
         "ChainState", "Domain", "Embedding", "EstimateReport",
         "InstanceFormatError", "LrpOptions", "MrfParams", "RbmParams",
         "RelaxedSolution", "RoundingDistributionK2", "SampleBatch",
@@ -548,7 +579,7 @@ def test_public_surface():
         assert hasattr(relaxround, name), name
     gone = ("rrr_is_exact", "round_once", "dump_instance",
             "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP", "lrp_objective",
-            "_px_query_batch")
+            "_px_query_batch", "AnnealSchedule")
     for module in (relaxround, cli, gibbs, instances, models, partition,
                    relaxation, rounding):
         for name in gone:

@@ -1,4 +1,4 @@
-"""Single-site and block Gibbs, annealing schedules, and the warm start."""
+"""Single-site and block Gibbs, linear annealing, and the warm start."""
 
 import math
 import sys
@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 from relaxround import (
-    AnnealSchedule,
     Domain,
     LrpOptions,
     MrfParams,
@@ -30,6 +29,7 @@ from relaxround import (
 from relaxround import gibbs as gibbs_module
 from relaxround.gibbs import (
     _field_error,
+    _linear_temperatures,
     _run_schedule,
     _scan_spans,
     _site_probability,
@@ -184,7 +184,7 @@ def test_sweep_trace_scores_consistent():
     rng = np.random.default_rng(4)
     m = MrfParams(rng.normal(size=(6, 6)))
     x0 = np.ones(6, dtype=np.int8)
-    state = annealed_gibbs(m, AnnealSchedule(np.ones(10)), x0, seed=4)
+    state = annealed_gibbs(m, 1.0, 10, x0, seed=4)
     assert len(state.score_trace) == 10
     assert abs(state.score_trace[-1] - score(m, state.x)) <= 1e-9
 
@@ -241,9 +241,8 @@ def test_sweep_matches_reference_kernel(case):
         # fields large enough that exp(-4 * field) overflows at T = 1
         fields = A @ x0 - np.diag(A) * x0
         assert np.abs(4.0 * fields).max() > math.log(sys.float_info.max)
-    sched = AnnealSchedule.linear(10.0, 2000)
-    state = annealed_gibbs(emb, sched, x0, seed=31)
-    x_ref, trace_ref = reference_chain(A, sched.temperatures, x0,
+    state = annealed_gibbs(emb, 10.0, 2000, x0, seed=31)
+    x_ref, trace_ref = reference_chain(A, _linear_temperatures(10.0, 2000), x0,
                                        np.random.default_rng(31))
     assert np.array_equal(state.x, x_ref)
     assert list(state.score_trace) == trace_ref
@@ -257,18 +256,18 @@ def test_lockstep_chains_match_reference_replays(case):
     # per-site kernel's chain from its own start and generator
     emb = embed(_CHAIN_CASES[case][0]()).mrf
     sol = solve_lrp(emb, LrpOptions(k=2, restarts=2, seed=34))
-    sched = AnnealSchedule.linear(10.0, 500)
+    temperatures = _linear_temperatures(10.0, 500)
     chains, seed = 3, 35
     # rrr_ag's seed derivation
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
     starts = _sample_batch(emb, sol.X, chains,
                            np.random.default_rng(sample_ss)).samples
     chain_seeds = anneal_ss.spawn(chains)
-    states = _run_schedule(emb, sched.temperatures, starts,
+    states = _run_schedule(emb, temperatures, starts,
                            [np.random.default_rng(ss) for ss in chain_seeds])
     replays = []
     for x0, chain_ss in zip(starts, chain_seeds):
-        x_ref, trace_ref = reference_chain(emb.A, sched.temperatures, x0,
+        x_ref, trace_ref = reference_chain(emb.A, temperatures, x0,
                                            np.random.default_rng(chain_ss))
         replays.append((x_ref, trace_ref))
     for state, (x_ref, trace_ref) in zip(states, replays):
@@ -277,7 +276,7 @@ def test_lockstep_chains_match_reference_replays(case):
 
     # rrr_ag returns the replay whose final score is best
     winner = max(range(chains), key=lambda c: replays[c][1][-1])
-    got = rrr_ag(emb, sol.X, sched, chains=chains, seed=seed)
+    got = rrr_ag(emb, sol.X, 10.0, 500, chains=chains, seed=seed)
     assert np.array_equal(got.x, replays[winner][0])
     assert list(got.score_trace) == replays[winner][1]
 
@@ -465,33 +464,24 @@ def test_block_chain_marginals_match_enumeration():
 
 
 def test_linear_schedule_endpoints():
-    sched = AnnealSchedule.linear(10.0, 3)
-    assert_allclose(sched.temperatures, [10.0, 5.5, 1.0])
-    assert len(sched) == 3
+    assert_allclose(_linear_temperatures(10.0, 3), [10.0, 5.5, 1.0])
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        AnnealSchedule(np.array([1.0, 2.0]))  # increasing
-    with pytest.raises(ValueError):
-        AnnealSchedule(np.array([2.0, 1.5]))  # does not end at 1.0
-    with pytest.raises(ValueError):
-        AnnealSchedule(np.array([2.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        AnnealSchedule.linear(0.5, 3)
-    with pytest.raises(ValueError):
-        AnnealSchedule.linear(10.0, 0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(np.array([]))  # every schedule has a sweep
-    assert_allclose(AnnealSchedule.linear(10.0, 1).temperatures, [1.0])
+    # every chain cools from a finite t_high >= 1 down to 1 in >= 1 sweeps
+    for t_high in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_high"):
+            _linear_temperatures(t_high, 3)
+    with pytest.raises(ValueError, match="sweeps"):
+        _linear_temperatures(10.0, 0)
+    assert_allclose(_linear_temperatures(10.0, 1), [1.0])
 
 
 def test_constant_schedule_equals_plain_gibbs():
     rng = np.random.default_rng(16)
     m = MrfParams(rng.normal(size=(5, 5)))
-    sched = AnnealSchedule(np.ones(12))
     x0 = np.ones(5, dtype=np.int8)
-    annealed = annealed_gibbs(m, sched, x0, seed=17)
+    annealed = annealed_gibbs(m, 1.0, 12, x0, seed=17)
 
     x, trace = reference_chain(m.A, np.ones(12), x0, np.random.default_rng(17))
     assert np.array_equal(annealed.x, x)
@@ -514,9 +504,8 @@ def test_annealing_traps_planted_pairs():
         trapped[1 + 6 + j] = -1
 
     finals = []
-    sched = AnnealSchedule.linear(10.0, 200)
     for seed in range(20):
-        state = annealed_gibbs(emb, sched, trapped, seed=100 + seed)
+        state = annealed_gibbs(emb, 10.0, 200, trapped, seed=100 + seed)
         finals.append(state.score_trace[-1])
     assert np.median(finals) < best
 
@@ -528,7 +517,7 @@ def test_rrr_ag_chain_starts_at_drawn_sample():
     rng = np.random.default_rng(19)
     m = MrfParams(rng.normal(size=(6, 6)))
     sol = solve_lrp(m, LrpOptions(k=2, restarts=3, seed=20))
-    state = rrr_ag(m, sol.X, AnnealSchedule.linear(10.0, 1), chains=1, seed=21)
+    state = rrr_ag(m, sol.X, 10.0, 1, chains=1, seed=21)
 
     # the chain starts at the drawn rounding sample and takes one reference
     # sweep from it; its best state counts that start
@@ -545,13 +534,12 @@ def test_rrr_ag_rejects_bits_and_infeasible_rows():
     # the rounding sampler checks the domain and X for rrr_ag; one rule,
     # shared with RelaxedSolution, rejects a long row and a NaN row alike
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sched = AnnealSchedule.linear(2.0, 3)
     with pytest.raises(ValueError, match="rounding produces"):
-        rrr_ag(MrfParams(np.eye(2), Domain.ZERO_ONE), X, sched, chains=2, seed=0)
+        rrr_ag(MrfParams(np.eye(2), Domain.ZERO_ONE), X, 2.0, 3, chains=2, seed=0)
     m = MrfParams(np.eye(2))
     for bad in (2.0 * X, np.array([[1.0, 0.0], [np.nan, 0.0]])):
         with pytest.raises(ValueError, match="infeasible"):
-            rrr_ag(m, bad, sched, chains=2, seed=0)
+            rrr_ag(m, bad, 2.0, 3, chains=2, seed=0)
         with pytest.raises(ValueError, match="infeasible"):
             rrr_map_sample(m, bad, 10, seed=0)
         with pytest.raises(ValueError, match="infeasible"):
@@ -566,9 +554,8 @@ def test_rrr_ag_returns_best_chain():
     rng = np.random.default_rng(22)
     m = MrfParams(rng.normal(size=(8, 8)))
     sol = solve_lrp(m, LrpOptions(k=2, restarts=3, seed=23))
-    sched = AnnealSchedule.linear(5.0, 10)
     chains = 5
-    best = rrr_ag(m, sol.X, sched, chains=chains, seed=24)
+    best = rrr_ag(m, sol.X, 5.0, 10, chains=chains, seed=24)
 
     # replay the documented seed derivation to recover the best state every
     # chain visits, its start included
@@ -580,7 +567,7 @@ def test_rrr_ag_returns_best_chain():
         x = batch.samples[idx].copy()
         bests = [(score(m, x), x.copy())]
         rng_i = np.random.default_rng(chain_ss)
-        for t in sched.temperatures:
+        for t in _linear_temperatures(5.0, 10):
             reference_sweep(m.A, x, float(t), rng_i)
             bests.append((float(x @ m.A @ x), x.copy()))
         visited.append(max(bests, key=lambda pair: pair[0]))
@@ -600,12 +587,12 @@ def test_rrr_ag_beats_components_often():
         rrr_best = rrr_map_sample(emb, sol.X, 8, seed=trial).scores.max()
         ag = annealed_gibbs(
             emb,
-            AnnealSchedule.linear(10.0, 40),
+            10.0,
+            40,
             (2 * np.random.default_rng(trial).integers(0, 2, 11) - 1).astype(np.int8),
             seed=trial,
         )
-        combo = rrr_ag(emb, sol.X, AnnealSchedule.linear(10.0, 5), chains=8,
-                       seed=trial)
+        combo = rrr_ag(emb, sol.X, 10.0, 5, chains=8, seed=trial)
         if combo.score_trace[-1] >= max(rrr_best, ag.score_trace[-1]) - 1e-9:
             wins += 1
     assert wins >= 0.6 * trials
