@@ -59,9 +59,9 @@ _TAG_LOGZ_LRP = 51
 _TAG_LOGZ_LOW_SAMPLE = 52
 _TAG_LOGZ_IS = 62
 
-# the least value of each count flag, checked whatever methods run
+# the least value of each count flag and of --seed, checked whatever methods run
 _COUNT_MINIMUMS = {"k": 1, "samples": 1, "restarts": 1, "sweeps": 1, "chains": 1,
-                   "num_temps": 2, "num_runs": 1}
+                   "num_temps": 2, "num_runs": 1, "seed": 0}
 
 
 class UsageError(Exception):

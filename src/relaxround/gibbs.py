@@ -16,8 +16,7 @@ import numpy as np
 from .models import Domain, MrfParams, RbmParams, _scan_spans, check_assignment
 from .rounding import rrr_sample_blocks
 
-# machine epsilon, and the largest argument math.exp takes without overflow
-_EPS = sys.float_info.epsilon
+# the largest argument math.exp takes without overflow
 _EXP_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True, eq=False)
@@ -33,53 +32,17 @@ class ChainState:
     best_score: float
 
 
-def _site_probability(A: np.ndarray, x, i: int, temperature: float) -> float:
-    """P(x_i = +1 | rest) from the per-site field A[i] @ x - A[i, i] * x[i].
-
-    The x_i-dependent part of the score x'Ax is 2 x_i times that field, so
-    the conditional is the logistic 1 / (1 + exp(-z)) of z = 4 * field / T,
-    taken as 0.0 where exp(-z) would overflow.
-    """
-    z = 4.0 * float(A[i] @ x - A[i, i] * x[i]) / temperature
-    return 1.0 / (1.0 + math.exp(-z)) if -z <= _EXP_MAX else 0.0
-
-
-def _field_error(A: np.ndarray) -> float:
-    """Bound on how far the incremental field of `_sweep` can sit from the
-    per-site field `A[i] @ x - A[i, i] * x[i]`.
-
-    With x in {-1,+1}^n every product A_ij x_j is exact, so a field is off
-    only by its roundings, each at most u = eps/2 times its partial result.
-    The per-site field takes n roundings of partial results no larger than
-    the row's absolute sum R_i (a dot product of n terms in any summation
-    order, then one subtraction). The incremental one takes at most 2n - 1:
-    n for a matrix product of n terms and one subtraction, then one per
-    earlier site of the sweep, a flip update or its share of a run's update
-    product, whose partial results are at most 2 R_i. The two therefore
-    differ by at most about (n + n + 2n) u R_i = 2 n eps R_i; the bound is
-    4 (n + 1) eps times the largest R_i, about twice that. The row sums
-    are taken 64 rows at a time, so no n x n temporary is built.
-    """
-    n = A.shape[0]
-    sums = [np.abs(A[i : i + 64]).sum(axis=1).max() for i in range(0, n, 64)]
-    return 4.0 * (n + 1) * _EPS * float(max(sums, default=0.0))
-
-
 def _sweep(
-    A: np.ndarray,
-    spans: list,
-    X: np.ndarray,
-    U: np.ndarray,
-    temperature: float,
-    field_error: float,
+    A: np.ndarray, spans: list, X: np.ndarray, U: np.ndarray, temperature: float
 ) -> None:
     """One systematic scan over sites 0..n-1 of every chain (row) of X, in
     place, site i of chain c deciding with the uniform U[c, i].
 
-    Decides every site as `u < _site_probability(A, x, i, T)`, without
-    computing the per-site field `A[i] @ x - A[i, i] * x[i]`. The fields
-    are refreshed with one matrix product per sweep and kept current as the
-    scan moves along `spans` (see `_scan_spans`):
+    Site i takes +1 where u < 1 / (1 + exp(-4 * field / T)), the logistic
+    of its field A[i] @ x - A[i, i] * x[i] (0.0 where exp overflows). The
+    fields are not taken per site: one matrix product per sweep refreshes
+    them, and they are kept current as the scan moves along `spans` (see
+    `_scan_spans`):
     - a run of mutually uncoupled sites is decided at once, with a
       vectorized logistic, and its flips reach the fields of the later
       sites through one product;
@@ -87,31 +50,25 @@ def _sweep(
       of site i to s adding 2 s A[i] to the fields (A is exactly
       symmetric).
 
-    `field_error` (see `_field_error`) bounds the incremental field's
-    distance from the per-site one. The logistic is 1/T-Lipschitz in the
-    field, so the two probabilities differ by at most field_error / T plus
-    the rounding of the logistic itself (a few eps). Outside that guard
-    width the comparison with u cannot come out differently; inside it the
-    site is decided with `_site_probability`, so every decision, and each
-    chain, is bit for bit that of the per-site kernel.
+    With x in {-1,+1}^n every product A_ij x_j is exact, so a field kept
+    this way differs from the dot product A[i] @ x - A[i, i] * x[i] only
+    by rounding, a few ulps of the row's absolute sum. A decision can
+    therefore differ from a per-site kernel's only where u lies within that
+    rounding of the probability. The per-site field is itself rounded in
+    one summation order, so neither kernel is the more exact.
     """
     n = X.shape[1]
     # half of each field, diagonal excluded, so a flip to s adds s * A[i]
     # with no scaling; a site's own entry goes stale once visited, which no
     # later site reads
     H = 0.5 * (X @ A - A.diagonal() * X)
-    guard = field_error / temperature + 8.0 * _EPS
     exp, exp_max = math.exp, _EXP_MAX  # local names: read at every site below
     for start, stop, blocked in spans:
         if blocked:
-            old, u = X[:, start:stop], U[:, start:stop]
-            with np.errstate(over="ignore"):
+            old = X[:, start:stop]
+            with np.errstate(over="ignore"):  # exp(-z) = inf: probability 0
                 prob = 1.0 / (1.0 + np.exp(-(8.0 * H[:, start:stop] / temperature)))
-            # decided before the run is written: the per-site field reads
-            # the site's own old value
-            for c, j in zip(*np.nonzero(np.abs(u - prob) <= guard)):
-                prob[c, j] = _site_probability(A, X[c], start + j, temperature)
-            new = 2 * (u < prob).view(np.int8) - 1
+            new = 2 * (U[:, start:stop] < prob).view(np.int8) - 1
             if stop < n:
                 H[:, stop:] += 0.5 * ((new - old) @ A[start:stop, stop:])
             old[...] = new
@@ -120,12 +77,8 @@ def _sweep(
             field_of = half.item
             xs = x[:stop].tolist()  # indexed by site, read before any flip
             for i, u in enumerate(u_row[start:stop].tolist(), start):
-                # `_site_probability`'s logistic, inlined: a call per site
-                # costs about 8% of a sweep
                 z = 8.0 * field_of(i) / temperature
                 prob = 1.0 / (1.0 + exp(-z)) if -z <= exp_max else 0.0
-                if abs(u - prob) <= guard:
-                    prob = _site_probability(A, x, i, temperature)
                 s = 1 if u < prob else -1
                 if s != xs[i]:
                     x[i] = s
@@ -194,13 +147,12 @@ def _run_schedule(
     best_score = [float(x @ A @ x) for x in X]
     traces = [[] for _ in rngs]
     spans = _scan_spans(A)
-    field_error = _field_error(A)
     U = np.empty(X.shape)
     for temperature in temperatures:
         # one rng.random(n) per chain, the same stream as n scalar draws
         for rng, u in zip(rngs, U):
             rng.random(out=u)
-        _sweep(A, spans, X, U, float(temperature), field_error)
+        _sweep(A, spans, X, U, float(temperature))
         for c, x in enumerate(X):
             value = float(x @ A @ x)
             traces[c].append(value)

@@ -165,26 +165,18 @@ def _distinct_keys(rows, n: int) -> tuple[np.ndarray, int]:
     if isinstance(rows, np.ndarray):
         rows = (rows,)
     key = np.dtype((np.void, (n + 7) // 8))
-    keys = np.empty(0, dtype=key)
-    pending: list[np.ndarray] = []
-    pending_size = 0
+    distinct = set()
     count = 0
     for block in rows:
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != n:
             raise ValueError(f"rows have shape {block.shape}, expected (?, {n})")
         count += block.shape[0]
-        pending.append(np.unique(np.packbits(block > 0, axis=1).view(key).ravel()))
-        pending_size += pending[-1].size
-        # merge only once the pending keys outnumber the merged ones, so the
-        # merged keys are re-sorted a logarithmic number of times, not once
-        # per block
-        if pending_size > keys.size:
-            keys = np.unique(np.concatenate([keys, *pending]))
-            pending, pending_size = [], 0
+        distinct.update(np.packbits(block > 0, axis=1).view(key).ravel().tolist())
     if count < 1:
         raise ValueError("rows must be nonempty")
-    return np.unique(np.concatenate([keys, *pending])), count
+    # bytes sort as the keys' memory does, as np.unique sorts them
+    return np.frombuffer(b"".join(sorted(distinct)), dtype=key), count
 
 
 def _unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -203,17 +195,17 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     twice and the bound would be lost.
 
     `rows` is one array of {-1,+1} assignments stacked as rows, or an
-    iterable of such blocks (as from `rrr_sample_blocks`). Each block is
-    reduced to the distinct keys of np.packbits(rows > 0, axis=1), one
-    byte string per row, and the keys are merged across blocks. Packed
+    iterable of such blocks (as from `rrr_sample_blocks`). Each row becomes
+    the key np.packbits(row > 0), one byte string, and one set keeps the
+    distinct keys across blocks; they are sorted once at the end. Packed
     bytes sort like the int8 rows (-1 < +1, variable 0 most significant),
     so the distinct rows are those of np.unique(rows, axis=0), in its
     order. The distinct keys are unpacked and scored SAMPLE_BLOCK_ROWS at a
     time; at width k=2 (at most 2n patterns) that is one block while
-    2n <= SAMPLE_BLOCK_ROWS, i.e. n <= 1024. Memory is
-    one block plus a few copies of the distinct keys (n/8 bytes each), and
-    the merges cost O(count log count) key comparisons however many rows
-    are distinct; no samples x n matrix is built.
+    2n <= SAMPLE_BLOCK_ROWS, i.e. n <= 1024. Memory is one block plus the
+    set and one sorted copy of the distinct keys (n/8 bytes each), and the
+    work is one hash per row and O(distinct log distinct) key comparisons;
+    no samples x n matrix is built.
     """
     if params.domain is not Domain.PLUS_MINUS_ONE:
         raise ValueError("rrr_low takes {-1,+1} assignments")

@@ -10,9 +10,9 @@ over 2*pi and the support has at most 2n patterns.
 Directions are drawn and rounded in int8 blocks of at most
 `SAMPLE_BLOCK_ROWS` rows. `rrr_sample_blocks` yields those blocks
 unscored, so a consumer that streams them holds one block, never a
-samples x n matrix; `rrr_map_sample` concatenates the same blocks and
-scores them as one `SampleBatch`. At width 2 a direction's pattern is
-fixed by the arc it falls in (`_arc_index`).
+samples x n matrix; `rrr_map_sample` scores the same blocks one at a time
+and concatenates them into one `SampleBatch`. At width 2 a direction's
+pattern is fixed by the arc it falls in (`_arc_index`).
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ def _sample_batch(
     params: MrfParams, X, count: int, rng: np.random.Generator
 ) -> SampleBatch:
     blocks = list(rrr_sample_blocks(params, X, count, rng))
-    # a single block (the map commands' default 1000 draws) is used as
-    # is: copying it raised their peak RSS by about 0.5 MB
+    # scored a block at a time, so no samples x n float64 array is built; a
+    # single block (the map commands' default 1000 draws) is used as is:
+    # copying it raised their peak RSS by about 0.5 MB
+    scores = np.concatenate([score_batch(params, block) for block in blocks])
     samples = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    scores = score_batch(params, samples)
     return SampleBatch(samples=samples, scores=scores)
 
 

@@ -23,9 +23,12 @@ def block_sweep(params, v, h, T, rng):
 
 
 def reference_sweep(A, x, temperature, rng):
-    """The per-site kernel the library's incremental-field sweep must match
-    bit for bit: at each site the field A[i] @ x - A[i, i] * x[i], its
-    logistic through scipy, and one scalar uniform."""
+    """The per-site kernel: at each site the field A[i] @ x - A[i, i] * x[i],
+    its logistic through scipy, and one scalar uniform. The library's sweep
+    keeps its fields incrementally, equal to these up to rounding, so a
+    decision can differ only where a uniform lies within that rounding of
+    its probability; the tests assert identical chains on their
+    instances."""
     for i in range(x.shape[0]):
         field = A[i] @ x - A[i, i] * x[i]
         prob = expit(4.0 * field / temperature)

@@ -453,6 +453,12 @@ def test_exit_codes(tmp_path, capsys):
         assert err.startswith(f"relaxround: error: {flag[0]} must be >=")
         assert err.count("\n") == 1
     assert not out.exists()
+    # usage: a negative seed, named by its flag
+    for args in (["map", "--instance", inst, "--methods", "ag", "--seed", -1],
+                 ["gen", "--kind", "random", "--m", 6, "--p", 5, "--seed", -3]):
+        assert run(*args, "--out", out) == 1, args
+        assert capsys.readouterr().err == "relaxround: error: --seed must be >= 0\n"
+    assert not out.exists()
     # usage: the planted flags belong to --kind hard; left out, they take
     # gen_hard_rbm's defaults
     for flag in (["--pairs", 2], ["--couple", 50], ["--bias", 5]):
@@ -579,7 +585,8 @@ def test_public_surface():
         assert hasattr(relaxround, name), name
     gone = ("rrr_is_exact", "round_once", "dump_instance",
             "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP", "lrp_objective",
-            "_px_query_batch", "AnnealSchedule")
+            "_px_query_batch", "AnnealSchedule", "_site_probability",
+            "_field_error")
     for module in (relaxround, cli, gibbs, instances, models, partition,
                    relaxation, rounding):
         for name in gone:

@@ -2,7 +2,7 @@
 
 import math
 import sys
-import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,11 +28,9 @@ from relaxround import (
 )
 from relaxround import gibbs as gibbs_module
 from relaxround.gibbs import (
-    _field_error,
     _linear_temperatures,
     _run_schedule,
     _scan_spans,
-    _site_probability,
     _sweep,
 )
 from relaxround.rounding import _sample_batch, rrr_sample_blocks
@@ -56,17 +54,55 @@ def _pm(values):
     return np.array(values, dtype=np.int8)
 
 
+def _span_blocked(A, i):
+    """Whether `_sweep` decides site i in a blocked run."""
+    return next(blocked for start, stop, blocked in _scan_spans(A) if start <= i < stop)
+
+
+def _both_span_kinds(A, x, i):
+    """(A, x) with site i scanned site by site, and the same model with an
+    uncoupled spare site at +1 inserted after site i, which puts site i in
+    a blocked run and leaves every field as it was."""
+    assert not _span_blocked(A, i)
+    spare = np.insert(np.insert(A, i + 1, 0.0, axis=0), i + 1, 0.0, axis=1)
+    assert _span_blocked(spare, i)
+    return [(A, _pm(x)), (spare, np.insert(_pm(x), i + 1, 1))]
+
+
+def _decisions(A, x, i, p, temperature=1.0):
+    """Site i after one library sweep from x with its uniform at
+    p (1 - 1e-9), then at p (1 + 1e-9). Every other site keeps its value:
+    its uniform is 0 at +1 and 1 at -1."""
+    got = []
+    for u in (p * (1 - 1e-9), p * (1 + 1e-9)):
+        X = _pm(x)[None, :]
+        U = np.where(X > 0, 0.0, 1.0)
+        U[0, i] = u
+        _sweep_rows(A, X, U, temperature)
+        assert np.array_equal(np.delete(X[0], i), np.delete(_pm(x), i))
+        got.append(int(X[0, i]))
+    return got
+
+
 def test_conditional_isolated_site():
-    A = np.zeros((3, 3))
-    A[0, 0] = 7.0  # diagonal does not influence the conditional
-    assert _site_probability(A, _pm([1, 1, -1]), 0, 1.0) == 0.5
+    # an uncoupled site turns +1 with probability 1/2; the diagonal does not
+    # influence the conditional
+    for A, x in _both_span_kinds(np.array([[7.0]]), [1], 0):
+        assert _decisions(A, x, 0, 0.5) == [1, -1]
 
 
 def test_conditional_saturates():
     A = np.zeros((2, 2))
     A[0, 1] = A[1, 0] = 10.0
-    got = _site_probability(A, _pm([-1, 1]), 0, 1.0)
-    assert abs(got - expit(40.0)) <= 1e-12
+    for A_, x in _both_span_kinds(A, [-1, 1], 0):
+        assert _decisions(A_, x, 0, expit(40.0)) == [1, -1]
+    # field -1e3: exp(-z) overflows and the site takes -1 even at u = 0,
+    # with no exception or warning
+    A[0, 1] = A[1, 0] = -1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A_, x in _both_span_kinds(A, [1, 1], 0):
+            assert _decisions(A_, x, 0, 0.0) == [-1, -1]
 
 
 def test_conditional_matches_two_point_ratio():
@@ -80,14 +116,17 @@ def test_conditional_matches_two_point_ratio():
         xp[i], xm[i] = 1, -1
         sp, sm = score(m, xp), score(m, xm)
         want = math.exp(sp - sm) / (math.exp(sp - sm) + 1.0)
-        assert abs(_site_probability(m.A, x, i, 1.0) - want) <= 1e-12
+        for A, x_ in _both_span_kinds(m.A, x, i):
+            assert _decisions(A, x_, i, want) == [1, -1]
 
 
 def test_conditional_temperature_flattens():
     A = np.zeros((2, 2))
     A[0, 1] = A[1, 0] = 3.0
-    hot = _site_probability(A, _pm([-1, 1]), 0, 1e6)
+    hot = expit(4.0 * 3.0 / 1e6)
     assert abs(hot - 0.5) <= 1e-5
+    for A_, x in _both_span_kinds(A, [-1, 1], 0):
+        assert _decisions(A_, x, 0, hot, temperature=1e6) == [1, -1]
 
 
 def test_single_site_marginals_match_enumeration():
@@ -110,8 +149,7 @@ def test_single_site_marginals_match_enumeration():
 def _sweep_rows(A, X, U, temperature=1.0):
     """One library sweep of the chains in the rows of X, in place, with the
     uniforms U."""
-    _sweep(A, _scan_spans(A), X, np.asarray(U, dtype=float), temperature,
-           _field_error(A))
+    _sweep(A, _scan_spans(A), X, np.asarray(U, dtype=float), temperature)
 
 
 def test_uncoupled_runs_of_rbm_embedding():
@@ -150,22 +188,6 @@ def test_uncoupled_runs_split_at_tiny_coupling():
     assert _scan_spans(A) == [(0, 1, False), (1, 4, True), (4, 8, True), (8, 13, True)]
     A[4, 2] = A[2, 4] = -0.0
     assert _scan_spans(A) == [(0, 1, False), (1, 8, True), (8, 13, True)]
-
-
-def test_field_error_takes_row_blocks():
-    # the n=501 RBM embedding: the bound equals the whole-matrix reduction,
-    # and no n x n temporary is built for it
-    A = embed(gen_random_rbm(300, 200, seed=4)).mrf.A
-    n = A.shape[0]
-    want = 4.0 * (n + 1) * sys.float_info.epsilon * np.abs(A).sum(axis=1).max()
-    tracemalloc.start()
-    try:
-        got = _field_error(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak < n * n * 8 / 4
 
 
 def test_sweep_zero_coupling_is_uniform():
@@ -294,44 +316,28 @@ class _FixedUniforms:
         return np.array(out)
 
 
-def _count_fallbacks(monkeypatch):
-    """Record the site of every call to the per-site fallback."""
-    calls = []
-    site_probability = gibbs_module._site_probability
-    monkeypatch.setattr(
-        gibbs_module, "_site_probability",
-        lambda *args: calls.append(int(args[2])) or site_probability(*args),
-    )
-    return calls
-
-
-@pytest.mark.parametrize("unary, fallbacks", [(0.0, 1), (1e3, 3)])
-def test_sweep_near_tie_decided_exactly(monkeypatch, unary, fallbacks):
+@pytest.mark.parametrize("unary", [0.0, 1e3])
+def test_sweep_near_tie_decided_exactly(unary):
     # zero coupling: every conditional is exactly 1/2, so a uniform at 1/2
     # gives -1, one 1e-12 below gives +1 and one 1e-12 above gives -1.
-    # Without unary weights only the exact tie falls inside the guard;
-    # unary weights leave the conditionals alone but widen the guard past
-    # 1e-12, so all three sites are decided by the per-site expression
+    # Unary weights (the diagonal) leave the conditionals alone
     m = MrfParams(unary * np.eye(3))
     uniforms = [0.5, 0.5 - 1e-12, 0.5 + 1e-12]
-    calls = _count_fallbacks(monkeypatch)
     x0 = np.array([1, -1, 1], dtype=np.int8)
     x = x0.copy()
     _sweep_rows(m.A, x[None, :], [uniforms])
     assert x.tolist() == [-1, 1, -1]
-    assert len(calls) == fallbacks
 
     x_ref = x0.copy()
     reference_sweep(m.A, x_ref, 1.0, _FixedUniforms(uniforms))
     assert np.array_equal(x, x_ref)
 
 
-def test_sweep_near_tie_inside_run_with_chains(monkeypatch):
+def test_sweep_near_tie_inside_run_with_chains():
     # runs [0, 2) and [2, 5): sites 0 and 1 couple to every site of the
     # second run, with weights +1 and -1. Uniforms of 0 set both to +1, so
     # each site of the second run sees a field of exactly 0 and a
-    # conditional of exactly 1/2; only the uniform at 1/2 falls inside the
-    # guard, at site 2 in chain 0 and at site 4 in chain 1
+    # conditional of exactly 1/2, and the uniform at 1/2 gives -1
     A = np.zeros((5, 5))
     A[0, 2:] = A[2:, 0] = 1.0
     A[1, 2:] = A[2:, 1] = -1.0
@@ -339,10 +345,8 @@ def test_sweep_near_tie_inside_run_with_chains(monkeypatch):
     X0 = np.array([[-1, -1, 1, 1, 1], [1, -1, -1, 1, -1]], dtype=np.int8)
     U = [[0.0, 0.0, 0.5, 0.5 - 1e-12, 0.5 + 1e-12],
          [0.0, 0.0, 0.5 - 1e-12, 0.5 + 1e-12, 0.5]]
-    calls = _count_fallbacks(monkeypatch)
     X = X0.copy()
     _sweep_rows(A, X, U)
-    assert calls == [2, 4]
     assert X.tolist() == [[1, 1, -1, 1, -1], [1, 1, 1, -1, -1]]
     for x0, x, u in zip(X0, X, U):
         x_ref = x0.copy()
@@ -424,19 +428,24 @@ def test_block_conditional_value():
 def test_block_conditional_matches_embedded_single_site():
     rng = np.random.default_rng(12)
     rbm = gen_random_rbm(4, 3, seed=13)
-    emb = embed(rbm).mrf
+    A = embed(rbm).mrf.A
+    # the embedding's sites: the auxiliary one, then visible 1..4, then
+    # hidden 5..7. In its own order every layer is a blocked run; with the
+    # layers interleaved, each site couples to the next and all are scanned
+    # site by site
+    order = [0, 1, 5, 2, 6, 3, 7, 4]
+    assert _scan_spans(A) == [(0, 1, False), (1, 5, True), (5, 8, True)]
+    assert _scan_spans(A[np.ix_(order, order)]) == [(0, 8, False)]
     for _ in range(20):
         v = rng.choice([-1, 1], size=4)
         h = rng.choice([-1, 1], size=3)
         x = _pm(np.concatenate([[1], v, h]))
-        for j in range(3):
-            want = float(expit(2.0 * (v @ rbm.W[:, j] + rbm.b[j])))
-            got = _site_probability(emb.A, x, 1 + 4 + j, 1.0)
-            assert abs(got - want) <= 1e-12
-        for i in range(4):
-            want = float(expit(2.0 * (rbm.W[i] @ h + rbm.a[i])))
-            got = _site_probability(emb.A, x, 1 + i, 1.0)
-            assert abs(got - want) <= 1e-12
+        want = np.concatenate([expit(2.0 * (rbm.W @ h + rbm.a)),
+                               expit(2.0 * (v @ rbm.W + rbm.b))])
+        for site, p in enumerate(want, 1):
+            assert _decisions(A, x, site, p) == [1, -1]
+            i = order.index(site)
+            assert _decisions(A[np.ix_(order, order)], x[order], i, p) == [1, -1]
 
 
 def test_block_chain_marginals_match_enumeration():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from relaxround import (
     LrpOptions,
     MrfParams,
     build_px_k2,
+    embed,
+    gen_random_rbm,
     enumerate_support_k2,
     px_query,
     rrr_map_sample,
@@ -387,6 +390,24 @@ def test_sample_blocks_are_the_batch_rows_in_order():
         want = np.where(G @ X.T >= 0.0, 1, -1)
         assert_array_equal(np.concatenate(blocks), want)
         assert_array_equal(rrr_map_sample(m, X, count, seed=41).samples, want)
+
+
+def test_map_sample_scores_block_by_block():
+    # 20000 draws at n=501: the samples are int8, and no samples x n float64
+    # array (80 MB) is built to score them
+    m = embed(gen_random_rbm(300, 200, seed=100)).mrf
+    X = np.random.default_rng(42).normal(size=(m.n, 2))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    rrr_map_sample(m, X, 10, seed=43)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        batch = rrr_map_sample(m, X, 20_000, seed=43)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000 * m.n * 8, peak
+    assert_allclose(batch.scores[-5:], [score(m, x) for x in batch.samples[-5:]],
+                    rtol=1e-12)
 
 
 def test_sample_blocks_check_arguments_on_call():
