@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import Domain, MrfParams, RbmParams, _scan_spans, check_assignment
+from .models import Domain, MrfParams, RbmParams, _scan_spans, check_assignment, score
 from .rounding import rrr_sample_blocks
 
 # the largest argument math.exp takes without overflow
@@ -24,7 +24,9 @@ class ChainState:
     """The end of a chain run: the final assignment, the score after each
     sweep, and the best state visited, the start state included, with its
     score (for `rrr_ag`, over all of its chains); the first visit wins
-    ties."""
+    ties. `_sweep`'s scores fill the trace and choose the best state, and
+    best_score is `models.score(best_x)`: batched products round by batch
+    size, and this way equal states tie bit for bit across methods."""
 
     x: np.ndarray
     score_trace: tuple
@@ -32,60 +34,81 @@ class ChainState:
     best_score: float
 
 
-def _sweep(
-    A: np.ndarray, spans: list, X: np.ndarray, U: np.ndarray, temperature: float
-) -> None:
+def _sweep_plan(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> tuple:
+    """What `_sweep` reads and writes, taken once per run for the float64
+    chain states X and uniforms U (a row per chain): X, L, trace(A), and per
+    span S of `_scan_spans(A)` the views of X, U and L on S, a field buffer,
+    the factors of lower_S and of upper_S, and, where S is scanned site by
+    site, B = A[S, S] with zero diagonal, its rows and x_S B (else None: a
+    lone site is decided as a blocked span)."""
+    L, spans = np.zeros(X.shape), []
+    for start, stop, blocked in _scan_spans(A):
+        S, site = slice(start, stop), None
+        if not blocked and stop - start > 1:
+            B = A[S, S].copy()
+            np.fill_diagonal(B, 0.0)
+            site = B, list(B), X[:, S] @ B
+        spans.append((X[:, S], U[:, S], L[:, S], np.empty(L[:, S].shape),
+                      (X[:, :start], A[:start, S]), (X[:, stop:], A[stop:, S]), site))
+    return X, L, float(A.trace()), spans
+
+
+def _sweep(plan: tuple, temperature: float | None) -> np.ndarray:
     """One systematic scan over sites 0..n-1 of every chain (row) of X, in
-    place, site i of chain c deciding with the uniform U[c, i].
+    place, site i of chain c deciding with the uniform U[c, i]; returns the
+    new states' scores. With temperature None it only scores X.
 
-    Site i takes +1 where u < 1 / (1 + exp(-4 * field / T)), the logistic
-    of its field A[i] @ x - A[i, i] * x[i] (0.0 where exp overflows). The
-    fields are not taken per site: one matrix product per sweep refreshes
-    them, and they are kept current as the scan moves along `spans` (see
-    `_scan_spans`):
-    - a run of mutually uncoupled sites is decided at once, with a
-      vectorized logistic, and its flips reach the fields of the later
-      sites through one product;
-    - a span of singleton runs goes site by site in Python floats, a flip
-      of site i to s adding 2 s A[i] to the fields (A is exactly
-      symmetric).
+    Site i takes +1 where u < 1 / (1 + exp(-4 * field / T)), its field being
+    sum_{j != i} A[i, j] x[j] (0.0 where exp overflows, which the caller
+    silences). The spans S of `plan` (see `_sweep_plan`) take their fields
+    in order from the off-diagonal blocks of A, as `relaxation._ascend`
+    does: lower_S = X[:, :start] @ A[:start, S] from this sweep's rows plus
+    upper_S = X[:, stop:] @ A[stop:, S] from the last sweep's. A blocked
+    span is decided at once by an in-place logistic. A span of singleton
+    runs goes site by site in Python floats from the half fields
+    (lower_S + upper_S + x_S B) / 2, a flip of site i to s adding s B[i];
+    x_S B is then taken anew, for the score and the next sweep.
 
-    With x in {-1,+1}^n every product A_ij x_j is exact, so a field kept
-    this way differs from the dot product A[i] @ x - A[i, i] * x[i] only
-    by rounding, a few ulps of the row's absolute sum. A decision can
-    therefore differ from a per-site kernel's only where u lies within that
-    rounding of the probability. The per-site field is itself rounded in
-    one summation order, so neither kernel is the more exact.
+    The score is sum_S <x_S, A[S, S] x_S + 2 lower_S> = trace(A) + 2 <x, L>
+    with L_S = lower_S + x_S B / 2, so it takes no product of its own. With
+    x in {-1,+1}^n every A_ij x_j is exact: a field differs from its exact
+    value only by rounding, and a score from x'Ax by at most
+    4 n eps sum_ij |A_ij| (eps the float64 machine epsilon). A decision can
+    differ from a per-site kernel's only where u lies that close to p.
     """
-    n = X.shape[1]
-    # half of each field, diagonal excluded, so a flip to s adds s * A[i]
-    # with no scaling; a site's own entry goes stale once visited, which no
-    # later site reads
-    H = 0.5 * (X @ A - A.diagonal() * X)
+    X, L, trace, spans = plan
     exp, exp_max = math.exp, _EXP_MAX  # local names: read at every site below
-    for start, stop, blocked in spans:
-        if blocked:
-            old = X[:, start:stop]
-            with np.errstate(over="ignore"):  # exp(-z) = inf: probability 0
-                prob = 1.0 / (1.0 + np.exp(-(8.0 * H[:, start:stop] / temperature)))
-            new = 2 * (U[:, start:stop] < prob).view(np.int8) - 1
-            if stop < n:
-                H[:, stop:] += 0.5 * ((new - old) @ A[start:stop, stop:])
-            old[...] = new
-            continue
-        for x, half, u_row in zip(X, H, U):
-            field_of = half.item
-            xs = x[:stop].tolist()  # indexed by site, read before any flip
-            for i, u in enumerate(u_row[start:stop].tolist(), start):
-                z = 8.0 * field_of(i) / temperature
-                prob = 1.0 / (1.0 + exp(-z)) if -z <= exp_max else 0.0
-                s = 1 if u < prob else -1
-                if s != xs[i]:
-                    x[i] = s
-                    if s > 0:
-                        half += A[i]
-                    else:
-                        half -= A[i]
+    for xs, us, ls, field, lower, upper, site in spans:
+        np.matmul(*lower, out=ls)
+        if temperature is not None:
+            np.matmul(*upper, out=field)
+            field += ls
+            if site is None:  # 1 / (1 + exp(-4 * field / T)), in place
+                field /= -0.25 * temperature  # -(4 * field / T), exactly
+                np.exp(field, out=field)  # inf where the probability is 0
+                field += 1.0
+                np.reciprocal(field, out=field)
+                xs[...] = np.where(us < field, 1.0, -1.0)
+                continue
+            B, rows, XB = site
+            half, eighth = 0.5 * (field + XB), -0.125 * temperature
+            for x, h, u_row in zip(xs, half, us):
+                field_of = h.item
+                old = x.tolist()  # indexed by site in S, read before any flip
+                for i, u in enumerate(u_row.tolist()):
+                    z = field_of(i) / eighth  # -(4 * field / T), exactly
+                    prob = 1.0 / (1.0 + exp(z)) if z <= exp_max else 0.0
+                    s = 1.0 if u < prob else -1.0
+                    if s != old[i]:
+                        x[i] = s
+                        if s > 0:
+                            h += rows[i]
+                        else:
+                            h -= rows[i]
+            np.matmul(xs, B, out=XB)
+        if site is not None:
+            ls += 0.5 * site[2]
+    return trace + 2.0 * np.einsum("ci,ci->c", X, L)
 
 
 def _resample_layer(layer, field, bias, scale, lo, u, rng) -> None:
@@ -131,36 +154,28 @@ def _tempered_block_sweep(
 
 
 def _run_schedule(
-    params: MrfParams,
-    temperatures: np.ndarray,
-    x0: np.ndarray,
-    rngs: list,
+    params: MrfParams, temperatures: np.ndarray, x0: np.ndarray, rngs: list
 ) -> list:
     """The chain loop: advances one chain per row of x0 in lockstep, one
     sweep per temperature, chain c drawing its sweep's uniforms from
-    rngs[c]. Returns one ChainState per chain, with the score after each
-    sweep and the best state visited (its start included, first visit wins
-    ties)."""
-    A = params.A
-    X = np.array(x0, dtype=np.int8)
-    best_x = X.copy()
-    best_score = [float(x @ A @ x) for x in X]
-    traces = [[] for _ in rngs]
-    spans = _scan_spans(A)
-    U = np.empty(X.shape)
-    for temperature in temperatures:
-        # one rng.random(n) per chain, the same stream as n scalar draws
-        for rng, u in zip(rngs, U):
-            rng.random(out=u)
-        _sweep(A, spans, X, U, float(temperature))
-        for c, x in enumerate(X):
-            value = float(x @ A @ x)
-            traces[c].append(value)
-            if value > best_score[c]:
-                best_x[c], best_score[c] = x, value
+    rngs[c]. Returns one ChainState per chain, with the score `_sweep`
+    returns after each sweep and the best state visited by those scores,
+    its start (scored by the same sum) included, first visit winning ties."""
+    X, U = np.array(x0, dtype=float), np.empty(np.shape(x0))
+    plan, traces = _sweep_plan(params.A, X, U), [[] for _ in rngs]
+    with np.errstate(over="ignore"):  # exp(-z) = inf: probability 0
+        best_score, best_x = _sweep(plan, None).tolist(), X.copy()
+        for temperature in temperatures:
+            # one rng.random(n) per chain, the same stream as n scalar draws
+            for rng, u in zip(rngs, U):
+                rng.random(out=u)
+            for c, value in enumerate(_sweep(plan, float(temperature)).tolist()):
+                traces[c].append(value)
+                if value > best_score[c]:
+                    best_x[c], best_score[c] = X[c], value
     return [
-        ChainState(x.copy(), tuple(trace), bx.copy(), bs)
-        for x, trace, bx, bs in zip(X, traces, best_x, best_score)
+        ChainState(x.astype(np.int8), tuple(t), b.astype(np.int8), score(params, b))
+        for x, t, b in zip(X, traces, best_x)
     ]
 
 

@@ -1,5 +1,6 @@
-"""Chain helpers for the tests: the per-site reference kernel, and a
-table-driven single-site chain for long stationarity runs.
+"""Chain helpers for the tests: the per-site reference kernel, exact
+scores, a table-driven single-site chain for long stationarity runs, and a
+coupling matrix that counts the entries its products read.
 
 For n small enough to enumerate, all 2^n conditional probabilities are
 precomputed and the chain walks integer state codes, which makes million-
@@ -7,11 +8,31 @@ sweep runs cheap. State codes follow the corner enumeration convention:
 variable 0 is the most significant bit, bit 1 means +1.
 """
 
+import math
+
 import numpy as np
 from scipy.special import expit
 
 from relaxround import Domain, MrfParams, iter_corner_blocks, score_batch
 from relaxround.gibbs import _tempered_block_sweep
+
+
+class CountingMatrix(np.ndarray):
+    """A coupling matrix that tallies, for each product of one of its blocks
+    with an array X (`block @ X`, `X @ block` or np.matmul), the entries of
+    the block times the vectors of X it multiplies (one for a vector)."""
+
+    read = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            left, right = inputs
+            block, other, k = (left, right, 1) if isinstance(left, CountingMatrix) \
+                else (right, left, 0)
+            if block.size:
+                CountingMatrix.read += block.size * (other.size // block.shape[k])
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 def block_sweep(params, v, h, T, rng):
@@ -25,7 +46,7 @@ def block_sweep(params, v, h, T, rng):
 def reference_sweep(A, x, temperature, rng):
     """The per-site kernel: at each site the field A[i] @ x - A[i, i] * x[i],
     its logistic through scipy, and one scalar uniform. The library's sweep
-    keeps its fields incrementally, equal to these up to rounding, so a
+    takes its fields from blocks of A, equal to these up to rounding, so a
     decision can differ only where a uniform lies within that rounding of
     its probability; the tests assert identical chains on their
     instances."""
@@ -35,14 +56,50 @@ def reference_sweep(A, x, temperature, rng):
         x[i] = 1 if rng.random() < prob else -1
 
 
+class ExactScore:
+    """x -> x'Ax correctly rounded, for x in {-1,+1}^n: the terms A_ii and
+    2 A_ij x_i x_j over the nonzero i < j, each exact, summed once by
+    math.fsum. States already seen are looked up."""
+
+    def __init__(self, A):
+        i, j = np.nonzero(np.triu(A, 1))
+        diagonal = np.arange(A.shape[0])
+        self.i, self.j = np.r_[diagonal, i], np.r_[diagonal, j]
+        self.terms = np.r_[np.diag(A), 2.0 * A[i, j]]
+        self.seen = {}
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=np.int8)
+        key = x.tobytes()
+        if key not in self.seen:
+            signs = x[self.i] * x[self.j]
+            self.seen[key] = math.fsum(memoryview(self.terms * signs))
+        return self.seen[key]
+
+
+def score_tolerance(A) -> float:
+    """The rounding bound that `gibbs._sweep` states for every score it
+    returns: 4 n eps sum_ij |A_ij| from the exact x'Ax."""
+    return 4 * A.shape[0] * np.finfo(float).eps * float(np.abs(A).sum())
+
+
+def assert_scores_match(A, got, exact):
+    """Library scores against exact ones, entry by entry, within the bound
+    of `score_tolerance`."""
+    assert len(got) == len(exact)
+    gap = np.abs(np.subtract(got, exact)).max(initial=0.0)
+    assert gap <= score_tolerance(A), gap
+
+
 def reference_chain(A, temperatures, x0, rng):
     """One reference sweep per temperature from x0; returns the final state
-    and the score x'Ax after each sweep."""
+    and the exact score x'Ax after each sweep."""
+    exact = ExactScore(A)
     x = np.asarray(x0, dtype=np.int8).copy()
     trace = []
     for temperature in temperatures:
         reference_sweep(A, x, float(temperature), rng)
-        trace.append(float(x @ A @ x))
+        trace.append(exact(x))
     return x, trace
 
 

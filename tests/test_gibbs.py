@@ -32,10 +32,14 @@ from relaxround.gibbs import (
     _run_schedule,
     _scan_spans,
     _sweep,
+    _sweep_plan,
 )
 from relaxround.rounding import _sample_batch, rrr_sample_blocks
 
 from chain_utils import (
+    CountingMatrix,
+    ExactScore,
+    assert_scores_match,
     block_sweep,
     conditional_table,
     exact_distribution,
@@ -43,6 +47,7 @@ from chain_utils import (
     reference_chain,
     reference_sweep,
     run_fast_chain,
+    score_tolerance,
     state_code,
 )
 
@@ -55,8 +60,10 @@ def _pm(values):
 
 
 def _span_blocked(A, i):
-    """Whether `_sweep` decides site i in a blocked run."""
-    return next(blocked for start, stop, blocked in _scan_spans(A) if start <= i < stop)
+    """Whether `_sweep` decides site i by the vectorized logistic: in an
+    uncoupled run, or alone in its span."""
+    return next(blocked or stop - start == 1
+                for start, stop, blocked in _scan_spans(A) if start <= i < stop)
 
 
 def _both_span_kinds(A, x, i):
@@ -86,8 +93,10 @@ def _decisions(A, x, i, p, temperature=1.0):
 
 def test_conditional_isolated_site():
     # an uncoupled site turns +1 with probability 1/2; the diagonal does not
-    # influence the conditional
-    for A, x in _both_span_kinds(np.array([[7.0]]), [1], 0):
+    # influence the conditional. Such a site is never scanned site by site:
+    # it is alone in its span or joins an uncoupled run
+    for A, x in [(np.array([[7.0]]), [1]), (np.diag([7.0, -3.0]), [1, -1])]:
+        assert _span_blocked(A, 0)
         assert _decisions(A, x, 0, 0.5) == [1, -1]
 
 
@@ -147,9 +156,14 @@ def test_single_site_marginals_match_enumeration():
 
 
 def _sweep_rows(A, X, U, temperature=1.0):
-    """One library sweep of the chains in the rows of X, in place, with the
-    uniforms U."""
-    _sweep(A, _scan_spans(A), X, np.asarray(U, dtype=float), temperature)
+    """One library sweep of the chains in the rows of the int8 X, in place,
+    with the uniforms U, as `_run_schedule` takes it (exp overflow silent);
+    returns the new states' scores."""
+    Xf = X.astype(float)
+    with np.errstate(over="ignore"):
+        scores = _sweep(_sweep_plan(A, Xf, np.asarray(U, dtype=float)), temperature)
+    X[...] = Xf
+    return scores
 
 
 def test_uncoupled_runs_of_rbm_embedding():
@@ -241,20 +255,31 @@ def _zero_one_rbm():
     return RbmParams(rbm.W, rbm.a, rbm.b, Domain.ZERO_ONE)
 
 
+def _mixed_mrf():
+    # singletons [0, 40), the uncoupled run [40, 80), singletons [80, 120):
+    # site-by-site spans with fields from both sides
+    A = np.random.default_rng(36).normal(size=(120, 120))
+    A[40:80, 40:80] = np.diag(np.diag(A)[40:80])
+    m = MrfParams(A)
+    assert _scan_spans(m.A) == [(0, 40, False), (40, 80, True), (80, 120, False)]
+    return m
+
+
 # (instance, whether exp(-4 * field) overflows at T = 1 from a random start)
 _CHAIN_CASES = {
     "hard-50-5": (lambda: gen_hard_rbm(100, 60, 3, 50.0, 5.0), False),
     "hard-default": (lambda: gen_hard_rbm(100, 60), True),
     "random-300-200": (lambda: gen_random_rbm(300, 200), False),
     "dense-161": (_dense_mrf, False),
+    "mixed-120": (_mixed_mrf, False),
     "zero-one-40-30": (_zero_one_rbm, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
 def test_sweep_matches_reference_kernel(case):
-    # the run-blocked kernel must reproduce the per-site kernel bit for
-    # bit: same states, same score after every sweep
+    # the span kernel must reproduce the per-site kernel's states bit for
+    # bit, and score each within its stated rounding of the exact x'Ax
     make, overflows = _CHAIN_CASES[case]
     emb = embed(make()).mrf
     A = emb.A
@@ -267,11 +292,11 @@ def test_sweep_matches_reference_kernel(case):
     x_ref, trace_ref = reference_chain(A, _linear_temperatures(10.0, 2000), x0,
                                        np.random.default_rng(31))
     assert np.array_equal(state.x, x_ref)
-    assert list(state.score_trace) == trace_ref
+    assert_scores_match(A, state.score_trace, trace_ref)
 
 
 @pytest.mark.parametrize(
-    "case", ["hard-50-5", "hard-default", "random-300-200", "dense-161"]
+    "case", ["hard-50-5", "hard-default", "random-300-200", "dense-161", "mixed-120"]
 )
 def test_lockstep_chains_match_reference_replays(case):
     # rrr_ag advances its chains as one array; each chain must still be the
@@ -294,13 +319,52 @@ def test_lockstep_chains_match_reference_replays(case):
         replays.append((x_ref, trace_ref))
     for state, (x_ref, trace_ref) in zip(states, replays):
         assert np.array_equal(state.x, x_ref)
-        assert list(state.score_trace) == trace_ref
+        assert_scores_match(emb.A, state.score_trace, trace_ref)
 
     # rrr_ag returns the replay whose final score is best
     winner = max(range(chains), key=lambda c: replays[c][1][-1])
     got = rrr_ag(emb, sol.X, 10.0, 500, chains=chains, seed=seed)
     assert np.array_equal(got.x, replays[winner][0])
-    assert list(got.score_trace) == replays[winner][1]
+    assert_scores_match(emb.A, got.score_trace, replays[winner][1])
+
+
+@pytest.mark.parametrize("case", ["random-300-200", "dense-161", "mixed-120"])
+def test_identical_chains_tie(case):
+    # chains that start alike and draw alike stay alike in every row of the
+    # batched products, so "the first chain wins ties" is decided by order
+    emb = embed(_CHAIN_CASES[case][0]()).mrf
+    x0 = (2 * np.random.default_rng(37).integers(0, 2, emb.n) - 1).astype(np.int8)
+    temperatures = _linear_temperatures(10.0, 200)
+    states = _run_schedule(emb, temperatures, [x0] * 3,
+                           [np.random.default_rng(38) for _ in range(3)])
+    for state in states[1:]:
+        assert np.array_equal(state.x, states[0].x)
+        assert state.score_trace == states[0].score_trace
+        assert state.best_score == states[0].best_score
+    # the same chain run alone: its one-row products may round otherwise,
+    # but its states are the same, and its best score, x'Ax of the best
+    # state, is the same bits
+    alone = _run_schedule(emb, temperatures, [x0], [np.random.default_rng(38)])[0]
+    assert np.array_equal(alone.x, states[0].x)
+    assert np.array_equal(alone.best_x, states[0].best_x)
+    assert alone.best_score == states[0].best_score == score(emb, alone.best_x)
+    assert_scores_match(emb.A, alone.score_trace, states[0].score_trace)
+
+
+def test_sweep_reads_only_the_off_diagonal_blocks():
+    # a sweep of an RBM embedding reads A[S, :start] and A[S, stop:] per
+    # span S, never the zero visible-visible and hidden-hidden blocks, and
+    # scores from those products
+    m, p = 30, 20
+    emb = embed(gen_random_rbm(m, p, seed=39)).mrf
+    object.__setattr__(emb, "A", emb.A.view(CountingMatrix))
+    x0 = np.ones((1, emb.n), dtype=np.int8)
+    reads = []
+    for sweeps in (1, 2):
+        CountingMatrix.read = 0
+        _run_schedule(emb, np.ones(sweeps), x0, [np.random.default_rng(40)])
+        reads.append(CountingMatrix.read)
+    assert 0 < reads[1] - reads[0] <= 2 * m * p + 2 * emb.n
 
 
 class _FixedUniforms:
@@ -494,7 +558,7 @@ def test_constant_schedule_equals_plain_gibbs():
 
     x, trace = reference_chain(m.A, np.ones(12), x0, np.random.default_rng(17))
     assert np.array_equal(annealed.x, x)
-    assert list(annealed.score_trace) == trace
+    assert_scores_match(m.A, annealed.score_trace, trace)
 
 
 def test_annealing_traps_planted_pairs():
@@ -535,8 +599,9 @@ def test_rrr_ag_chain_starts_at_drawn_sample():
     rng_chain = np.random.default_rng(anneal_ss.spawn(1)[0])
     x, trace = reference_chain(m.A, [1.0], batch.samples[0], rng_chain)
     assert np.array_equal(state.x, x)
-    assert list(state.score_trace) == trace
-    assert state.best_score == max(score(m, batch.samples[0]), trace[0])
+    assert_scores_match(m.A, state.score_trace, trace)
+    best = max(ExactScore(m.A)(batch.samples[0]), trace[0])
+    assert abs(state.best_score - best) <= score_tolerance(m.A)
 
 
 def test_rrr_ag_rejects_bits_and_infeasible_rows():
@@ -571,18 +636,19 @@ def test_rrr_ag_returns_best_chain():
     root = np.random.SeedSequence(24)
     sample_ss, anneal_ss = root.spawn(2)
     batch = _sample_batch(m, sol.X, chains, np.random.default_rng(sample_ss))
-    visited = []
+    exact, visited = ExactScore(m.A), []
     for idx, chain_ss in enumerate(anneal_ss.spawn(chains)):
         x = batch.samples[idx].copy()
-        bests = [(score(m, x), x.copy())]
+        bests = [(exact(x), x.copy())]
         rng_i = np.random.default_rng(chain_ss)
         for t in _linear_temperatures(5.0, 10):
             reference_sweep(m.A, x, float(t), rng_i)
-            bests.append((float(x @ m.A @ x), x.copy()))
+            bests.append((exact(x), x.copy()))
         visited.append(max(bests, key=lambda pair: pair[0]))
     winner = max(range(chains), key=lambda i: visited[i][0])
-    assert best.best_score == visited[winner][0]
+    assert abs(best.best_score - visited[winner][0]) <= score_tolerance(m.A)
     assert np.array_equal(best.best_x, visited[winner][1])
+    assert best.best_score == score(m, best.best_x)
 
 
 def test_rrr_ag_beats_components_often():

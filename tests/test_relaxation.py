@@ -20,6 +20,8 @@ from relaxround import relaxation
 from relaxround.models import Domain, _scan_spans
 from relaxround.relaxation import estimate_lipschitz, project_rows
 
+from chain_utils import CountingMatrix
+
 
 def lrp_objective(A, X):
     """The relaxed objective tr(X' A X), the oracle the solver's own sums
@@ -105,17 +107,6 @@ def _mixed(seed):
     m = MrfParams(A)
     assert _scan_spans(m.A) == [(0, 4, False), (4, 8, True), (8, 12, False)]
     return m
-
-
-class _CountingMatrix(np.ndarray):
-    """A coupling matrix that tallies, for each product `block @ X`, the
-    entries of the block times the columns of X (one for a vector)."""
-
-    read = 0
-
-    def __matmul__(self, other):
-        _CountingMatrix.read += self.size * (other.shape[1] if other.ndim > 1 else 1)
-        return np.asarray(self) @ other
 
 
 def test_objective_identity_case():
@@ -388,10 +379,10 @@ def test_matvecs_counts_every_product(monkeypatch):
     # iterations' included: a b x c block of A times w columns is
     # b*c*w / n^2 products, rounded up once
     def counted_solve(m, opts):
-        object.__setattr__(m, "A", m.A.view(_CountingMatrix))
-        _CountingMatrix.read = 0
+        object.__setattr__(m, "A", m.A.view(CountingMatrix))
+        CountingMatrix.read = 0
         sol = solve_lrp(m, opts)
-        return sol, _CountingMatrix.read
+        return sol, CountingMatrix.read
 
     rng = np.random.default_rng(14)
     m = MrfParams(rng.normal(size=(12, 12)))
