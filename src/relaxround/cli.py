@@ -32,10 +32,11 @@ from .models import (
     brute_force_map,
     embed,
     gen_hard_rbm,
+    score_batch,
 )
 from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_low
 from .relaxation import LrpOptions, solve_lrp
-from .rounding import rrr_map_sample, rrr_sample_blocks
+from .rounding import rrr_sample_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,14 +118,21 @@ def _run_map(args) -> int:
     entries = {}
     for method in methods:
         if method == "rrr":
-            batch = rrr_map_sample(
+            # streamed a block at a time: only the scores and the first best
+            # row outlive their block
+            blocks = rrr_sample_blocks(
                 mrf, sol.X, args.samples, _derive_seed(seed, _TAG_MAP_SAMPLE)
             )
-            best_i = int(np.argmax(batch.scores))
-            running = np.maximum.accumulate(batch.scores) + prob.offset
+            scores, best = [], None
+            for rows in blocks:
+                scores.append(score_batch(mrf, rows))
+                i = int(np.argmax(scores[-1]))
+                if best is None or scores[-1][i] > best[0]:
+                    best = scores[-1][i], rows[i].copy()
+            running = np.maximum.accumulate(np.concatenate(scores)) + prob.offset
             entries[method] = {
-                "best_score": float(batch.scores[best_i]) + prob.offset,
-                "best_assignment": prob.to_native(batch.samples[best_i]),
+                "best_score": float(best[0]) + prob.offset,
+                "best_assignment": prob.to_native(best[1]),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,
                 "cost_sweep_equivalents": sol.matvecs

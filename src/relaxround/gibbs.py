@@ -38,18 +38,21 @@ def _sweep_plan(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> tuple:
     """What `_sweep` reads and writes, taken once per run for the float64
     chain states X and uniforms U (a row per chain): X, L, trace(A), and per
     span S of `_scan_spans(A)` the views of X, U and L on S, a field buffer,
-    the factors of lower_S and of upper_S, and, where S is scanned site by
-    site, B = A[S, S] with zero diagonal, its rows and x_S B (else None: a
-    lone site is decided as a blocked span)."""
-    L, spans = np.zeros(X.shape), []
+    the factors of lower_S and of upper_S (None where the block is empty:
+    the first span's lower, the last span's upper), and, where S is scanned
+    site by site, B = A[S, S] with zero diagonal, its rows and x_S B (else
+    None: a lone site is decided as a blocked span)."""
+    n, L, spans = A.shape[0], np.zeros(X.shape), []
     for start, stop, blocked in _scan_spans(A):
         S, site = slice(start, stop), None
         if not blocked and stop - start > 1:
             B = A[S, S].copy()
             np.fill_diagonal(B, 0.0)
             site = B, list(B), X[:, S] @ B
+        lower = (X[:, :start], A[:start, S]) if start else None
+        upper = (X[:, stop:], A[stop:, S]) if stop < n else None
         spans.append((X[:, S], U[:, S], L[:, S], np.empty(L[:, S].shape),
-                      (X[:, :start], A[:start, S]), (X[:, stop:], A[stop:, S]), site))
+                      lower, upper, site))
     return X, L, float(A.trace()), spans
 
 
@@ -79,16 +82,25 @@ def _sweep(plan: tuple, temperature: float | None) -> np.ndarray:
     X, L, trace, spans = plan
     exp, exp_max = math.exp, _EXP_MAX  # local names: read at every site below
     for xs, us, ls, field, lower, upper, site in spans:
-        np.matmul(*lower, out=ls)
+        if lower is not None:
+            np.matmul(*lower, out=ls)
+        elif site is not None:  # L_S still holds the last sweep's x_S B / 2
+            ls[...] = 0.0
         if temperature is not None:
-            np.matmul(*upper, out=field)
-            field += ls
+            if upper is None:
+                field[...] = 0.0
+            else:
+                np.matmul(*upper, out=field)
+            if lower is not None:
+                field += ls
             if site is None:  # 1 / (1 + exp(-4 * field / T)), in place
                 field /= -0.25 * temperature  # -(4 * field / T), exactly
                 np.exp(field, out=field)  # inf where the probability is 0
                 field += 1.0
                 np.reciprocal(field, out=field)
-                xs[...] = np.where(us < field, 1.0, -1.0)
+                np.less(us, field, out=xs)  # 1.0 or 0.0, then +1 or -1
+                xs *= 2.0
+                xs -= 1.0
                 continue
             B, rows, XB = site
             half, eighth = 0.5 * (field + XB), -0.125 * temperature

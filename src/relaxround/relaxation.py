@@ -123,16 +123,29 @@ def _times(B: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (B @ X.reshape(X.shape[0], -1)).reshape(B.shape[0], *X.shape[1:])
 
 
-def _row_maximizer(G, d: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _row_maximizer(G: np.ndarray, d: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Each row's maximizer over the unit ball of d_i |x|^2 + 2 g.x, for the
     rows g of G (the fields) along the last axis and d = A[i, i] of shape
     (b, 1, 1): g / max(|g|, -d_i), which is g/|g| if d_i >= 0 and -g/d_i
     clipped to the ball if d_i < 0. Where that is 0/0 (g = 0 and d_i >= 0)
-    the row of X is kept."""
-    G = np.broadcast_to(G, X.shape)
-    scale = np.maximum(np.linalg.norm(G, axis=-1, keepdims=True), -d)
-    kept = scale == 0.0
-    return np.where(kept, X, G / np.where(kept, 1.0, scale))
+    the row of X is kept. Written over G, which is returned.
+
+    |g| adds the squared columns in order, which is numpy's own summation
+    below 8 terms: for k <= 7 the rows are bit for bit those of
+    G / max(np.linalg.norm(G, axis=-1), -d), without its reduction over a
+    short axis. From k = 8 numpy sums pairwise, and |g| may differ by an ulp.
+    """
+    scale = G[..., :1] * G[..., :1]
+    for j in range(1, G.shape[-1]):
+        scale += G[..., j : j + 1] * G[..., j : j + 1]
+    np.sqrt(scale, out=scale)
+    np.maximum(scale, -d, out=scale)
+    if scale.all():
+        G /= scale
+    else:
+        kept = scale == 0.0
+        G[...] = np.where(kept, X, G / np.where(kept, 1.0, scale))
+    return G
 
 
 def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: float):
@@ -152,28 +165,45 @@ def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: f
     trace, and how many restarts were still running after max_iters sweeps.
     """
     n, d = X.shape[0], A.diagonal()[:, None, None]
-    P = np.empty_like(X)  # A[S, S] X[S] for every span S
+    P = np.empty_like(X)  # A[S, S] X[S] for every coupled span S
+    # per span: its slice, the blocks A[S, :start] and A[S, stop:] (None if
+    # empty), and d_S for an uncoupled span or A[S, S] for a coupled one
+    spans = [
+        (slice(start, stop), A[start:stop, :start] if start else None,
+         A[start:stop, stop:] if stop < n else None,
+         d[start:stop] if step is None else A[start:stop, start:stop], step)
+        for start, stop, step in plan
+    ]
 
     def sweep(X, update):
         # the objective of X, or with `update` the next sweep's rows and
         # theirs; those are C-ordered whatever X's layout once restarts
         # leave, as einsum's summation order, down to the last bit of a
         # dense objective, follows the layout
-        new, terms = np.empty(X.shape) if update else X, []
-        for start, stop, step in plan:
-            S = slice(start, stop)
-            lower = _times(A[S, :start], new[:start]) if start else 0.0
+        new = np.empty(X.shape) if update else X
+        terms = np.empty((len(spans), X.shape[1]))
+        for i, (S, before, after, own, step) in enumerate(spans):
+            lower = 0.0 if before is None else _times(before, new[: S.start])
             xs = X[S]
             if update:
-                G = lower + (_times(A[S, stop:], X[stop:]) if stop < n else 0.0)
-                if step is None:
-                    xs = _row_maximizer(G, d[S], xs)
+                upper = 0.0 if after is None else _times(after, X[S.stop :])
+                if step is None:  # the fields G go to new[S], then its rows
+                    xs = _row_maximizer(np.add(lower, upper, out=new[S]), own, xs)
                 else:
-                    xs = project_rows(xs + (2.0 * step) * (P[S] + G))
-                new[S] = xs
-            P[S] = Q = d[S] * xs if step is None else _times(A[S, S], xs)
-            terms.append(np.einsum("irk,irk->r", xs, Q + 2.0 * lower))
-        return new, np.sum(terms, axis=0).tolist()
+                    G = lower + upper
+                    new[S] = xs = project_rows(xs + (2.0 * step) * (P[S] + G))
+            if step is None:
+                Q = own * xs
+            else:
+                P[S] = Q = _times(own, xs)
+            if before is not None:  # Q + 2 lower, in place
+                lower *= 2.0
+                lower += Q
+                Q = lower
+            terms[i] = np.einsum("irk,irk->r", xs, Q)
+        # the rows add as np.sum adds a list of them: in order, pairwise
+        # from 8 spans once a single restart is left
+        return new, terms.sum(axis=0).tolist()
 
     X, f = sweep(X, False)
     traces = [[v] for v in f]

@@ -1,6 +1,7 @@
 """Chain helpers for the tests: the per-site reference kernel, exact
-scores, a table-driven single-site chain for long stationarity runs, and a
-coupling matrix that counts the entries its products read.
+scores, a table-driven single-site chain for long stationarity runs, a
+coupling matrix that counts the entries its products read, and the
+reference form of the relaxation's row update.
 
 For n small enough to enumerate, all 2^n conditional probabilities are
 precomputed and the chain walks integer state codes, which makes million-
@@ -33,6 +34,17 @@ class CountingMatrix(np.ndarray):
                 CountingMatrix.read += block.size * (other.size // block.shape[k])
         inputs = [np.asarray(x) for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def reference_row_maximizer(G, d, X):
+    """The relaxation's exact row update in its np.linalg.norm form: each
+    row g of G (fields along the last axis) goes to g / max(|g|, -d_i), and
+    a row of X is kept where that is 0/0. `relaxation._row_maximizer` must
+    match it bit for bit below width 8."""
+    G = np.broadcast_to(G, X.shape)
+    scale = np.maximum(np.linalg.norm(G, axis=-1, keepdims=True), -d)
+    kept = scale == 0.0
+    return np.where(kept, X, G / np.where(kept, 1.0, scale))
 
 
 def block_sweep(params, v, h, T, rng):

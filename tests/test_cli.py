@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,33 @@ def test_logz_reports_byte_identical(tmp_path):
                    "--samples", 2000, "--num-temps", 100,
                    "--num-runs", 20) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+@pytest.mark.parametrize("command,method", [
+    ("map", "rrr"), ("logz", "rrr-low"), ("logz", "rrr-is"),
+])
+def test_sampling_commands_peak_memory_flat_in_n(tmp_path, command, method):
+    # every method that reads --samples streams its draws: 16000 more draws
+    # at n = 501 may raise the traced peak by the report's per-draw entries
+    # (a float of `map`'s score trace and its JSON text), never by a row of
+    # n entries per draw. The other methods do not read --samples; AIS
+    # holds runs x (m + p) states whatever the sample count.
+    inst = gen_instance(tmp_path, m=16, p=484, seed=31)
+    out = tmp_path / "r.json"
+
+    def traced(samples):
+        argv = [command, "--instance", inst, "--methods", method, "--samples",
+                samples, "--restarts", 1, "--seed", 1, "--out", out]
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced(100)  # first-call allocations stay out of the comparison
+    low, high = traced(4000), traced(20_000)
+    assert high - low <= 16_000 * 200, (low, high)
 
 
 def test_csv_formats(tmp_path):

@@ -26,8 +26,9 @@ MAP_ALL = ["map", "--methods", "rrr,ag,rrr-ag,brute", "--seed", "1"]
 
 
 def _instances(tmp):
-    """Criterion 10's generated RBM, and the CI smoke step's {0,1} RBM,
-    {0,1} MRF and {-1,+1} MRF (one site-by-site span), written to tmp."""
+    """Criterion 10's generated RBM (also the CI smoke step's {-1,+1} RBM),
+    and the CI smoke step's {0,1} RBM, {0,1} MRF and {-1,+1} MRF (one
+    site-by-site span), written to tmp."""
     paths = {name: tmp / f"{name}.json" for name in ("c10", "rbm01", "mrf01", "mrfpm")}
     assert cli_main(["gen", "--kind", "random", "--m", "6", "--p", "5",
                      "--seed", "12", "--out", str(paths["c10"])]) == 0
@@ -49,6 +50,8 @@ def _reports(tmp):
     paths = _instances(tmp)
     commands = {
         "c10-map": ("c10", ["map", "--methods", "rrr,ag,rrr-ag,brute", "--seed", "77"]),
+        "c10-map-k3": ("c10", ["map", "--methods", "rrr,ag,rrr-ag", "--k", "3",
+                               "--seed", "1"]),
         "c10-logz": ("c10", ["logz", "--methods", "exact,ais,rrr-low,rrr-is",
                              "--samples", "2000", "--num-temps", "100",
                              "--num-runs", "20", "--seed", "77"]),

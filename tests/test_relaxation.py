@@ -20,7 +20,7 @@ from relaxround import relaxation
 from relaxround.models import Domain, _scan_spans
 from relaxround.relaxation import estimate_lipschitz, project_rows
 
-from chain_utils import CountingMatrix
+from chain_utils import CountingMatrix, reference_row_maximizer
 
 
 def lrp_objective(A, X):
@@ -309,6 +309,27 @@ def test_row_maximizer_matches_grid_oracle():
             assert best - 1e-12 <= value <= best + 1e-4, (k, di, gi)
             if not gi.any() and di >= 0:
                 assert np.array_equal(row, x)
+
+
+def test_row_maximizer_bit_equal_to_norm_form_below_width_8():
+    # the column sum of squares against np.linalg.norm's reduction, on
+    # fields of many scales, d < 0, d = 0 and d > 0, and g = 0 rows (kept
+    # where d >= 0, sent to 0 where d < 0)
+    rng = np.random.default_rng(22)
+    kept_rows = 0
+    for k in range(1, 8):
+        for b, R in ((300, 8), (7, 1), (1, 3)):
+            G = rng.standard_normal((b, R, k)) * np.exp(rng.uniform(-8, 8, (b, R, 1)))
+            G[rng.random((b, R)) < 0.2] = 0.0
+            d = rng.choice([-1e3, -2.0, -0.5, 0.0, 0.0, 0.7], size=(b, 1, 1))
+            X = project_rows(rng.standard_normal((b, R, k)))
+            want = reference_row_maximizer(G, d, X)
+            got = relaxation._row_maximizer(G.copy(), d, X)
+            assert got.tobytes() == want.tobytes(), (k, b, R)
+            kept = ~G.any(axis=-1) & (d[..., 0] >= 0)
+            assert np.array_equal(got[kept], X[kept])
+            kept_rows += int(kept.sum())
+    assert kept_rows > 0
 
 
 def test_batched_restarts_match_reference_loop():
