@@ -365,6 +365,8 @@ def main(argv=None) -> int:
         for name, least in _COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
+        if not 1.0 <= getattr(args, "t_high", 1.0) < math.inf:  # whatever methods run
+            raise UsageError(f"t_high must be finite and >= 1.0, got {args.t_high}")
         return args.func(args)
     except UsageError as exc:
         print(f"relaxround: error: {exc}", file=sys.stderr)

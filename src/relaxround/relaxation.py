@@ -118,11 +118,6 @@ def _init_rows_in_ball(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return g * (radii / norms)[:, None]
 
 
-def _times(B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """B @ X for a (b, c) block of A and a (c, R, k) stack of row matrices."""
-    return (B @ X.reshape(X.shape[0], -1)).reshape(B.shape[0], *X.shape[1:])
-
-
 def _row_maximizer(G: np.ndarray, d: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Each row's maximizer over the unit ball of d_i |x|^2 + 2 g.x, for the
     rows g of G (the fields) along the last axis and d = A[i, i] of shape
@@ -148,32 +143,43 @@ def _row_maximizer(G: np.ndarray, d: np.ndarray, X: np.ndarray) -> np.ndarray:
     return G
 
 
-def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: float):
+def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float):
     """Block-coordinate ascent on the restarts X[:, r] of an (n, R, k) stack.
 
-    `plan` holds (start, stop, step) per span S of `_scan_spans(A)`, step
-    None where S has no couplings among its own sites. A sweep updates the
-    spans in order from their fields G = A[S, :start] X[:start] +
-    A[S, stop:] X[stop:], earlier spans at this sweep's rows: an uncoupled
-    span takes `_row_maximizer`, a coupled one a projected step of `step`
-    along 2(P + G), P = A[S, S] X[S] kept from its last update. The
-    objective sums <X_S, P + 2 A[S, :start] X[:start]> over the spans, so a
-    dense A (one coupled span) costs one product per sweep. A restart stops
-    once its objective has changed by less than rel_tol (relative) over
-    _STALL_WINDOW sweeps. Returns (best_X, best_f, traces, capped): per
-    restart its best iterate (the first wins ties), that objective and its
-    trace, and how many restarts were still running after max_iters sweeps.
+    A sweep updates the spans S of `_scan_spans(A)` in order from their
+    fields G = A[S, :start] X[:start] + A[S, stop:] X[stop:], earlier spans
+    at this sweep's rows: a span with no couplings among its own sites
+    takes `_row_maximizer`, a coupled one a projected step of 1/L along
+    2(P + G), L from estimate_lipschitz of A[S, S], P = A[S, S] X[S] kept
+    from its last update. The objective sums <X_S, P + 2 A[S, :start]
+    X[:start]> over the spans, so a dense A (one coupled span) costs one
+    product per sweep. A restart stops once its objective has changed by
+    less than rel_tol (relative) over _STALL_WINDOW sweeps. Returns
+    (best_X, best_f, traces, capped, work): per restart its best iterate
+    (the first wins ties), that objective and its trace, how many restarts
+    were still running after max_iters sweeps, and the entries of A read by
+    products times the columns they multiply, power iterations included.
     """
     n, d = X.shape[0], A.diagonal()[:, None, None]
-    P = np.empty_like(X)  # A[S, S] X[S] for every coupled span S
+    P, work = np.empty_like(X), 0  # P: A[S, S] X[S] for every coupled span S
+
+    def times(B, X):  # B @ X for a (b, c) block of A and a (c, R, k) stack
+        nonlocal work
+        work += B.size * X.shape[1] * X.shape[2]
+        return (B @ X.reshape(X.shape[0], -1)).reshape(B.shape[0], *X.shape[1:])
+
     # per span: its slice, the blocks A[S, :start] and A[S, stop:] (None if
-    # empty), and d_S for an uncoupled span or A[S, S] for a coupled one
-    spans = [
-        (slice(start, stop), A[start:stop, :start] if start else None,
-         A[start:stop, stop:] if stop < n else None,
-         d[start:stop] if step is None else A[start:stop, start:stop], step)
-        for start, stop, step in plan
-    ]
+    # empty), d_S or a coupled span's A[S, S], and that span's step or None
+    spans = []
+    for start, stop, blocked in _scan_spans(A):
+        S, own, step = slice(start, stop), d[start:stop], None
+        if not blocked and stop - start > 1:
+            own = A[S, S]
+            L, count = estimate_lipschitz(own)
+            step = 1.0 / L if L > 0 else 1.0
+            work += count * own.size
+        spans.append((S, A[S, :start] if start else None,
+                      A[S, stop:] if stop < n else None, own, step))
 
     def sweep(X, update):
         # the objective of X, or with `update` the next sweep's rows and
@@ -183,10 +189,10 @@ def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: f
         new = np.empty(X.shape) if update else X
         terms = np.empty((len(spans), X.shape[1]))
         for i, (S, before, after, own, step) in enumerate(spans):
-            lower = 0.0 if before is None else _times(before, new[: S.start])
+            lower = 0.0 if before is None else times(before, new[: S.start])
             xs = X[S]
             if update:
-                upper = 0.0 if after is None else _times(after, X[S.stop :])
+                upper = 0.0 if after is None else times(after, X[S.stop :])
                 if step is None:  # the fields G go to new[S], then its rows
                     xs = _row_maximizer(np.add(lower, upper, out=new[S]), own, xs)
                 else:
@@ -195,7 +201,7 @@ def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: f
             if step is None:
                 Q = own * xs
             else:
-                P[S] = Q = _times(own, xs)
+                P[S] = Q = times(own, xs)
             if before is not None:  # Q + 2 lower, in place
                 lower *= 2.0
                 lower += Q
@@ -229,7 +235,7 @@ def _ascend(A: np.ndarray, plan: list, X: np.ndarray, max_iters: int, rel_tol: f
                 break
             X, P = X[:, keep], P[:, keep]
     best_f, best_X = zip(*best)
-    return best_X, best_f, traces, len(run)
+    return best_X, best_f, traces, len(run), work
 
 
 def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
@@ -247,21 +253,12 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
         raise ValueError("relaxation expects a {-1,+1}-domain model")
     if opts.k > params.n:
         raise ValueError(f"width k={opts.k} exceeds n={params.n}")
-    A, n = params.A, params.n
-    plan, work = [], 0  # work: entries of A read by products, times columns
-    for start, stop, blocked in _scan_spans(A):
-        step = None
-        if not blocked and stop - start > 1:
-            L, count = estimate_lipschitz(A[start:stop, start:stop])
-            step = 1.0 / L if L > 0 else 1.0
-            work += count * (stop - start) ** 2
-        plan.append((start, stop, step))
     starts = [
-        _init_rows_in_ball(n, opts.k, np.random.default_rng(child))
+        _init_rows_in_ball(params.n, opts.k, np.random.default_rng(child))
         for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)
     ]
-    best_X, best_f, traces, capped = _ascend(
-        A, plan, np.stack(starts, axis=1), opts.max_iters, opts.rel_tol
+    best_X, best_f, traces, capped, work = _ascend(
+        params.A, np.stack(starts, axis=1), opts.max_iters, opts.rel_tol
     )
     if capped:
         logger.warning(
@@ -269,17 +266,11 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
             opts.max_iters, capped, opts.restarts,
         )
     iterations = sum(len(trace) - 1 for trace in traces)
-    # entries per restart column: the first pass reads A[S, :start], a sweep
-    # A[S, :start] and A[S, stop:], both A[S, S] of a coupled span
-    coupled = sum((e - s) ** 2 for s, e, step in plan if step is not None)
-    first = coupled + sum((e - s) * s for s, e, _ in plan)
-    sweep = coupled + sum((e - s) * (n - e + s) for s, e, _ in plan)
-    work += opts.k * (opts.restarts * first + iterations * sweep)
     win = int(np.argmax(best_f))
     return RelaxedSolution(
         X=best_X[win].copy(),
         objective=best_f[win],
         iterations=iterations,
         trace=np.asarray(traces[win]),
-        matvecs=-(-work // (n * n)),
+        matvecs=-(-work // params.n**2),
     )

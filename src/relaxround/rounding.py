@@ -52,9 +52,6 @@ class SampleBatch:
                 f"inconsistent batch shapes {self.samples.shape} / {self.scores.shape}"
             )
 
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class RoundingDistributionK2:
@@ -101,18 +98,6 @@ def _direction_blocks(rng: np.random.Generator, count: int, k: int):
         yield G
 
 
-def _sample_batch(
-    params: MrfParams, X, count: int, rng: np.random.Generator
-) -> SampleBatch:
-    blocks = list(rrr_sample_blocks(params, X, count, rng))
-    # scored a block at a time, so no samples x n float64 array is built; a
-    # single block (the map commands' default 1000 draws) is used as is:
-    # copying it raised their peak RSS by about 0.5 MB
-    scores = np.concatenate([score_batch(params, block) for block in blocks])
-    samples = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return SampleBatch(samples=samples, scores=scores)
-
-
 def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
     """The argument checks of every rounding sampler; X back as floats."""
     if params.domain is not Domain.PLUS_MINUS_ONE:
@@ -126,10 +111,14 @@ def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
     return X
 
 
-def rrr_map_sample(params: MrfParams, X, count: int, seed: int) -> SampleBatch:
+def rrr_map_sample(params: MrfParams, X, count: int, seed) -> SampleBatch:
     """Draw `count` rounded samples of a feasible relaxed solution and
-    score each one. Deterministic given the seed."""
-    return _sample_batch(params, X, count, np.random.default_rng(seed))
+    score each one. `seed` is anything np.random.default_rng takes; a
+    Generator is drawn from as is. The blocks of `rrr_sample_blocks` are
+    scored one at a time, so no samples x n float64 array is built."""
+    blocks = list(rrr_sample_blocks(params, X, count, seed))
+    scores = np.concatenate([score_batch(params, block) for block in blocks])
+    return SampleBatch(samples=np.concatenate(blocks), scores=scores)
 
 
 def rrr_sample_blocks(params: MrfParams, X, count: int, seed):
@@ -155,6 +144,8 @@ def build_px_k2(X) -> RoundingDistributionK2:
     X = np.array(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) row matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("X has non-finite entries")
     live = X[X.any(axis=1)]
     thetas = np.arctan2(live[:, 1], live[:, 0])
 

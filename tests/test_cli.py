@@ -212,14 +212,17 @@ def test_map_chain_sweeps_and_t_high(tmp_path, capsys, recwarn):
     extra = combo["cost_sweep_equivalents"] - doc["methods"]["rrr"]["cost_sweep_equivalents"]
     assert extra == math.ceil(2 * k / n) + 2 * 3 - math.ceil(samples * k / n)
     # a chain must cool from a finite t_high >= 1 down to 1; each bad value
-    # ends in one error line that names t_high, with no numpy warning
+    # ends in one error line that names t_high, with no numpy warning, and
+    # no report, whatever methods run
     capsys.readouterr()
+    bad = tmp_path / "bad.json"
     for t_high in ("0.5", "inf", "nan"):
-        for method in ("ag", "rrr-ag"):
+        for method in ("ag", "rrr-ag", "rrr", "brute"):
             assert run("map", "--instance", inst, "--methods", method, "--seed", 3,
-                       "--out", out, "--t-high", t_high) == 1, (t_high, method)
+                       "--out", bad, "--t-high", t_high) == 1, (t_high, method)
             err = capsys.readouterr().err
             assert err.startswith("relaxround: error: t_high") and err.count("\n") == 1
+    assert not bad.exists()
     assert not recwarn.list
 
 

@@ -34,7 +34,7 @@ from relaxround.gibbs import (
     _sweep,
     _sweep_plan,
 )
-from relaxround.rounding import _sample_batch, rrr_sample_blocks
+from relaxround.rounding import rrr_sample_blocks
 
 from chain_utils import (
     CountingMatrix,
@@ -307,8 +307,8 @@ def test_lockstep_chains_match_reference_replays(case):
     chains, seed = 3, 35
     # rrr_ag's seed derivation
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
-    starts = _sample_batch(emb, sol.X, chains,
-                           np.random.default_rng(sample_ss)).samples
+    starts = rrr_map_sample(emb, sol.X, chains,
+                            np.random.default_rng(sample_ss)).samples
     chain_seeds = anneal_ss.spawn(chains)
     states = _run_schedule(emb, temperatures, starts,
                            [np.random.default_rng(ss) for ss in chain_seeds])
@@ -595,7 +595,7 @@ def test_rrr_ag_chain_starts_at_drawn_sample():
     # the chain starts at the drawn rounding sample and takes one reference
     # sweep from it; its best state counts that start
     sample_ss, anneal_ss = np.random.SeedSequence(21).spawn(2)
-    batch = _sample_batch(m, sol.X, 1, np.random.default_rng(sample_ss))
+    batch = rrr_map_sample(m, sol.X, 1, np.random.default_rng(sample_ss))
     rng_chain = np.random.default_rng(anneal_ss.spawn(1)[0])
     x, trace = reference_chain(m.A, [1.0], batch.samples[0], rng_chain)
     assert np.array_equal(state.x, x)
@@ -635,7 +635,7 @@ def test_rrr_ag_returns_best_chain():
     # chain visits, its start included
     root = np.random.SeedSequence(24)
     sample_ss, anneal_ss = root.spawn(2)
-    batch = _sample_batch(m, sol.X, chains, np.random.default_rng(sample_ss))
+    batch = rrr_map_sample(m, sol.X, chains, np.random.default_rng(sample_ss))
     exact, visited = ExactScore(m.A), []
     for idx, chain_ss in enumerate(anneal_ss.spawn(chains)):
         x = batch.samples[idx].copy()

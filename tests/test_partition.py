@@ -36,7 +36,6 @@ from relaxround import (
 from relaxround.partition import _distinct_keys, _streaming_logsumexp, _unpack_keys
 from relaxround.rounding import (
     _round_rows,
-    _sample_batch,
     build_px_k2,
     px_query,
     rrr_sample_blocks,
@@ -427,7 +426,7 @@ def test_rrr_is_sampled_near_exact_support():
     assert sampled.details["support_size"] == len(support)
 
     # 3 standard errors, computed from the weight spread on a fresh batch
-    batch = _sample_batch(m, sol.X, 100_000, np.random.default_rng(24))
+    batch = rrr_map_sample(m, sol.X, 100_000, np.random.default_rng(24))
     probs = _px_of_rows(sol.X, batch.samples)
     w = np.exp(batch.scores - np.log(probs) - exact_support)
     se = w.std() / (w.mean() * math.sqrt(len(w)))
@@ -455,7 +454,7 @@ def test_rrr_is_equality_when_support_covers_everything():
 def reference_rrr_is(params, X, count, seed):
     """The per-draw importance sampler: round and score every draw, query
     each draw's pattern probability, and log-mean-exp in draw order."""
-    batch = _sample_batch(params, X, count, np.random.default_rng(seed))
+    batch = rrr_map_sample(params, X, count, np.random.default_rng(seed))
     probs = _px_of_rows(X, batch.samples)
     if np.any(probs <= 0.0):
         raise RuntimeError("sampled pattern has zero computed probability")

@@ -83,15 +83,6 @@ def reference_block_ascend(A, X, max_iters, rel_tol):
     return best_X, best_f, np.asarray(trace)
 
 
-def _plan(A):
-    """solve_lrp's span plan: a step of 1/L for each coupled span."""
-    return [
-        (start, stop, None if blocked or stop - start == 1
-         else 1.0 / estimate_lipschitz(A[start:stop, start:stop])[0])
-        for start, stop, blocked in _scan_spans(A)
-    ]
-
-
 def _rbm01(m, p, seed):
     """A {0,1} RBM; its embedding keeps a nonzero diagonal."""
     rng = np.random.default_rng(seed)
@@ -347,8 +338,8 @@ def test_batched_restarts_match_reference_loop():
             relaxation._init_rows_in_ball(m.n, 2, np.random.default_rng(child))
             for child in np.random.SeedSequence(seed).spawn(4)
         ]
-        best_X, best_f, _, _ = relaxation._ascend(
-            A, _plan(A), np.stack(starts, axis=1), 10_000, 1e-8
+        best_X, best_f, _, _, _ = relaxation._ascend(
+            A, np.stack(starts, axis=1), 10_000, 1e-8
         )
         for r, X0 in enumerate(starts):
             _, want_f, _ = reference_block_ascend(A, X0, 10_000, 1e-8)
@@ -362,17 +353,17 @@ def test_dense_restarts_match_fixed_step_reference():
     rng = np.random.default_rng(16)
     for n in (9, 40):
         A = MrfParams(rng.normal(size=(n, n))).A
-        plan = _plan(A)
-        assert [span[:2] for span in plan] == [(0, n)]
+        assert [span[:2] for span in _scan_spans(A)] == [(0, n)]
         starts = [
             relaxation._init_rows_in_ball(n, 3, np.random.default_rng(child))
             for child in np.random.SeedSequence(n).spawn(4)
         ]
-        _, best_f, _, _ = relaxation._ascend(
-            A, plan, np.stack(starts, axis=1), 10_000, 1e-8
+        _, best_f, _, _, _ = relaxation._ascend(
+            A, np.stack(starts, axis=1), 10_000, 1e-8
         )
+        step = 1.0 / estimate_lipschitz(A)[0]
         for r, X0 in enumerate(starts):
-            _, want_f, _ = reference_ascend(A, X0, 10_000, 1e-8, plan[0][2])
+            _, want_f, _ = reference_ascend(A, X0, 10_000, 1e-8, step)
             assert_allclose(best_f[r], want_f, rtol=1e-9)
 
 
@@ -385,8 +376,8 @@ def test_mixed_spans_match_reference_block_sweep():
             relaxation._init_rows_in_ball(12, 2, np.random.default_rng(child))
             for child in np.random.SeedSequence(seed).spawn(3)
         ]
-        _, best_f, traces, _ = relaxation._ascend(
-            m.A, _plan(m.A), np.stack(starts, axis=1), 10_000, 1e-8
+        _, best_f, traces, _, _ = relaxation._ascend(
+            m.A, np.stack(starts, axis=1), 10_000, 1e-8
         )
         for r, X0 in enumerate(starts):
             _, want_f, _ = reference_block_ascend(m.A, X0, 10_000, 1e-8)
@@ -429,14 +420,22 @@ def test_matvecs_counts_every_product(monkeypatch):
     assert blocks == [(4, 4), (4, 4)]
     assert sol.matvecs == -(-read // 144)
 
+    # every restart cut at max_iters, none left by its stall test
+    capped = LrpOptions(k=3, max_iters=4, restarts=5, seed=10)
+    sol, read = counted_solve(_mixed(2), capped)
+    assert sol.iterations == 4 * 5
+    assert sol.matvecs == -(-read // 144)
+
     def no_lipschitz(A):
         raise AssertionError("estimate_lipschitz ran on an uncoupled span")
 
+    # RBM embeddings read their off-diagonal blocks only; the {0,1} one
+    # keeps a nonzero diagonal, which takes no product
     monkeypatch.setattr(relaxation, "estimate_lipschitz", no_lipschitz)
-    m = embed(gen_random_rbm(30, 20, seed=4)).mrf
-    sol, read = counted_solve(m, opts)
-    assert 0 < read < opts.k * (opts.restarts + sol.iterations) * m.n**2
-    assert sol.matvecs == -(-read // m.n**2)
+    for m in (embed(gen_random_rbm(30, 20, seed=4)).mrf, embed(_rbm01(7, 5, 3)).mrf):
+        sol, read = counted_solve(m, opts)
+        assert 0 < read < opts.k * (opts.restarts + sol.iterations) * m.n**2
+        assert sol.matvecs == -(-read // m.n**2)
 
 
 def test_max_iters_warns_once_per_solve(caplog):

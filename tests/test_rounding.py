@@ -99,7 +99,7 @@ def test_batch_scores_match_score_function():
     X = rng.normal(size=(6, 2))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     batch = rrr_map_sample(m, X, 200, seed=7)
-    assert len(batch) == 200
+    assert batch.samples.shape == (200, 6)
     for i in range(0, 200, 37):
         assert_allclose(batch.scores[i], score(m, batch.samples[i]), rtol=1e-12)
 
@@ -112,7 +112,7 @@ def test_sampler_mean_score_respects_two_over_pi():
     sol = solve_lrp(m, LrpOptions(k=2, restarts=6, seed=9, rel_tol=1e-10))
     batch = rrr_map_sample(m, sol.X, 20_000, seed=10)
     mean = batch.scores.mean()
-    stderr = batch.scores.std() / math.sqrt(len(batch))
+    stderr = batch.scores.std() / math.sqrt(batch.scores.size)
     assert mean >= (2.0 / math.pi) * sol.objective - 4.0 * stderr
 
 
@@ -128,6 +128,16 @@ def test_sampler_input_validation():
 
 
 # ------------------------------------------------- distribution geometry
+
+
+def test_build_px_k2_rejects_non_finite_rows_and_wrong_shapes():
+    # a NaN row would otherwise take a share of the arcs, while px_query
+    # gives its patterns probability nan
+    for X in ([[np.nan, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -np.inf]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_px_k2(X)
+    with pytest.raises(ValueError, match="shape"):
+        build_px_k2(np.ones((3, 3)))
 
 
 def test_boundaries_orthogonal_rows():
