@@ -48,7 +48,6 @@ from .relaxation import (
 )
 from .rounding import (
     RoundingDistributionK2,
-    SampleBatch,
     build_px_k2,
     enumerate_support_k2,
     px_query,
@@ -71,7 +70,6 @@ __all__ = [
     "RbmParams",
     "RelaxedSolution",
     "RoundingDistributionK2",
-    "SampleBatch",
     "ais_logz",
     "annealed_gibbs",
     "brute_force_map",

@@ -65,10 +65,6 @@ _COUNT_MINIMUMS = {"k": 1, "samples": 1, "restarts": 1, "sweeps": 1, "chains": 1
                    "num_temps": 2, "num_runs": 1, "seed": 0}
 
 
-class UsageError(Exception):
-    """Invalid flag combination or method/instance mismatch."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -91,14 +87,14 @@ def _relax(mrf: MrfParams, args, tag: int):
 def _parse_methods(raw: str, allowed) -> list:
     methods = [item.strip() for item in raw.split(",") if item.strip()]
     if not methods:
-        raise UsageError("no methods given")
+        raise ValueError("no methods given")
     for method in methods:
         if method not in allowed:
-            raise UsageError(
+            raise ValueError(
                 f"unknown method {method!r}; choose from {', '.join(allowed)}"
             )
     if len(set(methods)) != len(methods):
-        raise UsageError("duplicate method names")
+        raise ValueError("duplicate method names")
     return methods
 
 
@@ -203,10 +199,10 @@ def _run_map(args) -> int:
 def _run_logz(args) -> int:
     inst = load_instance(args.instance)
     if not isinstance(inst, RbmParams):
-        raise UsageError("logz requires an RBM instance")
+        raise ValueError("logz requires an RBM instance")
     methods = _parse_methods(args.methods, LOGZ_METHODS)
     if "rrr-is" in methods and args.k != 2:
-        raise UsageError("rrr-is requires width k=2")
+        raise ValueError("rrr-is requires width k=2")
     seed = args.seed
     # The embedded model doubles the partition sum (the auxiliary spin is
     # free), so estimates subtract log 2 where the full embedded sum is
@@ -276,7 +272,7 @@ def _write_out(path: str, text: str) -> None:
     try:
         write_atomic(path, text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _csv(doc: dict, columns: tuple) -> str:
@@ -305,7 +301,7 @@ def _run_gen(args) -> int:
     planted = {key: value for key, value in planted.items() if value is not None}
     if args.kind == "random":
         if planted:
-            raise UsageError(f"--{', --'.join(planted)}: only --kind hard plants pairs")
+            raise ValueError(f"--{', --'.join(planted)}: only --kind hard plants pairs")
         planted["pairs"] = 0
     params = gen_hard_rbm(args.m, args.p, seed=args.seed, **planted)
     _write_out(args.out, dumps_instance(params))
@@ -364,13 +360,10 @@ def main(argv=None) -> int:
     try:
         for name, least in _COUNT_MINIMUMS.items():
             if getattr(args, name, least) < least:
-                raise UsageError(f"--{name.replace('_', '-')} must be >= {least}")
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
         if not 1.0 <= getattr(args, "t_high", 1.0) < math.inf:  # whatever methods run
-            raise UsageError(f"t_high must be finite and >= 1.0, got {args.t_high}")
+            raise ValueError(f"t_high must be finite and >= 1.0, got {args.t_high}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"relaxround: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InstanceFormatError as exc:
         print(f"relaxround: bad instance: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -1,8 +1,9 @@
 """Reading and writing model instances as JSON files.
 
 The writer emits floats with 17 significant digits so values round-trip
-exactly; the reader rejects missing fields and malformed shapes, and the
-model constructors it calls reject non-finite entries. Writes are atomic
+exactly; the reader rejects missing fields, entries that are not JSON
+numbers (strings, booleans, null) and malformed shapes, and the model
+constructors it calls reject non-finite entries. Writes are atomic
 (temp file plus rename).
 """
 
@@ -97,11 +98,16 @@ def _as_int(doc: dict, key: str) -> int:
 
 
 def _as_array(doc: dict, key: str) -> np.ndarray:
-    """The field as a float array, unchecked: the shape checks below and
-    the model constructors validate it."""
+    """The field as a float array of JSON numbers, since np.array would parse
+    a string and upcast a boolean; the shape checks below and the model
+    constructors validate the rest."""
+    value = _get(doc, key)
     try:
-        return np.array(_get(doc, key), dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.array(value, dtype=object)  # a ragged list leaves lists
+        if not set(map(type, entries.ravel().tolist())) <= {int, float}:
+            raise TypeError("an entry is not a JSON number")
+        return entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"field {key!r} is not a numeric array") from exc
 
 

@@ -159,11 +159,9 @@ def ais_logz(
 
 
 def _distinct_keys(rows, n: int) -> tuple[np.ndarray, int]:
-    """The distinct np.packbits(rows > 0, axis=1) keys of a {-1,+1} row
-    array, or of an iterable of row blocks, sorted as np.unique(...,
-    axis=0) sorts the rows, and the row count."""
-    if isinstance(rows, np.ndarray):
-        rows = (rows,)
+    """The distinct np.packbits(rows > 0, axis=1) keys of an iterable of
+    {-1,+1} row blocks, sorted as np.unique(..., axis=0) sorts the rows,
+    and the row count."""
     key = np.dtype((np.void, (n + 7) // 8))
     distinct = set()
     count = 0
@@ -194,10 +192,10 @@ def rrr_low(params: MrfParams, rows) -> EstimateReport:
     over corners. Without deduplication repeated samples would be counted
     twice and the bound would be lost.
 
-    `rows` is one array of {-1,+1} assignments stacked as rows, or an
-    iterable of such blocks (as from `rrr_sample_blocks`). Each row becomes
-    the key np.packbits(row > 0), one byte string, and one set keeps the
-    distinct keys across blocks; they are sorted once at the end. Packed
+    `rows` is an iterable of blocks of {-1,+1} assignments stacked as rows
+    (as from `rrr_sample_blocks`). Each row becomes the key
+    np.packbits(row > 0), one byte string, and one set keeps the distinct
+    keys across blocks; they are sorted once at the end. Packed
     bytes sort like the int8 rows (-1 < +1, variable 0 most significant),
     so the distinct rows are those of np.unique(rows, axis=0), in its
     order. The distinct keys are unpacked and scored SAMPLE_BLOCK_ROWS at a

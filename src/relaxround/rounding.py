@@ -11,7 +11,8 @@ Directions are drawn and rounded in int8 blocks of at most
 `SAMPLE_BLOCK_ROWS` rows. `rrr_sample_blocks` yields those blocks
 unscored, so a consumer that streams them holds one block, never a
 samples x n matrix; `rrr_map_sample` scores the same blocks one at a time
-and concatenates them into one `SampleBatch`. At width 2 a direction's
+and returns the concatenated rows and scores. Directions are used as drawn:
+sign(X g) depends only on the direction of g. At width 2 a direction's
 pattern is fixed by the arc it falls in (`_arc_index`).
 """
 
@@ -37,20 +38,6 @@ _TWO_PI = 2.0 * np.pi
 # Rows per block yielded by rrr_sample_blocks: a block at n=501 is about
 # 8 MB of products, whatever the sample count.
 SAMPLE_BLOCK_ROWS = 2048
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Rounded samples as int8 rows and their scores."""
-
-    samples: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        if self.samples.ndim != 2 or self.scores.shape != (self.samples.shape[0],):
-            raise ValueError(
-                f"inconsistent batch shapes {self.samples.shape} / {self.scores.shape}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +73,7 @@ def _direction_blocks(rng: np.random.Generator, count: int, k: int):
     """`count` Gaussian directions in k dimensions, drawn in blocks of
     SAMPLE_BLOCK_ROWS rows: the one draw path of every rounding sampler."""
     for start in range(0, count, SAMPLE_BLOCK_ROWS):
-        G = rng.standard_normal((min(SAMPLE_BLOCK_ROWS, count - start), k))
-        # Signs are invariant to the length of g, so Gaussian directions
-        # round exactly like unit ones; only (measure-zero) zero draws are
-        # replaced.
-        norms = np.linalg.norm(G, axis=1)
-        while np.any(norms < 1e-12):
-            bad = norms < 1e-12
-            G[bad] = rng.standard_normal((int(bad.sum()), k))
-            norms = np.linalg.norm(G, axis=1)
-        yield G
+        yield rng.standard_normal((min(SAMPLE_BLOCK_ROWS, count - start), k))
 
 
 def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
@@ -111,14 +89,15 @@ def _check_sampling(params: MrfParams, X, count: int) -> np.ndarray:
     return X
 
 
-def rrr_map_sample(params: MrfParams, X, count: int, seed) -> SampleBatch:
+def rrr_map_sample(params: MrfParams, X, count: int, seed) -> tuple:
     """Draw `count` rounded samples of a feasible relaxed solution and
-    score each one. `seed` is anything np.random.default_rng takes; a
+    score each one: `(samples, scores)`, the (count, n) int8 rows and their
+    float scores. `seed` is anything np.random.default_rng takes; a
     Generator is drawn from as is. The blocks of `rrr_sample_blocks` are
     scored one at a time, so no samples x n float64 array is built."""
     blocks = list(rrr_sample_blocks(params, X, count, seed))
     scores = np.concatenate([score_batch(params, block) for block in blocks])
-    return SampleBatch(samples=np.concatenate(blocks), scores=scores)
+    return np.concatenate(blocks), scores
 
 
 def rrr_sample_blocks(params: MrfParams, X, count: int, seed):

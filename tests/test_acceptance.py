@@ -165,9 +165,8 @@ def test_criterion_03_rounding_distribution_exactness(capsys):
             break
 
         params = MrfParams(np.zeros((n, n)))
-        batch = rrr_map_sample(params, X, draws, seed=int(rng.integers(2**31)))
-        pats, counts = np.unique(np.asarray(batch.samples, dtype=np.int8),
-                                 axis=0, return_counts=True)
+        samples, _ = rrr_map_sample(params, X, draws, seed=int(rng.integers(2**31)))
+        pats, counts = np.unique(samples, axis=0, return_counts=True)
         observed = {tuple(int(t) for t in row): int(c)
                     for row, c in zip(pats, counts)}
         if set(observed) - set(probs):
@@ -284,11 +283,11 @@ def test_criterion_08_hard_instance_separation(capsys):
                               temps_full, rng))
 
         sol = solve_lrp(emb, LrpOptions(k=2, restarts=4, seed=8810 + seed))
-        batch = rrr_map_sample(emb, sol.X, chains, seed=8820 + seed)
+        starts, _ = rrr_map_sample(emb, sol.X, chains, seed=8820 + seed)
         crng = np.random.default_rng([8830, seed])
         bests = []
         for idx in range(chains):
-            x = prob.canonical(batch.samples[idx]).astype(float)
+            x = prob.canonical(starts[idx]).astype(float)
             bests.append(anneal_best(x[1:1 + m], x[1 + m:], temps_chain, crng))
         combo.append(max(bests))
 
@@ -320,8 +319,8 @@ def test_criterion_09_lower_bound_properties(capsys):
         params = MrfParams(0.5 * (A + A.T))
         exact = exact_logz_mrf(params)
         sol = solve_lrp(params, LrpOptions(k=2, restarts=4, seed=9000 + trial))
-        batch = rrr_map_sample(params, sol.X, 500, seed=9100 + trial)
-        if rrr_low(params, batch.samples).log_z > exact + 1e-9:
+        samples, _ = rrr_map_sample(params, sol.X, 500, seed=9100 + trial)
+        if rrr_low(params, [samples]).log_z > exact + 1e-9:
             ok, detail = False, f"trial {trial}: sampled bound above exact"
             break
         support = rrr_is(params, sol.X, 1, 0).details["log_z_exact_support"]

@@ -235,6 +235,14 @@ def test_malformed_instances_exit_2(tmp_path, capsys):
                       '"W": [[1], [2]], "a": [0], "b": [0]}',
         "null.json": '{"kind": "rbm", "domain": "01", "m": 1, "p": 1, '
                      '"W": [[1]], "a": [null], "b": [0]}',
+        # np.array(..., dtype=float) would parse the strings and upcast the
+        # booleans, and the command would exit 0
+        "str.json": '{"kind": "mrf", "domain": "pm1", "n": 2, "A": [["0", "1.5"], [0, 0]]}',
+        "bool.json": '{"kind": "mrf", "domain": "pm1", "n": 2, "A": [[0, 1], [true, false]]}',
+        "mixed.json": '{"kind": "rbm", "domain": "pm1", "m": 2, "p": 1, '
+                      '"W": [[true, 0.5], [0, 0]], "a": [0, 0], "b": [0, 0]}',
+        # a JSON integer past the float range, which float() cannot convert
+        "huge.json": '{"kind": "mrf", "domain": "pm1", "n": 1, "A": [[1' + "0" * 400 + ']]}',
     }
     capsys.readouterr()
     for name, text in docs.items():
@@ -603,8 +611,8 @@ def test_public_surface():
         "BRUTE_FORCE_CAP", "Budget", "CapExceededError",
         "ChainState", "Domain", "Embedding", "EstimateReport",
         "InstanceFormatError", "LrpOptions", "MrfParams", "RbmParams",
-        "RelaxedSolution", "RoundingDistributionK2", "SampleBatch",
-        "ais_logz", "annealed_gibbs", "brute_force_map", "build_px_k2",
+        "RelaxedSolution", "RoundingDistributionK2", "ais_logz",
+        "annealed_gibbs", "brute_force_map", "build_px_k2",
         "check_assignment", "domain_values", "dumps_instance", "embed",
         "enumerate_support_k2", "exact_logz_mrf", "exact_logz_rbm",
         "gen_hard_rbm", "gen_random_rbm", "iter_corner_blocks",
@@ -617,7 +625,7 @@ def test_public_surface():
     gone = ("rrr_is_exact", "round_once", "dump_instance",
             "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP", "lrp_objective",
             "_px_query_batch", "AnnealSchedule", "_site_probability",
-            "_field_error")
+            "_field_error", "SampleBatch", "UsageError")
     for module in (relaxround, cli, gibbs, instances, models, partition,
                    relaxation, rounding):
         for name in gone:

@@ -307,8 +307,7 @@ def test_lockstep_chains_match_reference_replays(case):
     chains, seed = 3, 35
     # rrr_ag's seed derivation
     sample_ss, anneal_ss = np.random.SeedSequence(seed).spawn(2)
-    starts = rrr_map_sample(emb, sol.X, chains,
-                            np.random.default_rng(sample_ss)).samples
+    starts, _ = rrr_map_sample(emb, sol.X, chains, np.random.default_rng(sample_ss))
     chain_seeds = anneal_ss.spawn(chains)
     states = _run_schedule(emb, temperatures, starts,
                            [np.random.default_rng(ss) for ss in chain_seeds])
@@ -595,12 +594,12 @@ def test_rrr_ag_chain_starts_at_drawn_sample():
     # the chain starts at the drawn rounding sample and takes one reference
     # sweep from it; its best state counts that start
     sample_ss, anneal_ss = np.random.SeedSequence(21).spawn(2)
-    batch = rrr_map_sample(m, sol.X, 1, np.random.default_rng(sample_ss))
+    starts, _ = rrr_map_sample(m, sol.X, 1, np.random.default_rng(sample_ss))
     rng_chain = np.random.default_rng(anneal_ss.spawn(1)[0])
-    x, trace = reference_chain(m.A, [1.0], batch.samples[0], rng_chain)
+    x, trace = reference_chain(m.A, [1.0], starts[0], rng_chain)
     assert np.array_equal(state.x, x)
     assert_scores_match(m.A, state.score_trace, trace)
-    best = max(ExactScore(m.A)(batch.samples[0]), trace[0])
+    best = max(ExactScore(m.A)(starts[0]), trace[0])
     assert abs(state.best_score - best) <= score_tolerance(m.A)
 
 
@@ -635,10 +634,10 @@ def test_rrr_ag_returns_best_chain():
     # chain visits, its start included
     root = np.random.SeedSequence(24)
     sample_ss, anneal_ss = root.spawn(2)
-    batch = rrr_map_sample(m, sol.X, chains, np.random.default_rng(sample_ss))
+    starts, _ = rrr_map_sample(m, sol.X, chains, np.random.default_rng(sample_ss))
     exact, visited = ExactScore(m.A), []
     for idx, chain_ss in enumerate(anneal_ss.spawn(chains)):
-        x = batch.samples[idx].copy()
+        x = starts[idx].copy()
         bests = [(exact(x), x.copy())]
         rng_i = np.random.default_rng(chain_ss)
         for t in _linear_temperatures(5.0, 10):
@@ -659,7 +658,7 @@ def test_rrr_ag_beats_components_often():
         emb = embed(rbm).mrf
         sol = solve_lrp(emb, LrpOptions(k=2, restarts=4, seed=trial))
 
-        rrr_best = rrr_map_sample(emb, sol.X, 8, seed=trial).scores.max()
+        rrr_best = rrr_map_sample(emb, sol.X, 8, seed=trial)[1].max()
         ag = annealed_gibbs(
             emb,
             10.0,

@@ -575,7 +575,7 @@ def test_loads_rejects_malformed():
         loads_instance('{"kind": "mrf", "domain": "pm1", "n": 2, "A": [[0]]}')
     with pytest.raises(InstanceFormatError):
         loads_instance('{"kind": "mrf", "domain": "spin", "n": 1, "A": [[0]]}')
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(InstanceFormatError, match="missing field 'b'"):
         loads_instance('{"kind": "rbm", "domain": "pm1", "m": 2, "p": 1, '
                        '"W": [[1], [2]], "a": [0, 0]}')
 

@@ -17,7 +17,6 @@ from relaxround import (
     LrpOptions,
     MrfParams,
     RbmParams,
-    SampleBatch,
     ais_logz,
     embed,
     enumerate_support_k2,
@@ -249,16 +248,11 @@ def test_ais_validation():
 # ---------------------------------------------------------------- rrr-low
 
 
-def _single_sample_batch(m, x):
-    x = np.asarray(x, dtype=np.int8)
-    return SampleBatch(samples=x[None, :], scores=np.array([score(m, x)]))
-
-
 def test_rrr_low_single_sample():
     rng = np.random.default_rng(13)
     m = MrfParams(rng.normal(size=(5, 5)))
     x = rng.choice([-1, 1], size=5)
-    report = rrr_low(m, _single_sample_batch(m, x).samples)
+    report = rrr_low(m, [np.asarray(x, dtype=np.int8)[None, :]])
     assert_allclose(report.log_z, score(m, x), rtol=1e-12)
     assert report.details["distinct"] == 1
 
@@ -267,24 +261,20 @@ def test_rrr_low_duplicates_collapse():
     rng = np.random.default_rng(14)
     m = MrfParams(rng.normal(size=(4, 4)))
     x = np.array([1, -1, 1, 1], dtype=np.int8)
-    batch = SampleBatch(
-        samples=np.tile(x, (50, 1)),
-        scores=np.full(50, score(m, x)),
-    )
-    assert_allclose(rrr_low(m, batch.samples).log_z, score(m, x), rtol=1e-12)
+    assert_allclose(rrr_low(m, [np.tile(x, (50, 1))]).log_z, score(m, x), rtol=1e-12)
 
 
 def test_rrr_low_bound_and_missed_mass():
     rng = np.random.default_rng(15)
     m = MrfParams(rng.normal(size=(8, 8)) * 0.3)
     sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=16))
-    batch = rrr_map_sample(m, sol.X, 100_000, seed=17)
-    report = rrr_low(m, batch.samples)
+    samples, _ = rrr_map_sample(m, sol.X, 100_000, seed=17)
+    report = rrr_low(m, [samples])
     exact = exact_logz_mrf(m)
     assert report.log_z <= exact + 1e-9
 
     # the gap is exactly the log of the covered probability mass
-    distinct = np.unique(batch.samples, axis=0)
+    distinct = np.unique(samples, axis=0)
     covered = sum(
         math.exp(score(m, row) - exact) for row in distinct
     )
@@ -295,14 +285,8 @@ def test_rrr_low_monotone_in_batch_size():
     rng = np.random.default_rng(18)
     m = MrfParams(rng.normal(size=(6, 6)))
     sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=19))
-    batch = rrr_map_sample(m, sol.X, 400, seed=20)
-    values = []
-    for count in (1, 10, 50, 400):
-        sub = SampleBatch(
-            samples=batch.samples[:count],
-            scores=batch.scores[:count],
-        )
-        values.append(rrr_low(m, sub.samples).log_z)
+    samples, _ = rrr_map_sample(m, sol.X, 400, seed=20)
+    values = [rrr_low(m, [samples[:count]]).log_z for count in (1, 10, 50, 400)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -323,10 +307,10 @@ def test_rrr_low_blocks_match_one_array(n, pool):
     S = _rows_with_repeats(rng, n, count, pool)
     A = rng.normal(size=(n, n)) * 0.05
     m = MrfParams(0.5 * (A + A.T))
-    whole = rrr_low(m, S)
+    whole = rrr_low(m, [S])
     want = np.unique(S, axis=0)
     assert whole.details["distinct"] == want.shape[0]
-    assert_array_equal(_unpack_keys(_distinct_keys(S, n)[0], n), want)
+    assert_array_equal(_unpack_keys(_distinct_keys([S], n)[0], n), want)
     # past SAMPLE_BLOCK_ROWS distinct rows the scores are summed per block
     one_array = _streaming_logsumexp(score_batch(m, want))
     assert_allclose(whole.log_z, one_array, rtol=1e-13)
@@ -347,15 +331,18 @@ def test_rrr_low_blocks_match_one_array(n, pool):
 
 def test_rrr_low_rejects_empty_and_misshapen_rows():
     m = MrfParams(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        rrr_low(m, np.empty((0, 3), dtype=np.int8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
+        rrr_low(m, [np.empty((0, 3), dtype=np.int8)])
+    with pytest.raises(ValueError, match="nonempty"):
         rrr_low(m, iter([]))
-    with pytest.raises(ValueError):
-        rrr_low(m, np.ones((2, 4), dtype=np.int8))
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        rrr_low(m, [np.ones((2, 4), dtype=np.int8)])
+    # a bare array is an iterable of 1-D rows, not of blocks
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        rrr_low(m, np.ones((2, 3), dtype=np.int8))
     # packed keys keep only rows > 0, so {0,1} rows would be read as {-1,+1}
-    with pytest.raises(ValueError):
-        rrr_low(MrfParams(np.eye(3), Domain.ZERO_ONE), np.eye(3, dtype=np.int8))
+    with pytest.raises(ValueError, match="takes"):
+        rrr_low(MrfParams(np.eye(3), Domain.ZERO_ONE), [np.eye(3, dtype=np.int8)])
 
 
 def test_rrr_low_streamed_peak_memory_flat():
@@ -426,9 +413,9 @@ def test_rrr_is_sampled_near_exact_support():
     assert sampled.details["support_size"] == len(support)
 
     # 3 standard errors, computed from the weight spread on a fresh batch
-    batch = rrr_map_sample(m, sol.X, 100_000, np.random.default_rng(24))
-    probs = _px_of_rows(sol.X, batch.samples)
-    w = np.exp(batch.scores - np.log(probs) - exact_support)
+    samples, scores = rrr_map_sample(m, sol.X, 100_000, np.random.default_rng(24))
+    probs = _px_of_rows(sol.X, samples)
+    w = np.exp(scores - np.log(probs) - exact_support)
     se = w.std() / (w.mean() * math.sqrt(len(w)))
     assert abs(sampled.log_z - exact_support) <= 3 * se
 
@@ -454,11 +441,11 @@ def test_rrr_is_equality_when_support_covers_everything():
 def reference_rrr_is(params, X, count, seed):
     """The per-draw importance sampler: round and score every draw, query
     each draw's pattern probability, and log-mean-exp in draw order."""
-    batch = rrr_map_sample(params, X, count, np.random.default_rng(seed))
-    probs = _px_of_rows(X, batch.samples)
+    samples, scores = rrr_map_sample(params, X, count, np.random.default_rng(seed))
+    probs = _px_of_rows(X, samples)
     if np.any(probs <= 0.0):
         raise RuntimeError("sampled pattern has zero computed probability")
-    return float(_streaming_logsumexp(batch.scores - np.log(probs)) - np.log(count))
+    return float(_streaming_logsumexp(scores - np.log(probs)) - np.log(count))
 
 
 def test_rrr_is_matches_per_draw_reference():
@@ -502,7 +489,7 @@ def test_rrr_is_tiny_nonzero_row_reads_plus_one():
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X[2] *= 1e-13
     assert build_px_k2(X).X.any(axis=1).all()
-    signs = rrr_map_sample(m, X, 2000, seed=75).samples[:, 2]
+    signs = rrr_map_sample(m, X, 2000, seed=75)[0][:, 2]
     assert -1 in signs and 1 in signs
     got = rrr_is(m, X, 2000, seed=75).log_z
     assert_allclose(got, reference_rrr_is(m, X, 2000, 75), rtol=1e-9)

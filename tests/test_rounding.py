@@ -75,18 +75,18 @@ def test_identical_rows_sample_in_lockstep():
     X = np.tile(rng.normal(size=2), (5, 1))
     X /= np.linalg.norm(X[0])
     m = MrfParams(np.zeros((5, 5)))
-    batch = rrr_map_sample(m, X, 10_000, seed=4)
-    same = np.abs(batch.samples.sum(axis=1))
+    samples, _ = rrr_map_sample(m, X, 10_000, seed=4)
+    same = np.abs(samples.sum(axis=1))
     assert np.all(same == 5)  # every draw is all-(+1) or all-(-1)
-    plus = (batch.samples[:, 0] > 0).sum()
+    plus = (samples[:, 0] > 0).sum()
     assert abs(plus - 5000) <= 4 * math.sqrt(10_000 * 0.25)
 
 
 def test_orthogonal_rows_give_quarter_each():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     m = MrfParams(np.zeros((2, 2)))
-    batch = rrr_map_sample(m, X, 10_000, seed=5)
-    patterns, counts = np.unique(batch.samples, axis=0, return_counts=True)
+    samples, _ = rrr_map_sample(m, X, 10_000, seed=5)
+    patterns, counts = np.unique(samples, axis=0, return_counts=True)
     assert len(patterns) == 4
     sigma = math.sqrt(10_000 * 0.25 * 0.75)
     assert np.all(np.abs(counts - 2500) <= 4 * sigma)
@@ -98,10 +98,11 @@ def test_batch_scores_match_score_function():
     m = MrfParams(A)
     X = rng.normal(size=(6, 2))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
-    batch = rrr_map_sample(m, X, 200, seed=7)
-    assert batch.samples.shape == (200, 6)
+    samples, scores = rrr_map_sample(m, X, 200, seed=7)
+    assert samples.shape == (200, 6) and samples.dtype == np.int8
+    assert scores.shape == (200,)
     for i in range(0, 200, 37):
-        assert_allclose(batch.scores[i], score(m, batch.samples[i]), rtol=1e-12)
+        assert_allclose(scores[i], score(m, samples[i]), rtol=1e-12)
 
 
 def test_sampler_mean_score_respects_two_over_pi():
@@ -110,9 +111,9 @@ def test_sampler_mean_score_respects_two_over_pi():
     B = rng.normal(size=(10, 10))
     m = MrfParams(B @ B.T)
     sol = solve_lrp(m, LrpOptions(k=2, restarts=6, seed=9, rel_tol=1e-10))
-    batch = rrr_map_sample(m, sol.X, 20_000, seed=10)
-    mean = batch.scores.mean()
-    stderr = batch.scores.std() / math.sqrt(batch.scores.size)
+    _, scores = rrr_map_sample(m, sol.X, 20_000, seed=10)
+    mean = scores.mean()
+    stderr = scores.std() / math.sqrt(scores.size)
     assert mean >= (2.0 / math.pi) * sol.objective - 4.0 * stderr
 
 
@@ -204,8 +205,8 @@ def test_px_relative_angle_monte_carlo():
     theta = 1.1
     X = np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)]])
     m = MrfParams(np.zeros((2, 2)))
-    batch = rrr_map_sample(m, X, 1_000_000, seed=13)
-    hits = np.all(batch.samples == 1, axis=1).sum()
+    samples, _ = rrr_map_sample(m, X, 1_000_000, seed=13)
+    hits = np.all(samples == 1, axis=1).sum()
     p = (math.pi - theta) / TWO_PI
     sigma = math.sqrt(1_000_000 * p * (1 - p))
     assert abs(hits - 1_000_000 * p) <= 4 * sigma
@@ -246,7 +247,7 @@ def test_support_of_a_short_row_matches_the_draws():
         X = np.array([[1.0, 0.0], [short, 0.0]])
         supp = enumerate_support_k2(build_px_k2(X))
         assert sorted(tuple(x) for x, _ in supp) == [(-1, 1), (1, -1)]
-        drawn = rrr_map_sample(MrfParams(np.zeros((2, 2))), X, 10_000, seed=9).samples
+        drawn, _ = rrr_map_sample(MrfParams(np.zeros((2, 2))), X, 10_000, seed=9)
         assert {tuple(row) for row in drawn} == {(-1, 1), (1, -1)}
 
 
@@ -358,10 +359,10 @@ def test_sampling_agreement_chi_square():
     m = MrfParams(rng.normal(size=(8, 8)))
     dist = build_px_k2(X)
     supp = enumerate_support_k2(dist)
-    batch = rrr_map_sample(m, X, 100_000, seed=18)
+    samples, _ = rrr_map_sample(m, X, 100_000, seed=18)
     index = {tuple(x): i for i, (x, _) in enumerate(supp)}
     counts = np.zeros(len(supp))
-    for row in batch.samples:
+    for row in samples:
         counts[index[tuple(row)]] += 1  # KeyError would mean off-support draw
     assert chi_square_ok(counts, [p for _, p in supp])
 
@@ -399,7 +400,7 @@ def test_sample_blocks_are_the_batch_rows_in_order():
         G = np.random.default_rng(41).standard_normal((count, 2))
         want = np.where(G @ X.T >= 0.0, 1, -1)
         assert_array_equal(np.concatenate(blocks), want)
-        assert_array_equal(rrr_map_sample(m, X, count, seed=41).samples, want)
+        assert_array_equal(rrr_map_sample(m, X, count, seed=41)[0], want)
 
 
 def test_map_sample_scores_block_by_block():
@@ -411,13 +412,12 @@ def test_map_sample_scores_block_by_block():
     rrr_map_sample(m, X, 10, seed=43)  # first-call allocations stay out
     tracemalloc.start()
     try:
-        batch = rrr_map_sample(m, X, 20_000, seed=43)
+        samples, scores = rrr_map_sample(m, X, 20_000, seed=43)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20_000 * m.n * 8, peak
-    assert_allclose(batch.scores[-5:], [score(m, x) for x in batch.samples[-5:]],
-                    rtol=1e-12)
+    assert_allclose(scores[-5:], [score(m, x) for x in samples[-5:]], rtol=1e-12)
 
 
 def test_sample_blocks_check_arguments_on_call():
