@@ -2,7 +2,9 @@
 relax-and-round warm start that feeds rounded samples into annealed chains.
 
 Temperature always divides the score, so a conditional flip probability is
-a logistic in (score difference)/temperature.
+a logistic in (score difference)/temperature. A single-site chain decides
+each site against a field threshold taken from its uniform before the
+sweep, which is the same decision as the logistic's up to rounding.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .rounding import rrr_sample_blocks
 
 # the largest argument math.exp takes without overflow
 _EXP_MAX = math.log(sys.float_info.max)
+# uniforms per buffer of `_run_schedule`, drawn and turned into thresholds
+# a chunk of sweeps at a time (at least one sweep per chunk)
+_CHUNK = 1 << 15
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
@@ -34,10 +39,27 @@ class ChainState:
     best_score: float
 
 
-def _sweep_plan(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> tuple:
+def _thresholds(u: np.ndarray, temperatures) -> np.ndarray:
+    """Turns the uniforms u into field thresholds in place and returns u:
+    u at temperature T becomes (T / 4) * logit(u), logit clamped below at
+    -_EXP_MAX; `temperatures` broadcasts against u. A site with field f
+    takes +1 where f > its threshold, which is u < 1 / (1 + exp(-4 f / T))
+    up to rounding. The clamp keeps u = 0 at -1 exactly where that
+    probability underflows to 0 (exp(-4 f / T) overflows), and a u above 1
+    gives nan, so -1, as the logistic's comparison does."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0); u > 1
+        log_1mu = np.log1p(-u)
+        np.log(u, out=u)
+        u -= log_1mu
+        np.maximum(u, -_EXP_MAX, out=u)
+    u *= 0.25 * temperatures
+    return u
+
+
+def _sweep_plan(A: np.ndarray, X: np.ndarray) -> tuple:
     """What `_sweep` reads and writes, taken once per run for the float64
-    chain states X and uniforms U (a row per chain): X, L, trace(A), and per
-    span S of `_scan_spans(A)` the views of X, U and L on S, a field buffer,
+    chain states X (a row per chain): X, L, trace(A), and per span S of
+    `_scan_spans(A)` the slice S, the views of X and L on S, a field buffer,
     the factors of lower_S and of upper_S (None where the block is empty:
     the first span's lower, the last span's upper), and, where S is scanned
     site by site, B = A[S, S] with zero diagonal, its rows and x_S B (else
@@ -51,66 +73,57 @@ def _sweep_plan(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> tuple:
             site = B, list(B), X[:, S] @ B
         lower = (X[:, :start], A[:start, S]) if start else None
         upper = (X[:, stop:], A[stop:, S]) if stop < n else None
-        spans.append((X[:, S], U[:, S], L[:, S], np.empty(L[:, S].shape),
-                      lower, upper, site))
+        spans.append((S, X[:, S], L[:, S], np.empty(L[:, S].shape), lower, upper, site))
     return X, L, float(A.trace()), spans
 
 
-def _sweep(plan: tuple, temperature: float | None) -> np.ndarray:
+def _sweep(plan: tuple, thresholds: np.ndarray | None) -> np.ndarray:
     """One systematic scan over sites 0..n-1 of every chain (row) of X, in
-    place, site i of chain c deciding with the uniform U[c, i]; returns the
-    new states' scores. With temperature None it only scores X.
+    place, site i of chain c deciding against thresholds[c, i]; returns the
+    new states' scores. With thresholds None it only scores X.
 
-    Site i takes +1 where u < 1 / (1 + exp(-4 * field / T)), its field being
-    sum_{j != i} A[i, j] x[j] (0.0 where exp overflows, which the caller
-    silences). The spans S of `plan` (see `_sweep_plan`) take their fields
-    in order from the off-diagonal blocks of A, as `relaxation._ascend`
-    does: lower_S = X[:, :start] @ A[:start, S] from this sweep's rows plus
-    upper_S = X[:, stop:] @ A[stop:, S] from the last sweep's. A blocked
-    span is decided at once by an in-place logistic. A span of singleton
-    runs goes site by site in Python floats from the half fields
-    (lower_S + upper_S + x_S B) / 2, a flip of site i to s adding s B[i];
-    x_S B is then taken anew, for the score and the next sweep.
+    Site i takes +1 where its field sum_{j != i} A[i, j] x[j] exceeds its
+    threshold, (T / 4) * logit(u) from `_thresholds`. The spans S of `plan`
+    (see `_sweep_plan`) take their fields in order from the off-diagonal
+    blocks of A, as `relaxation._ascend` does: lower_S = X[:, :start] @
+    A[:start, S] from this sweep's rows plus upper_S = X[:, stop:] @
+    A[stop:, S] from the last sweep's. A blocked span is decided at once
+    by one comparison (a span with no upper block compares lower_S itself).
+    A span of singleton runs goes site by site in Python floats, comparing
+    the half fields (lower_S + upper_S + x_S B) / 2 with half thresholds, a
+    flip of site i to s adding s B[i]; x_S B is then taken anew, for the
+    score and the next sweep.
 
     The score is sum_S <x_S, A[S, S] x_S + 2 lower_S> = trace(A) + 2 <x, L>
     with L_S = lower_S + x_S B / 2, so it takes no product of its own. With
     x in {-1,+1}^n every A_ij x_j is exact: a field differs from its exact
     value only by rounding, and a score from x'Ax by at most
     4 n eps sum_ij |A_ij| (eps the float64 machine epsilon). A decision can
-    differ from a per-site kernel's only where u lies that close to p.
+    differ from a per-site kernel's, u < 1 / (1 + exp(-4 * field / T)),
+    only where u lies within rounding of that probability.
     """
     X, L, trace, spans = plan
-    exp, exp_max = math.exp, _EXP_MAX  # local names: read at every site below
-    for xs, us, ls, field, lower, upper, site in spans:
+    for S, xs, ls, buffer, lower, upper, site in spans:
         if lower is not None:
             np.matmul(*lower, out=ls)
         elif site is not None:  # L_S still holds the last sweep's x_S B / 2
             ls[...] = 0.0
-        if temperature is not None:
-            if upper is None:
-                field[...] = 0.0
-            else:
-                np.matmul(*upper, out=field)
-            if lower is not None:
+        if thresholds is not None:
+            field = ls if upper is None else np.matmul(*upper, out=buffer)
+            if lower is not None and upper is not None:
                 field += ls
-            if site is None:  # 1 / (1 + exp(-4 * field / T)), in place
-                field /= -0.25 * temperature  # -(4 * field / T), exactly
-                np.exp(field, out=field)  # inf where the probability is 0
-                field += 1.0
-                np.reciprocal(field, out=field)
-                np.less(us, field, out=xs)  # 1.0 or 0.0, then +1 or -1
+            if site is None:
+                np.greater(field, thresholds[:, S], out=xs)  # 1.0 or 0.0
                 xs *= 2.0
                 xs -= 1.0
                 continue
             B, rows, XB = site
-            half, eighth = 0.5 * (field + XB), -0.125 * temperature
-            for x, h, u_row in zip(xs, half, us):
+            half, half_thresholds = 0.5 * (field + XB), 0.5 * thresholds[:, S]
+            for x, h, t_row in zip(xs, half, half_thresholds):
                 field_of = h.item
                 old = x.tolist()  # indexed by site in S, read before any flip
-                for i, u in enumerate(u_row.tolist()):
-                    z = field_of(i) / eighth  # -(4 * field / T), exactly
-                    prob = 1.0 / (1.0 + exp(z)) if z <= exp_max else 0.0
-                    s = 1.0 if u < prob else -1.0
+                for i, t in enumerate(t_row.tolist()):
+                    s = 1.0 if field_of(i) > t else -1.0
                     if s != old[i]:
                         x[i] = s
                         if s > 0:
@@ -170,18 +183,26 @@ def _run_schedule(
 ) -> list:
     """The chain loop: advances one chain per row of x0 in lockstep, one
     sweep per temperature, chain c drawing its sweep's uniforms from
-    rngs[c]. Returns one ChainState per chain, with the score `_sweep`
-    returns after each sweep and the best state visited by those scores,
-    its start (scored by the same sum) included, first visit winning ties."""
-    X, U = np.array(x0, dtype=float), np.empty(np.shape(x0))
-    plan, traces = _sweep_plan(params.A, X, U), [[] for _ in rngs]
-    with np.errstate(over="ignore"):  # exp(-z) = inf: probability 0
-        best_score, best_x = _sweep(plan, None).tolist(), X.copy()
-        for temperature in temperatures:
-            # one rng.random(n) per chain, the same stream as n scalar draws
-            for rng, u in zip(rngs, U):
-                rng.random(out=u)
-            for c, value in enumerate(_sweep(plan, float(temperature)).tolist()):
+    rngs[c]. The uniforms of a chunk of sweeps, about _CHUNK for all chains
+    together, are drawn at once, one rng.random((sweeps, n)) per chain (the
+    same stream as n scalar draws per sweep), and turned into `_thresholds`
+    in one pass, so memory stays flat in the number of sweeps. Returns one
+    ChainState per chain, with the score `_sweep` returns after each sweep
+    and the best state visited by those scores, its start (scored by the
+    same sum) included, first visit winning ties."""
+    X = np.array(x0, dtype=float)
+    plan, traces = _sweep_plan(params.A, X), [[] for _ in rngs]
+    chunk = max(1, _CHUNK // max(1, X.size))
+    uniforms = np.empty((X.shape[0], min(chunk, len(temperatures)), X.shape[1]))
+    best_score, best_x = _sweep(plan, None).tolist(), X.copy()
+    for start in range(0, len(temperatures), chunk):
+        temps = temperatures[start:start + chunk]
+        thresholds = uniforms[:, :len(temps)]
+        for rng, u in zip(rngs, thresholds):
+            rng.random(out=u)
+        _thresholds(thresholds, temps[:, None])
+        for sweep in range(len(temps)):
+            for c, value in enumerate(_sweep(plan, thresholds[:, sweep]).tolist()):
                 traces[c].append(value)
                 if value > best_score[c]:
                     best_x[c], best_score[c] = X[c], value

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from relaxround.gibbs import (
     _scan_spans,
     _sweep,
     _sweep_plan,
+    _thresholds,
 )
 from relaxround.rounding import rrr_sample_blocks
 
@@ -157,11 +159,11 @@ def test_single_site_marginals_match_enumeration():
 
 def _sweep_rows(A, X, U, temperature=1.0):
     """One library sweep of the chains in the rows of the int8 X, in place,
-    with the uniforms U, as `_run_schedule` takes it (exp overflow silent);
-    returns the new states' scores."""
+    with the uniforms U turned into thresholds as `_run_schedule` turns
+    them; returns the new states' scores."""
     Xf = X.astype(float)
-    with np.errstate(over="ignore"):
-        scores = _sweep(_sweep_plan(A, Xf, np.asarray(U, dtype=float)), temperature)
+    thresholds = _thresholds(np.array(U, dtype=float), temperature)
+    scores = _sweep(_sweep_plan(A, Xf), thresholds)
     X[...] = Xf
     return scores
 
@@ -350,6 +352,51 @@ def test_identical_chains_tie(case):
     assert_scores_match(emb.A, alone.score_trace, states[0].score_trace)
 
 
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_chunk_size_changes_no_bit(case, monkeypatch):
+    # uniforms are drawn and turned into thresholds a chunk of sweeps at a
+    # time; one sweep per chunk, and 7 (50 sweeps leave a last chunk of 1),
+    # give the default's chains to the bit
+    emb = embed(_CHAIN_CASES[case][0]()).mrf
+    x0 = (2 * np.random.default_rng(41).integers(0, 2, (2, emb.n)) - 1).astype(np.int8)
+    temperatures = _linear_temperatures(10.0, 50)
+
+    def run():
+        return _run_schedule(emb, temperatures, x0,
+                             [np.random.default_rng(42 + c) for c in range(2)])
+
+    want = run()
+    for chunk in (1, 7 * x0.size):
+        monkeypatch.setattr(gibbs_module, "_CHUNK", chunk)
+        for got, ref in zip(run(), want):
+            assert np.array_equal(got.x, ref.x)
+            assert got.score_trace == ref.score_trace
+            assert np.array_equal(got.best_x, ref.best_x)
+            assert got.best_score == ref.best_score
+
+
+def test_chain_peak_memory_flat_in_sweeps():
+    # 3000 more sweeps of 8 chains at n = 161 may raise the traced peak by
+    # the score traces (a float per chain and sweep), not by a uniform or
+    # threshold per site and sweep (8 x 4000 x 161 floats would be 41 MB)
+    emb = embed(_CHAIN_CASES["hard-50-5"][0]()).mrf
+    assert emb.n == 161
+    x0 = np.ones((8, emb.n), dtype=np.int8)
+
+    def traced(sweeps):
+        rngs = [np.random.default_rng(43 + c) for c in range(8)]
+        tracemalloc.start()
+        try:
+            _run_schedule(emb, _linear_temperatures(10.0, sweeps), x0, rngs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced(10)  # first-call allocations stay out of the comparison
+    low, high = traced(1000), traced(4000)
+    assert high - low <= 64 * 8 * 3000, (low, high)
+
+
 def test_sweep_reads_only_the_off_diagonal_blocks():
     # a sweep of an RBM embedding reads A[S, :start] and A[S, stop:] per
     # span S, never the zero visible-visible and hidden-hidden blocks, and
@@ -415,6 +462,37 @@ def test_sweep_near_tie_inside_run_with_chains():
         x_ref = x0.copy()
         reference_sweep(A, x_ref, 1.0, _FixedUniforms(u))
         assert np.array_equal(x, x_ref)
+
+
+# (coupling c of site 0 to sites 1 and 2 and of site 1 to site 2, the
+# start, site 0's uniform, site 0 after the sweep)
+_THRESHOLD_END_CASES = {
+    # u = 0 takes +1 wherever the probability is above 0: field -5, p = expit(-20)
+    "zero-u-small-p": (-2.5, [-1, 1, 1], 0.0, 1),
+    # u = 0 takes -1 where exp(-4 * field) overflows: field -2000
+    "zero-u-overflow": (-1e3, [1, 1, 1], 0.0, -1),
+    # u = 1/2 at a zero field: p is exactly 1/2, and u < p fails
+    "half-u-zero-field": (1.0, [1, 1, -1], 0.5, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_THRESHOLD_END_CASES))
+def test_threshold_end_cases_match_reference(case):
+    # the clamped logit of a zero uniform, and the exact tie, decide as the
+    # per-site logistic does, site by site and in a blocked span, and no
+    # log(0) RuntimeWarning escapes
+    coupling, x, u, want = _THRESHOLD_END_CASES[case]
+    A = coupling * (1.0 - np.eye(3))
+    for A_, x_ in _both_span_kinds(A, x, 0):
+        uniforms = [u] + [0.3] * (len(x_) - 1)
+        X = x_[None, :].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _sweep_rows(A_, X, [uniforms])
+        assert X[0, 0] == want
+        x_ref = x_.copy()
+        reference_sweep(A_, x_ref, 1.0, _FixedUniforms(uniforms))
+        assert np.array_equal(X[0], x_ref)
 
 
 def test_stationary_distribution_small_instance():
