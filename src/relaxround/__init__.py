@@ -26,7 +26,6 @@ from .models import (
     domain_values,
     embed,
     gen_hard_rbm,
-    gen_random_rbm,
     iter_corner_blocks,
     rbm_score,
     score,
@@ -82,7 +81,6 @@ __all__ = [
     "exact_logz_mrf",
     "exact_logz_rbm",
     "gen_hard_rbm",
-    "gen_random_rbm",
     "iter_corner_blocks",
     "load_instance",
     "loads_instance",

@@ -32,6 +32,7 @@ from .models import (
     brute_force_map,
     embed,
     gen_hard_rbm,
+    score,
     score_batch,
 )
 from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_low
@@ -115,7 +116,8 @@ def _run_map(args) -> int:
     for method in methods:
         if method == "rrr":
             # streamed a block at a time: only the scores and the first best
-            # row outlive their block
+            # row outlive their block; that row is reported with score(), as
+            # every method reports its best state, so equal states tie
             blocks = rrr_sample_blocks(
                 mrf, sol.X, args.samples, _derive_seed(seed, _TAG_MAP_SAMPLE)
             )
@@ -127,7 +129,7 @@ def _run_map(args) -> int:
                     best = scores[-1][i], rows[i].copy()
             running = np.maximum.accumulate(np.concatenate(scores)) + prob.offset
             entries[method] = {
-                "best_score": float(best[0]) + prob.offset,
+                "best_score": score(mrf, best[1]) + prob.offset,
                 "best_assignment": prob.to_native(best[1]),
                 "relaxation_objective": sol.objective,
                 "relaxation_iterations": sol.iterations,

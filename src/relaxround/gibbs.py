@@ -31,7 +31,8 @@ class ChainState:
     score (for `rrr_ag`, over all of its chains); the first visit wins
     ties. `_sweep`'s scores fill the trace and choose the best state, and
     best_score is `models.score(best_x)`: batched products round by batch
-    size, and this way equal states tie bit for bit across methods."""
+    size, and every `map` method reports its best state's score this way,
+    so equal states tie bit for bit across methods."""
 
     x: np.ndarray
     score_trace: tuple

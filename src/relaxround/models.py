@@ -13,6 +13,11 @@ BRUTE_FORCE_CAP = 24
 
 _CORNER_BLOCK = 1 << 16
 
+# Cap on a model's summed absolute entries. Every score, field and entry of
+# its embedding is at most that sum, so they and their squares (norms, the
+# AIS weight spread) stay finite.
+_MAX_ABS_SUM = 2.0**500
+
 
 class Domain(enum.Enum):
     """Binary variable domain: spins in {-1,+1} or bits in {0,1}."""
@@ -43,13 +48,22 @@ def _finite_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _check_magnitude(*arrays) -> None:
+    """Raise if the arrays' absolute entries sum past _MAX_ABS_SUM."""
+    with np.errstate(over="ignore"):
+        total = sum(float(np.abs(arr).sum()) for arr in arrays)
+    if not total <= _MAX_ABS_SUM:
+        raise ValueError(f"absolute entries sum to {total:g}, above 2**500")
+
+
 @dataclass(frozen=True, eq=False)
 class MrfParams:
     """Symmetric coupling matrix over n binary variables.
 
     Off-diagonal entries are pairwise couplings and diagonal entries are
     unary weights. The input matrix is symmetrized as (A + A.T)/2, which
-    leaves every score x' A x unchanged.
+    leaves every score x' A x unchanged. Entries must be finite, and their
+    absolute values must sum to at most 2**500.
     """
 
     A: np.ndarray
@@ -59,6 +73,7 @@ class MrfParams:
         A = _finite_array(self.A, "A", 2)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
+        _check_magnitude(A)
         if not isinstance(self.domain, Domain):
             raise ValueError(f"domain must be a Domain, got {self.domain!r}")
         A = (A + A.T) / 2.0
@@ -74,7 +89,9 @@ class MrfParams:
 class RbmParams:
     """Bipartite model with m visible and p hidden binary units.
 
-    The score of a configuration (v, h) is v' W h + a' v + b' h.
+    The score of a configuration (v, h) is v' W h + a' v + b' h. Entries
+    must be finite, and the absolute values of W, a and b together must sum
+    to at most 2**500.
     """
 
     W: np.ndarray
@@ -90,6 +107,7 @@ class RbmParams:
             raise ValueError(
                 f"inconsistent shapes: W {W.shape}, a {a.shape}, b {b.shape}"
             )
+        _check_magnitude(W, a, b)
         if not isinstance(self.domain, Domain):
             raise ValueError(f"domain must be a Domain, got {self.domain!r}")
         for arr in (W, a, b):
@@ -260,8 +278,12 @@ def iter_corner_blocks(n: int, domain: Domain):
     rows, in lexicographic order.
 
     Variable 0 is the most significant position and low < high, so the
-    all-low corner comes first.
+    all-low corner comes first. This is the one enumerator, and the one
+    place the cap is checked: for n above BRUTE_FORCE_CAP the first block
+    raises CapExceededError.
     """
+    if n > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"n={n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
     lo, hi = domain_values(domain)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     total = 1 << n
@@ -278,12 +300,9 @@ def brute_force_map(params: MrfParams):
     Returns (assignment, score). Ties break toward the lexicographically
     smallest assignment (low value sorts before high).
     """
-    n = params.n
-    if n > BRUTE_FORCE_CAP:
-        raise CapExceededError(f"n={n} exceeds brute-force cap {BRUTE_FORCE_CAP}")
     best = -np.inf
     best_x = None
-    for corners in iter_corner_blocks(n, params.domain):
+    for corners in iter_corner_blocks(params.n, params.domain):
         scores = score_batch(params, corners)
         j = int(np.argmax(scores))
         if scores[j] > best:
@@ -291,13 +310,6 @@ def brute_force_map(params: MrfParams):
             best_x = corners[j]
     x = best_x.astype(np.int8)
     return x, score(params, x)
-
-
-def gen_random_rbm(m: int, p: int, seed: int = 0) -> RbmParams:
-    """Standard-Gaussian RBM over the {-1,+1} domain: W, a, b are drawn in
-    that order from one generator seeded with `seed`. The same instance as
-    gen_hard_rbm(m, p, pairs=0, seed=seed)."""
-    return gen_hard_rbm(m, p, pairs=0, seed=seed)
 
 
 def gen_hard_rbm(
@@ -308,12 +320,13 @@ def gen_hard_rbm(
     bias: float = 500.0,
     seed: int = 0,
 ) -> RbmParams:
-    """Random RBM with planted strong couplings that trap local samplers.
+    """Random RBM over the {-1,+1} domain, with planted strong couplings
+    that trap local samplers; the one instance generator.
 
     Draws standard-Gaussian W, a, b in that order from one generator seeded
     with `seed`, then picks `pairs` disjoint (visible, hidden) index pairs
     and overwrites W[i, j] = couple, a[i] = b[j] = bias. With pairs=0 the
-    output is the plain Gaussian draw, gen_random_rbm(m, p, seed).
+    output is the plain Gaussian draw, as `gen --kind random` writes it.
     """
     if m < 1 or p < 1:
         raise ValueError("m and p must be positive")

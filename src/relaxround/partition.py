@@ -11,15 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import _tempered_block_sweep
-from .models import (
-    BRUTE_FORCE_CAP,
-    Domain,
-    MrfParams,
-    RbmParams,
-    CapExceededError,
-    iter_corner_blocks,
-    score_batch,
-)
+from .models import Domain, MrfParams, RbmParams, iter_corner_blocks, score_batch
 from .rounding import (
     SAMPLE_BLOCK_ROWS,
     _arc_index,
@@ -81,8 +73,6 @@ def _streaming_logsumexp(chunks) -> float:
 def exact_logz_mrf(params: MrfParams) -> float:
     """log sum_x exp(x' A x) over all corners of the model's domain, by
     streaming enumeration, for n up to BRUTE_FORCE_CAP."""
-    if params.n > BRUTE_FORCE_CAP:
-        raise CapExceededError(f"n={params.n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
     return _streaming_logsumexp(
         score_batch(params, block)
         for block in iter_corner_blocks(params.n, params.domain)
@@ -98,9 +88,6 @@ def exact_logz_rbm(params: RbmParams) -> float:
     layer is capped at BRUTE_FORCE_CAP units; the hidden layer size is
     unbounded.
     """
-    if params.m > BRUTE_FORCE_CAP:
-        raise CapExceededError(f"m={params.m} exceeds enumeration cap {BRUTE_FORCE_CAP}")
-
     def blocks():
         for V in iter_corner_blocks(params.m, params.domain):
             z = V @ params.W + params.b

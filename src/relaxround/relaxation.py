@@ -17,8 +17,11 @@ from .models import Domain, MrfParams, _check_rows_feasible, _scan_spans
 
 logger = logging.getLogger(__name__)
 
-# Stopping rule compares objectives this many sweeps apart.
+# Stopping rule: a restart stops once its objective has changed by less than
+# _REL_TOL (relative) over _STALL_WINDOW sweeps, or after _MAX_ITERS sweeps.
 _STALL_WINDOW = 5
+_REL_TOL = 1e-8
+_MAX_ITERS = 10_000
 
 # estimate_lipschitz's power iteration: its cap on products, and the
 # relative change of the norm estimate at which it stops early.
@@ -28,23 +31,17 @@ _LIPSCHITZ_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LrpOptions:
-    """Solver options. `k` is the relaxation width, `max_iters` the cap on
-    sweeps per restart, `rel_tol` the stall tolerance, `restarts` the number
-    of independent random initializations, and `seed` drives all of them."""
+    """Solver options. `k` is the relaxation width, `restarts` the number
+    of independent random initializations, and `seed` drives all of them.
+    The stopping rule is the solver's own (_REL_TOL, _MAX_ITERS)."""
 
     k: int = 2
-    max_iters: int = 10_000
-    rel_tol: float = 1e-8
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -245,7 +242,7 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
     scan plan, together as one n x (restarts*k) block, each from a random
     start drawn from its own child of SeedSequence(opts.seed). A span of
     coupled sites steps by 1/L, L from estimate_lipschitz of its own block
-    of A; uncoupled runs need no step. Reaching max_iters sweeps logs one
+    of A; uncoupled runs need no step. Reaching _MAX_ITERS sweeps logs one
     warning per solve. Returns the best iterate seen; the first restart
     wins ties.
     """
@@ -258,12 +255,12 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
         for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)
     ]
     best_X, best_f, traces, capped, work = _ascend(
-        params.A, np.stack(starts, axis=1), opts.max_iters, opts.rel_tol
+        params.A, np.stack(starts, axis=1), _MAX_ITERS, _REL_TOL
     )
     if capped:
         logger.warning(
             "relaxation stopped at max_iters=%d in %d of %d restarts",
-            opts.max_iters, capped, opts.restarts,
+            _MAX_ITERS, capped, opts.restarts,
         )
     iterations = sum(len(trace) - 1 for trace in traces)
     win = int(np.argmax(best_f))

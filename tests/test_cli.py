@@ -185,6 +185,39 @@ def test_map_score_traces_are_running_maxima(tmp_path):
     assert trace[-1] == doc["methods"]["rrr"]["best_score"]
 
 
+def test_map_best_scores_are_score_of_the_assignment(tmp_path):
+    # every method reports models.score of its embedded best state plus the
+    # offset, exactly, so methods that find the same state tie bit for bit;
+    # rrr's batched scores round by batch size and differ by ulps
+    def corner(emb, native):
+        t = np.concatenate(list(native.values())).astype(float)  # x, or v then h
+        if emb.source.domain is Domain.ZERO_ONE:
+            t = 2.0 * t - 1.0
+        return np.concatenate([[1.0], t]) if emb.has_aux else t
+
+    cases = [(gen_instance(tmp_path, f"r{seed}.json", m=30, p=20, seed=seed),
+              "rrr,ag,rrr-ag") for seed in range(3)]
+    rng = np.random.default_rng(35)
+    for name, inst in (("small.json", gen_hard_rbm(6, 5, pairs=0, seed=35)),
+                       ("rbm01.json", RbmParams(rng.normal(size=(5, 4)),
+                                                rng.normal(size=5),
+                                                rng.normal(size=4),
+                                                Domain.ZERO_ONE)),
+                       ("mrf01.json", MrfParams(rng.normal(size=(7, 7)),
+                                                Domain.ZERO_ONE))):
+        write_atomic(tmp_path / name, dumps_instance(inst))
+        cases.append((tmp_path / name, "rrr,ag,rrr-ag,brute"))
+    out = tmp_path / "map.json"
+    for path, methods in cases:
+        assert run("map", "--instance", path, "--methods", methods,
+                   "--seed", 4, "--out", out) == 0
+        emb = models.embed(load_instance(path))
+        for name, entry in json.loads(out.read_text())["methods"].items():
+            x = corner(emb, entry["best_assignment"])
+            want = models.score(emb.mrf, x) + emb.offset
+            assert entry["best_score"] == want, (path.name, name)
+
+
 def test_map_budget_parity_default(tmp_path):
     inst = gen_instance(tmp_path, seed=14)
     out = tmp_path / "map.json"
@@ -243,6 +276,12 @@ def test_malformed_instances_exit_2(tmp_path, capsys):
                       '"W": [[true, 0.5], [0, 0]], "a": [0, 0], "b": [0, 0]}',
         # a JSON integer past the float range, which float() cannot convert
         "huge.json": '{"kind": "mrf", "domain": "pm1", "n": 1, "A": [[1' + "0" * 400 + ']]}',
+        # finite entries whose sum overflows: brute reported an infinite
+        # best_score, rrr a NaN objective, and exact log Z exited 1
+        "overflow.json": '{"kind": "mrf", "domain": "pm1", "n": 2, '
+                         '"A": [[0, 1e308], [1e308, 0]]}',
+        "overflow-rbm.json": '{"kind": "rbm", "domain": "pm1", "m": 2, "p": 1, '
+                             '"W": [[1e308], [1e308]], "a": [0, 0], "b": [0]}',
     }
     capsys.readouterr()
     for name, text in docs.items():
@@ -615,17 +654,16 @@ def test_public_surface():
         "annealed_gibbs", "brute_force_map", "build_px_k2",
         "check_assignment", "domain_values", "dumps_instance", "embed",
         "enumerate_support_k2", "exact_logz_mrf", "exact_logz_rbm",
-        "gen_hard_rbm", "gen_random_rbm", "iter_corner_blocks",
-        "load_instance", "loads_instance", "px_query", "rbm_score", "rrr_ag",
-        "rrr_is", "rrr_low", "rrr_map_sample", "score", "score_batch",
-        "solve_lrp",
+        "gen_hard_rbm", "iter_corner_blocks", "load_instance",
+        "loads_instance", "px_query", "rbm_score", "rrr_ag", "rrr_is",
+        "rrr_low", "rrr_map_sample", "score", "score_batch", "solve_lrp",
     ]
     for name in relaxround.__all__:
         assert hasattr(relaxround, name), name
     gone = ("rrr_is_exact", "round_once", "dump_instance",
             "block_gibbs_rbm_sweep", "BRUTE_LOGZ_CAP", "lrp_objective",
             "_px_query_batch", "AnnealSchedule", "_site_probability",
-            "_field_error", "SampleBatch", "UsageError")
+            "_field_error", "SampleBatch", "UsageError", "gen_random_rbm")
     for module in (relaxround, cli, gibbs, instances, models, partition,
                    relaxation, rounding):
         for name in gone:

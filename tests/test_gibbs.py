@@ -20,7 +20,6 @@ from relaxround import (
     brute_force_map,
     embed,
     gen_hard_rbm,
-    gen_random_rbm,
     rrr_ag,
     rrr_is,
     rrr_map_sample,
@@ -169,7 +168,7 @@ def _sweep_rows(A, X, U, temperature=1.0):
 
 
 def test_uncoupled_runs_of_rbm_embedding():
-    emb = embed(gen_random_rbm(7, 5, seed=1)).mrf
+    emb = embed(gen_hard_rbm(7, 5, pairs=0, seed=1)).mrf
     assert _scan_spans(emb.A) == [(0, 1, False), (1, 8, True), (8, 13, True)]
 
 
@@ -199,7 +198,7 @@ def test_uncoupled_runs_of_dense_matrix():
 
 def test_uncoupled_runs_split_at_tiny_coupling():
     # an exact zero keeps a run together; 1e-300 is a coupling
-    A = embed(gen_random_rbm(7, 5, seed=1)).mrf.A.copy()
+    A = embed(gen_hard_rbm(7, 5, pairs=0, seed=1)).mrf.A.copy()
     A[4, 2] = A[2, 4] = 1e-300
     assert _scan_spans(A) == [(0, 1, False), (1, 4, True), (4, 8, True), (8, 13, True)]
     A[4, 2] = A[2, 4] = -0.0
@@ -253,7 +252,7 @@ def _dense_mrf():
 
 
 def _zero_one_rbm():
-    rbm = gen_random_rbm(40, 30, seed=33)
+    rbm = gen_hard_rbm(40, 30, pairs=0, seed=33)
     return RbmParams(rbm.W, rbm.a, rbm.b, Domain.ZERO_ONE)
 
 
@@ -271,7 +270,7 @@ def _mixed_mrf():
 _CHAIN_CASES = {
     "hard-50-5": (lambda: gen_hard_rbm(100, 60, 3, 50.0, 5.0), False),
     "hard-default": (lambda: gen_hard_rbm(100, 60), True),
-    "random-300-200": (lambda: gen_random_rbm(300, 200), False),
+    "random-300-200": (lambda: gen_hard_rbm(300, 200, pairs=0), False),
     "dense-161": (_dense_mrf, False),
     "mixed-120": (_mixed_mrf, False),
     "zero-one-40-30": (_zero_one_rbm, False),
@@ -402,7 +401,7 @@ def test_sweep_reads_only_the_off_diagonal_blocks():
     # span S, never the zero visible-visible and hidden-hidden blocks, and
     # scores from those products
     m, p = 30, 20
-    emb = embed(gen_random_rbm(m, p, seed=39)).mrf
+    emb = embed(gen_hard_rbm(m, p, pairs=0, seed=39)).mrf
     object.__setattr__(emb, "A", emb.A.view(CountingMatrix))
     x0 = np.ones((1, emb.n), dtype=np.int8)
     reads = []
@@ -526,7 +525,7 @@ def test_block_sweep_probabilities_match_the_expression(domain):
     # probabilities it leaves in the work buffers, and so every decision,
     # are bit for bit those of 1 / (1 + exp(-(gain * beta * (field + bias))))
     gain, lo = (2.0, -1.0) if domain is Domain.PLUS_MINUS_ONE else (1.0, 0.0)
-    bench = gen_random_rbm(16, 484, seed=1)
+    bench = gen_hard_rbm(16, 484, pairs=0, seed=1)
     hard = gen_hard_rbm(12, 10, pairs=3, couple=5000.0, bias=5.0, seed=3)
     for r, beta in ((bench, 0.37), (hard, 0.9)):
         rbm = RbmParams(r.W, r.a, r.b, domain)
@@ -568,7 +567,7 @@ def test_block_conditional_value():
 
 def test_block_conditional_matches_embedded_single_site():
     rng = np.random.default_rng(12)
-    rbm = gen_random_rbm(4, 3, seed=13)
+    rbm = gen_hard_rbm(4, 3, pairs=0, seed=13)
     A = embed(rbm).mrf.A
     # the embedding's sites: the auxiliary one, then visible 1..4, then
     # hidden 5..7. In its own order every layer is a blocked run; with the
@@ -591,7 +590,7 @@ def test_block_conditional_matches_embedded_single_site():
 
 def test_block_chain_marginals_match_enumeration():
     rng = np.random.default_rng(14)
-    rbm = gen_random_rbm(3, 3, seed=15)
+    rbm = gen_hard_rbm(3, 3, pairs=0, seed=15)
     # exact marginals by enumerating all 64 (v, h) pairs
     states = np.vstack(
         [[1 if (s >> (5 - i)) & 1 else -1 for i in range(6)] for s in range(64)]
@@ -732,7 +731,7 @@ def test_rrr_ag_beats_components_often():
     wins = 0
     trials = 50
     for trial in range(trials):
-        rbm = gen_random_rbm(6, 4, seed=300 + trial)
+        rbm = gen_hard_rbm(6, 4, pairs=0, seed=300 + trial)
         emb = embed(rbm).mrf
         sol = solve_lrp(emb, LrpOptions(k=2, restarts=4, seed=trial))
 

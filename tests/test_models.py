@@ -19,7 +19,6 @@ from relaxround import (
     dumps_instance,
     embed,
     gen_hard_rbm,
-    gen_random_rbm,
     iter_corner_blocks,
     load_instance,
     loads_instance,
@@ -399,6 +398,9 @@ def test_brute_force_zero_one_domain():
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_map(MrfParams(np.zeros((25, 25))))
+    # the enumerator checks the cap itself, on its first block
+    with pytest.raises(CapExceededError):
+        next(iter_corner_blocks(25, Domain.PLUS_MINUS_ONE))
 
 
 def test_iter_corner_blocks_orders_lexicographically():
@@ -420,25 +422,25 @@ def test_iter_corner_blocks_chunking(monkeypatch):
 # ------------------------------------------------------------ generators
 
 
-def test_gen_random_rbm_deterministic():
-    r1 = gen_random_rbm(6, 4, seed=5)
-    r2 = gen_random_rbm(6, 4, seed=5)
+def test_gen_hard_rbm_no_pairs_deterministic():
+    r1 = gen_hard_rbm(6, 4, pairs=0, seed=5)
+    r2 = gen_hard_rbm(6, 4, pairs=0, seed=5)
     assert np.array_equal(r1.W, r2.W)
     assert np.array_equal(r1.a, r2.a)
     assert np.array_equal(r1.b, r2.b)
 
 
-def test_gen_random_rbm_full_scale_shapes():
-    r = gen_random_rbm(784, 500, seed=1)
+def test_gen_hard_rbm_no_pairs_full_scale_shapes():
+    r = gen_hard_rbm(784, 500, pairs=0, seed=1)
     assert r.W.shape == (784, 500)
     assert r.a.shape == (784,)
     assert r.b.shape == (500,)
 
 
-def test_gen_random_rbm_unit_gaussian_moments():
+def test_gen_hard_rbm_no_pairs_unit_gaussian_moments():
     parts = []
     for seed in range(7):  # one m=50,p=30 draw has 1580 entries; pool to 10^4
-        r = gen_random_rbm(50, 30, seed=seed)
+        r = gen_hard_rbm(50, 30, pairs=0, seed=seed)
         parts += [r.W.ravel(), r.a, r.b]
     pooled = np.concatenate(parts)
     n = pooled.size
@@ -458,11 +460,12 @@ def test_gen_hard_rbm_defaults_plant_three_pairs():
 
 
 def test_gen_hard_rbm_no_pairs_matches_random():
-    base = gen_random_rbm(8, 5, seed=9)
+    # pairs=0 is the plain Gaussian draw: W, a, b in that order
+    rng = np.random.default_rng(9)
     hard = gen_hard_rbm(8, 5, pairs=0, seed=9)
-    assert np.array_equal(base.W, hard.W)
-    assert np.array_equal(base.a, hard.a)
-    assert np.array_equal(base.b, hard.b)
+    assert np.array_equal(hard.W, rng.standard_normal((8, 5)))
+    assert np.array_equal(hard.a, rng.standard_normal(8))
+    assert np.array_equal(hard.b, rng.standard_normal(5))
 
 
 def test_gen_hard_rbm_planted_pairs_on_at_map():
@@ -496,7 +499,7 @@ def test_instance_round_trip_mrf(tmp_path):
 
 
 def test_instance_round_trip_rbm(tmp_path):
-    r = gen_random_rbm(5, 3, seed=6)
+    r = gen_hard_rbm(5, 3, pairs=0, seed=6)
     path = tmp_path / "r.json"
     write_atomic(path, dumps_instance(r))
     back = load_instance(path)
@@ -507,7 +510,7 @@ def test_instance_round_trip_rbm(tmp_path):
 
 
 def test_instance_serialization_deterministic():
-    r = gen_random_rbm(4, 4, seed=7)
+    r = gen_hard_rbm(4, 4, pairs=0, seed=7)
     assert dumps_instance(r) == dumps_instance(r)
 
 
@@ -544,7 +547,7 @@ def test_instance_file_bytes():
 
 
 def test_reserialize_byte_identical(tmp_path):
-    r = gen_random_rbm(4, 2, seed=8)
+    r = gen_hard_rbm(4, 2, pairs=0, seed=8)
     path = tmp_path / "x.json"
     write_atomic(path, dumps_instance(r))
     text = path.read_text()
@@ -585,3 +588,25 @@ def test_params_reject_nonfinite():
         MrfParams(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         RbmParams(np.array([[np.inf]]), np.zeros(1), np.zeros(1))
+
+
+def test_params_reject_overflowing_sums():
+    # finite entries whose absolute values sum past 2**500: (A + A.T)/2, the
+    # scores or their squares could overflow
+    big = 2.0**499
+    with pytest.raises(ValueError, match="sum to inf, above"):
+        MrfParams(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    with pytest.raises(ValueError, match="sum to inf, above"):
+        RbmParams(np.array([[1e308], [1e308]]), np.zeros(2), np.zeros(1))
+    # W alone is within the cap; the biases take the sum past it
+    with pytest.raises(ValueError, match="above 2"):
+        RbmParams(np.array([[big]]), np.array([big]), np.array([big / 2]))
+    # at the cap, the embedding in either domain scores every corner finitely
+    for domain in Domain:
+        for inst in (MrfParams(np.array([[0.0, big], [big, -0.0]]), domain),
+                     RbmParams(np.array([[big]]), np.array([-big / 2]),
+                               np.array([big / 2]), domain)):
+            emb = embed(inst)
+            _, best = brute_force_map(emb.mrf)
+            assert np.isfinite(best + emb.offset)
+            assert np.isfinite(np.linalg.norm(emb.mrf.A))

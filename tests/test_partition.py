@@ -23,7 +23,6 @@ from relaxround import (
     exact_logz_mrf,
     exact_logz_rbm,
     gen_hard_rbm,
-    gen_random_rbm,
     rbm_score,
     rrr_is,
     rrr_low,
@@ -108,7 +107,7 @@ def test_exact_rbm_zero_bits():
 
 
 def test_exact_rbm_matches_full_enumeration():
-    rbm = gen_random_rbm(4, 3, seed=2)
+    rbm = gen_hard_rbm(4, 3, pairs=0, seed=2)
     scores = [
         rbm_score(rbm, np.array(v), np.array(h))
         for v in itertools.product((-1.0, 1.0), repeat=4)
@@ -138,10 +137,10 @@ def test_exact_rbm_sum_out_equivalence_sweep():
 
 def test_exact_rbm_cap_only_counts_visible():
     # hidden units are summed out analytically, so p can exceed the cap
-    rbm = gen_random_rbm(2, 30, seed=4)
+    rbm = gen_hard_rbm(2, 30, pairs=0, seed=4)
     assert np.isfinite(exact_logz_rbm(rbm))
     with pytest.raises(CapExceededError):
-        exact_logz_rbm(gen_random_rbm(25, 2, seed=5))
+        exact_logz_rbm(gen_hard_rbm(25, 2, pairs=0, seed=5))
 
 
 # -------------------------------------------------------------------- AIS
@@ -156,7 +155,7 @@ def test_ais_zero_rbm_is_exact():
 
 
 def test_ais_report_fields():
-    rbm = gen_random_rbm(3, 2, seed=6)
+    rbm = gen_hard_rbm(3, 2, pairs=0, seed=6)
     report = ais_logz(rbm, num_temps=30, num_runs=8, seed=7)
     assert report.budget == Budget(samples=8)
     assert report.wall_clock >= 0.0
@@ -166,7 +165,7 @@ def test_ais_report_fields():
 def test_ais_accuracy_small_rbm():
     hits = 0
     for seed in range(20):
-        rbm = gen_random_rbm(4, 3, seed=400 + seed)
+        rbm = gen_hard_rbm(4, 3, pairs=0, seed=400 + seed)
         exact = exact_logz_rbm(rbm)
         report = ais_logz(rbm, num_temps=1000, num_runs=100, seed=seed)
         hits += abs(report.log_z - exact) <= 0.1
@@ -174,7 +173,7 @@ def test_ais_accuracy_small_rbm():
 
 
 def test_ais_deterministic():
-    rbm = gen_random_rbm(4, 3, seed=8)
+    rbm = gen_hard_rbm(4, 3, pairs=0, seed=8)
     r1 = ais_logz(rbm, num_temps=50, num_runs=10, seed=9)
     r2 = ais_logz(rbm, num_temps=50, num_runs=10, seed=9)
     assert r1.log_z == r2.log_z
@@ -226,7 +225,7 @@ def test_ais_matches_reference_loop(domain):
     rng = np.random.default_rng(13)
     small = RbmParams(rng.normal(size=(9, 7)), rng.normal(size=9),
                       rng.normal(size=7), domain)
-    bench = gen_random_rbm(16, 484, seed=1)
+    bench = gen_hard_rbm(16, 484, pairs=0, seed=1)
     hard = gen_hard_rbm(12, 10, pairs=3, couple=5000.0, bias=5.0, seed=3)
     cases = [(small, 60, 12, (0, 1, 2))] + [
         (RbmParams(r.W, r.a, r.b, domain), 30, 100, (0, 1)) for r in (bench, hard)
@@ -238,7 +237,7 @@ def test_ais_matches_reference_loop(domain):
 
 
 def test_ais_validation():
-    rbm = gen_random_rbm(2, 2, seed=12)
+    rbm = gen_hard_rbm(2, 2, pairs=0, seed=12)
     with pytest.raises(ValueError):
         ais_logz(rbm, num_temps=1, num_runs=5, seed=0)
     with pytest.raises(ValueError):
@@ -350,7 +349,7 @@ def test_rrr_low_streamed_peak_memory_flat():
     # raise the traced peak (n=501, the logz benchmark's size). At width 3
     # most draws are distinct; each one may then cost a few copies of its
     # n/8-byte key, at most n bytes, never the 8n bytes of a float row.
-    emb = embed(gen_random_rbm(16, 484, seed=31))
+    emb = embed(gen_hard_rbm(16, 484, pairs=0, seed=31))
     m = emb.mrf
 
     def traced(k, counts):
@@ -468,7 +467,7 @@ def test_rrr_is_matches_per_draw_reference():
 
 
 def test_rrr_is_matches_per_draw_reference_rbm501():
-    m = embed(gen_random_rbm(16, 484, seed=101)).mrf
+    m = embed(gen_hard_rbm(16, 484, pairs=0, seed=101)).mrf
     X = solve_lrp(m, LrpOptions(k=2, restarts=1, seed=3)).X
     assert_allclose(
         rrr_is(m, X, 10_000, seed=72).log_z,

@@ -13,7 +13,6 @@ from relaxround import (
     brute_force_map,
     embed,
     gen_hard_rbm,
-    gen_random_rbm,
     solve_lrp,
 )
 from relaxround import relaxation
@@ -210,25 +209,27 @@ def test_solver_reaches_analytic_optimum_2x2():
     assert abs(sol.objective - 2.0) <= 1e-6
 
 
-def test_solver_dominates_integer_optimum_psd():
+def test_solver_dominates_integer_optimum_psd(monkeypatch):
     rng = np.random.default_rng(5)
     B = rng.normal(size=(8, 8))
     m = MrfParams(B @ B.T)
     _, integer_best = brute_force_map(m)
     # the default stall tolerance of 1e-8 (relative) leaves ~1e-6 on an
     # objective of this size, so converge tighter than the 1e-6 margin
-    sol = solve_lrp(m, LrpOptions(k=8, restarts=10, seed=2, rel_tol=1e-10))
+    monkeypatch.setattr(relaxation, "_REL_TOL", 1e-10)
+    sol = solve_lrp(m, LrpOptions(k=8, restarts=10, seed=2))
     assert sol.objective >= integer_best - 1e-6
 
 
-def test_solver_dominance_random_instances_full_width():
+def test_solver_dominance_random_instances_full_width(monkeypatch):
+    monkeypatch.setattr(relaxation, "_REL_TOL", 1e-10)
     rng = np.random.default_rng(6)
     for trial in range(5):
         n = int(rng.integers(4, 11))
         A = rng.normal(size=(n, n))
         m = MrfParams(A)
         _, integer_best = brute_force_map(m)
-        sol = solve_lrp(m, LrpOptions(k=n, restarts=20, seed=trial, rel_tol=1e-10))
+        sol = solve_lrp(m, LrpOptions(k=n, restarts=20, seed=trial))
         assert sol.objective >= integer_best - 1e-6
 
 
@@ -256,18 +257,21 @@ def test_solution_feasible_and_consistent():
     assert_allclose(sol.objective, lrp_objective(m.A, sol.X), rtol=1e-9)
 
 
-def test_fixed_step_trace_is_monotone():
+def test_fixed_step_trace_is_monotone(monkeypatch):
     # every span update maximizes the objective over its rows (exact row
     # updates) or does not decrease it (a step of 1/L with the estimate at
     # least L/2), so sweeps never decrease it, up to rounding; the {0,1}
     # embedding has a nonzero diagonal, and the dense MRF is one coupled span
     instances = [embed(gen_hard_rbm(30, 30, seed=seed)).mrf for seed in range(10)]
-    instances += [embed(gen_random_rbm(30, 20, seed=seed)).mrf for seed in range(3)]
+    instances += [
+        embed(gen_hard_rbm(30, 20, pairs=0, seed=seed)).mrf for seed in range(3)
+    ]
     instances += [embed(_rbm01(12, 9, seed)).mrf for seed in range(3)]
     instances.append(MrfParams(np.random.default_rng(9).normal(size=(20, 20))))
     assert (instances[-2].A.diagonal() != 0).any()
+    monkeypatch.setattr(relaxation, "_MAX_ITERS", 500)
     for seed, m in enumerate(instances):
-        sol = solve_lrp(m, LrpOptions(k=2, max_iters=500, seed=seed))
+        sol = solve_lrp(m, LrpOptions(k=2, seed=seed))
         diffs = np.diff(sol.trace)
         assert (diffs >= -1e-12 * np.maximum(1.0, np.abs(sol.trace[1:]))).all()
 
@@ -327,9 +331,9 @@ def test_batched_restarts_match_reference_loop():
     # every restart's final objective matches the one-restart-at-a-time
     # block sweep; the stacked products round differently, so not bit for bit
     instances = [
-        embed(gen_random_rbm(30, 20)).mrf,
+        embed(gen_hard_rbm(30, 20, pairs=0)).mrf,
         embed(gen_hard_rbm(30, 30)).mrf,
-        embed(gen_random_rbm(300, 200)).mrf,
+        embed(gen_hard_rbm(300, 200, pairs=0)).mrf,
     ]
     assert instances[-1].n == 501
     for seed, m in enumerate(instances):
@@ -420,9 +424,10 @@ def test_matvecs_counts_every_product(monkeypatch):
     assert blocks == [(4, 4), (4, 4)]
     assert sol.matvecs == -(-read // 144)
 
-    # every restart cut at max_iters, none left by its stall test
-    capped = LrpOptions(k=3, max_iters=4, restarts=5, seed=10)
-    sol, read = counted_solve(_mixed(2), capped)
+    # every restart cut at _MAX_ITERS, none left by its stall test
+    with monkeypatch.context() as patch:
+        patch.setattr(relaxation, "_MAX_ITERS", 4)
+        sol, read = counted_solve(_mixed(2), opts)
     assert sol.iterations == 4 * 5
     assert sol.matvecs == -(-read // 144)
 
@@ -432,20 +437,22 @@ def test_matvecs_counts_every_product(monkeypatch):
     # RBM embeddings read their off-diagonal blocks only; the {0,1} one
     # keeps a nonzero diagonal, which takes no product
     monkeypatch.setattr(relaxation, "estimate_lipschitz", no_lipschitz)
-    for m in (embed(gen_random_rbm(30, 20, seed=4)).mrf, embed(_rbm01(7, 5, 3)).mrf):
+    uncoupled = (gen_hard_rbm(30, 20, pairs=0, seed=4), _rbm01(7, 5, 3))
+    for m in (embed(rbm).mrf for rbm in uncoupled):
         sol, read = counted_solve(m, opts)
         assert 0 < read < opts.k * (opts.restarts + sol.iterations) * m.n**2
         assert sol.matvecs == -(-read // m.n**2)
 
 
-def test_max_iters_warns_once_per_solve(caplog):
+def test_max_iters_warns_once_per_solve(caplog, monkeypatch):
     rng = np.random.default_rng(15)
     m = MrfParams(rng.normal(size=(8, 8)))
+    monkeypatch.setattr(relaxation, "_MAX_ITERS", 3)
     with caplog.at_level(logging.WARNING, logger="relaxround.relaxation"):
-        sol = solve_lrp(m, LrpOptions(k=2, max_iters=3, restarts=4, seed=11))
+        sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=11))
     assert sol.iterations == 12
     assert len(caplog.records) == 1
-    assert "4 of 4" in caplog.records[0].getMessage()
+    assert "max_iters=3 in 4 of 4" in caplog.records[0].getMessage()
 
 
 def test_solver_deterministic():
@@ -482,11 +489,7 @@ def test_option_validation():
     with pytest.raises(ValueError):
         LrpOptions(k=0)
     with pytest.raises(ValueError):
-        LrpOptions(rel_tol=0.0)
-    with pytest.raises(ValueError):
         LrpOptions(restarts=0)
-    with pytest.raises(ValueError):
-        LrpOptions(max_iters=0)
     m = MrfParams(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         solve_lrp(m, LrpOptions(k=3))
@@ -502,4 +505,4 @@ def test_relaxation_converges_on_default_hard_instance(caplog):
     with caplog.at_level(logging.WARNING, logger="relaxround.relaxation"):
         sol = solve_lrp(m, opts)
     assert not caplog.records
-    assert sol.iterations < opts.restarts * opts.max_iters
+    assert sol.iterations < opts.restarts * relaxation._MAX_ITERS

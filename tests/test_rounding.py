@@ -14,13 +14,14 @@ from relaxround import (
     MrfParams,
     build_px_k2,
     embed,
-    gen_random_rbm,
     enumerate_support_k2,
+    gen_hard_rbm,
     px_query,
     rrr_map_sample,
     score,
     solve_lrp,
 )
+from relaxround import relaxation
 from relaxround.rounding import (
     SAMPLE_BLOCK_ROWS,
     _arc_index,
@@ -105,12 +106,13 @@ def test_batch_scores_match_score_function():
         assert_allclose(scores[i], score(m, samples[i]), rtol=1e-12)
 
 
-def test_sampler_mean_score_respects_two_over_pi():
+def test_sampler_mean_score_respects_two_over_pi(monkeypatch):
     # statistical form of the PSD rounding guarantee, 4-sigma slack
+    monkeypatch.setattr(relaxation, "_REL_TOL", 1e-10)
     rng = np.random.default_rng(8)
     B = rng.normal(size=(10, 10))
     m = MrfParams(B @ B.T)
-    sol = solve_lrp(m, LrpOptions(k=2, restarts=6, seed=9, rel_tol=1e-10))
+    sol = solve_lrp(m, LrpOptions(k=2, restarts=6, seed=9))
     _, scores = rrr_map_sample(m, sol.X, 20_000, seed=10)
     mean = scores.mean()
     stderr = scores.std() / math.sqrt(scores.size)
@@ -367,13 +369,14 @@ def test_sampling_agreement_chi_square():
     assert chi_square_ok(counts, [p for _, p in supp])
 
 
-def test_two_over_pi_exact_expectation_psd():
+def test_two_over_pi_exact_expectation_psd(monkeypatch):
+    monkeypatch.setattr(relaxation, "_REL_TOL", 1e-10)
     rng = np.random.default_rng(19)
     for trial in range(6):
         n = int(rng.integers(4, 31))
         B = rng.normal(size=(n, n))
         m = MrfParams(B @ B.T)
-        sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=trial, rel_tol=1e-10))
+        sol = solve_lrp(m, LrpOptions(k=2, restarts=4, seed=trial))
         norms = np.linalg.norm(sol.X, axis=1)
         assert norms.min() >= 1.0 - 1e-9  # PSD pushes every row to the boundary
         X = sol.X / norms[:, None]
@@ -406,7 +409,7 @@ def test_sample_blocks_are_the_batch_rows_in_order():
 def test_map_sample_scores_block_by_block():
     # 20000 draws at n=501: the samples are int8, and no samples x n float64
     # array (80 MB) is built to score them
-    m = embed(gen_random_rbm(300, 200, seed=100)).mrf
+    m = embed(gen_hard_rbm(300, 200, pairs=0, seed=100)).mrf
     X = np.random.default_rng(42).normal(size=(m.n, 2))
     X /= np.linalg.norm(X, axis=1)[:, None]
     rrr_map_sample(m, X, 10, seed=43)  # first-call allocations stay out
