@@ -164,11 +164,13 @@ def _tempered_block_sweep(
     V, then V given the new H. Returns the scores of the input state, which
     the hidden conditional's product V @ W also gives. `work` is a float64
     (2, runs, p) and a (2, runs, m) buffer, a field and uniforms per layer,
-    allocated once by the caller. Each logistic takes the operations of
-    1 / (1 + exp(-(gain * beta * (field + bias)))) in that order (the sign
-    inside the product, which is exact), so every probability and decision
-    is bit for bit that of the expression; another order (say, gain * beta
-    folded into the bias) moves probabilities by ulps."""
+    allocated once by the caller; `rng.random(out=...)` fills the hidden
+    layer's uniforms, then the visible layer's. Each logistic takes the
+    operations of 1 / (1 + exp(-(gain * beta * (field + bias)))) in that
+    order (the sign inside the product, which is exact), so every
+    probability and decision is bit for bit that of the expression; another
+    order (say, gain * beta folded into the bias) moves probabilities by
+    ulps."""
     gain, lo = (2.0, -1) if params.domain is Domain.PLUS_MINUS_ONE else (1.0, 0)
     (field_h, u_h), (field_v, u_v) = work
     np.matmul(V, params.W, out=field_h)

@@ -5,6 +5,11 @@ width-2 importance sampler with exactly known proposal probabilities)."""
 
 from __future__ import annotations
 
+import copy
+import functools
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -107,6 +112,82 @@ def _uniform_states(
     return 2.0 * bits - 1.0 if domain is Domain.PLUS_MINUS_ONE else bits.astype(float)
 
 
+class _RowStream:
+    """Rows [r0, r1) of a stream of (runs, cols) uniform blocks, on a copy
+    of a bit generator: `random(out=u)` fills the (r1 - r0, cols) block u
+    with the uniforms those rows take from a serial rng.random((runs,
+    cols)). Generator.random takes one PCG64 output per float64, so the
+    copy advances r0 * cols outputs before the block and (runs - r1) *
+    cols after it."""
+
+    def __init__(self, bit_generator, r0: int, r1: int, runs: int):
+        self._bits = copy.deepcopy(bit_generator)
+        self._rng = np.random.Generator(self._bits)
+        self._skip = r0, runs - r1
+
+    def random(self, out: np.ndarray) -> None:
+        before, after = self._skip
+        self._bits.advance(before * out.shape[1])
+        self._rng.random(out=out)
+        self._bits.advance(after * out.shape[1])
+
+
+# Whether ais_logz may run its second half of runs in a forked child. It
+# forks only while this thread is the process's one Python thread: a lock
+# another thread holds at the fork would stay held in the child.
+_FORK = sys.platform.startswith("linux")
+
+
+def _ais_runs(params: RbmParams, betas: np.ndarray, V, H, rng) -> np.ndarray:
+    """The log weights of the AIS runs in the rows of V and H, advanced in
+    place, one block sweep per temperature, with their own work buffers."""
+    runs = V.shape[0]
+    work = np.empty((2, runs, params.p)), np.empty((2, runs, params.m))
+    log_weights = np.zeros(runs)
+    for t in range(1, betas.size):
+        scores = _tempered_block_sweep(params, V, H, float(betas[t]), rng, work)
+        log_weights += (betas[t] - betas[t - 1]) * scores
+    return log_weights
+
+
+def _fork_join(first, second, count: int) -> np.ndarray:
+    """np.concatenate([first(), second()]), second() run in a forked child
+    that writes its `count` float64 values to a pipe and leaves by
+    os._exit, so it runs no exit handler and flushes no inherited buffer.
+    The parent runs first(), reads to EOF and reaps the child: a failed
+    child or a short read raises RuntimeError. If first() raises, the
+    child is killed and reaped before the exception propagates."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            data = memoryview(second()).cast("B")
+            while data:
+                data = data[os.write(write_fd, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            head = first()
+            data = pipe.read()
+    except BaseException:
+        import signal  # here only: its import builds enums every command would pay for
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or len(data) != 8 * count:
+        raise RuntimeError(
+            f"AIS child exited with {status} after {len(data)} of {8 * count} bytes"
+        )
+    return np.concatenate([head, np.frombuffer(data)])
+
+
 def ais_logz(
     params: RbmParams, num_temps: int, num_runs: int, seed: int
 ) -> EstimateReport:
@@ -116,7 +197,23 @@ def ais_logz(
     Each run accumulates sum_t (beta_{t+1} - beta_t) * score(x_t) and
     advances x with one in-place block sweep per temperature, whose
     product V @ W also gives score(x_t). The runs are float64 state
-    arrays, and the sweep's work buffers are allocated once per call.
+    arrays, split into two fixed halves, rows [0, c) and [c, num_runs)
+    with c = ceil(num_runs / 2). Each half runs the temperature loop by
+    itself, with work buffers allocated once per half. On Linux with two
+    or more runs, and no other Python thread, the second half runs in one
+    forked child process and the first in the caller; otherwise the halves
+    run here in turn, with the same arithmetic (one run has no second
+    half). The split does not depend on the CPU count, so neither does
+    the report.
+
+    One np.random.default_rng(seed) draws the int8 start states, then
+    per temperature a (num_runs, p) block of uniforms for the hidden
+    layer and a (num_runs, m) block for the visible one. Each half draws
+    its own rows of those blocks from a copy of the stream (`_RowStream`),
+    so every run takes the uniforms it would take with all runs in one
+    loop. A half's products run over its own rows, so BLAS may round them
+    differently from a product over every run.
+
     The estimate is (m+p) log 2 plus the log-mean-exp of the run weights,
     reduced in run order. `details` reports the standard deviation of
     the run weights.
@@ -130,11 +227,17 @@ def ais_logz(
     betas = np.linspace(0.0, 1.0, num_temps)
     V = _uniform_states(rng, num_runs, params.m, params.domain)
     H = _uniform_states(rng, num_runs, params.p, params.domain)
-    work = np.empty((2, num_runs, params.p)), np.empty((2, num_runs, params.m))
-    log_weights = np.zeros(num_runs)
-    for t in range(1, num_temps):
-        scores = _tempered_block_sweep(params, V, H, float(betas[t]), rng, work)
-        log_weights += (betas[t] - betas[t - 1]) * scores
+    cut = (num_runs + 1) // 2
+    halves = [
+        functools.partial(_ais_runs, params, betas, V[r0:r1], H[r0:r1],
+                          _RowStream(rng.bit_generator, r0, r1, num_runs))
+        for r0, r1 in ((0, cut), (cut, num_runs))
+        if r1 > r0
+    ]
+    if _FORK and len(halves) == 2 and threading.active_count() == 1:
+        log_weights = _fork_join(*halves, num_runs - cut)
+    else:
+        log_weights = np.concatenate([half() for half in halves])
     log_base = (params.m + params.p) * np.log(2.0)
     log_z = float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))
     return EstimateReport(

@@ -1,7 +1,10 @@
 """Exact, annealed-importance, and relax-and-round partition estimates."""
 
+import copy
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 
 import mpmath
@@ -31,6 +34,7 @@ from relaxround import (
     score_batch,
     solve_lrp,
 )
+from relaxround import partition
 from relaxround.partition import _distinct_keys, _streaming_logsumexp, _unpack_keys
 from relaxround.rounding import (
     _round_rows,
@@ -189,8 +193,11 @@ def test_ais_zero_one_domain():
 
 
 def _reference_ais(params, num_temps, num_runs, seed):
-    """ais_logz as a plain loop: each state is scored with its own V @ W
-    before the block sweep, written out here, moves it."""
+    """ais_logz as a plain loop per half of the runs, rows [0, c) and
+    [c, runs) with c = ceil(runs / 2): each state is scored with its own
+    V @ W before the block sweep, written out here, moves it. Each half
+    draws its rows of the serial (runs, p) and (runs, m) uniform blocks
+    by advancing its own copy of the bit generator past the other rows."""
     rng = np.random.default_rng(seed)
     spin = params.domain is Domain.PLUS_MINUS_ONE
     gain, lo = (2.0, -1) if spin else (1.0, 0)
@@ -199,19 +206,34 @@ def _reference_ais(params, num_temps, num_runs, seed):
         bits = rng.integers(0, 2, size=(num_runs, cols), dtype=np.int8)
         return (2 * bits - 1).astype(np.int8) if spin else bits
 
-    V, H = uniform(params.m), uniform(params.p)
+    V0, H0 = uniform(params.m), uniform(params.p)
     betas = np.linspace(0.0, 1.0, num_temps)
-    log_weights = np.zeros(num_runs)
-    for t in range(1, num_temps):
-        scores = (np.einsum("rp,rp->r", V @ params.W, H.astype(float))
-                  + V @ params.a + H @ params.b)
-        log_weights += (betas[t] - betas[t - 1]) * scores
-        beta = float(betas[t])
-        with np.errstate(over="ignore"):
-            ph = 1.0 / (1.0 + np.exp(-(gain * beta * (V @ params.W + params.b))))
-            H = np.where(rng.random(ph.shape) < ph, 1, lo).astype(np.int8)
-            pv = 1.0 / (1.0 + np.exp(-(gain * beta * (H @ params.W.T + params.a))))
-            V = np.where(rng.random(pv.shape) < pv, 1, lo).astype(np.int8)
+    cut = (num_runs + 1) // 2
+    halves = []
+    for r0, r1 in ((0, cut), (cut, num_runs)):
+        bits = copy.deepcopy(rng.bit_generator)
+        half = np.random.Generator(bits)
+
+        def draw(shape):
+            bits.advance(r0 * shape[1])
+            u = half.random(shape)
+            bits.advance((num_runs - r1) * shape[1])
+            return u
+
+        V, H = V0[r0:r1], H0[r0:r1]
+        log_weights = np.zeros(r1 - r0)
+        for t in range(1, num_temps):
+            scores = (np.einsum("rp,rp->r", V @ params.W, H.astype(float))
+                      + V @ params.a + H @ params.b)
+            log_weights += (betas[t] - betas[t - 1]) * scores
+            beta = float(betas[t])
+            with np.errstate(over="ignore"):
+                ph = 1.0 / (1.0 + np.exp(-(gain * beta * (V @ params.W + params.b))))
+                H = np.where(draw(ph.shape) < ph, 1, lo).astype(np.int8)
+                pv = 1.0 / (1.0 + np.exp(-(gain * beta * (H @ params.W.T + params.a))))
+                V = np.where(draw(pv.shape) < pv, 1, lo).astype(np.int8)
+        halves.append(log_weights)
+    log_weights = np.concatenate(halves)
     log_base = (params.m + params.p) * np.log(2.0)
     return float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))
 
@@ -227,13 +249,139 @@ def test_ais_matches_reference_loop(domain):
                       rng.normal(size=7), domain)
     bench = gen_hard_rbm(16, 484, pairs=0, seed=1)
     hard = gen_hard_rbm(12, 10, pairs=3, couple=5000.0, bias=5.0, seed=3)
-    cases = [(small, 60, 12, (0, 1, 2))] + [
-        (RbmParams(r.W, r.a, r.b, domain), 30, 100, (0, 1)) for r in (bench, hard)
-    ]
+    cases = [(small, 60, 12, (0, 1, 2)), (small, 40, 7, (3,)), (small, 40, 1, (4,))]
+    cases += [(RbmParams(r.W, r.a, r.b, domain), 30, 100, (0, 1)) for r in (bench, hard)]
     for rbm, temps, runs, seeds in cases:
         for seed in seeds:
             got = ais_logz(rbm, num_temps=temps, num_runs=runs, seed=seed).log_z
             assert got == _reference_ais(rbm, temps, runs, seed)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3, 7, 100])
+@pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
+def test_ais_halves_draw_the_serial_uniforms(monkeypatch, domain, runs):
+    # each half's per-temperature uniforms are its rows of one serial
+    # rng.random((runs, p)) and rng.random((runs, m)) per temperature,
+    # drawn after the int8 start states (which leave a buffered 32-bit
+    # half that float draws do not use); one run has no second half
+    m, p, temps, seed = 3, 5, 4, 31
+    rng = np.random.default_rng(32)
+    rbm = RbmParams(rng.normal(size=(m, p)), rng.normal(size=m),
+                    rng.normal(size=p), domain)
+    drawn = []
+
+    def recording(params, V, H, beta, stream, work):
+        scores = sweep(params, V, H, beta, stream, work)
+        (_, u_h), (_, u_v) = work
+        drawn.append((u_h.copy(), u_v.copy()))
+        return scores
+
+    sweep = partition._tempered_block_sweep
+    monkeypatch.setattr(partition, "_FORK", False)
+    monkeypatch.setattr(partition, "_tempered_block_sweep", recording)
+    ais_logz(rbm, num_temps=temps, num_runs=runs, seed=seed)
+
+    serial = np.random.default_rng(seed)
+    serial.integers(0, 2, size=(runs, m), dtype=np.int8)
+    serial.integers(0, 2, size=(runs, p), dtype=np.int8)
+    blocks = [(serial.random((runs, p)), serial.random((runs, m)))
+              for _ in range(temps - 1)]
+    cut = (runs + 1) // 2
+    halves = [(r0, r1) for r0, r1 in ((0, cut), (cut, runs)) if r1 > r0]
+    assert len(drawn) == len(halves) * (temps - 1)
+    for half, (r0, r1) in enumerate(halves):
+        for t, (u_h, u_v) in enumerate(blocks):
+            got_h, got_v = drawn[half * (temps - 1) + t]
+            assert got_h.tobytes() == u_h[r0:r1].tobytes()
+            assert got_v.tobytes() == u_v[r0:r1].tobytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
+def test_ais_forked_and_inline_halves_agree(monkeypatch, domain):
+    # the forked child runs the same arithmetic as the inline second half,
+    # and no child outlives the call
+    rng = np.random.default_rng(33)
+    small = RbmParams(rng.normal(size=(9, 7)), rng.normal(size=9),
+                      rng.normal(size=7), domain)
+    bench = gen_hard_rbm(16, 484, pairs=0, seed=1)
+    cases = [(small, 50, runs) for runs in (1, 2, 3, 7)] + [
+        (RbmParams(bench.W, bench.a, bench.b, domain), 30, 100)]
+    for rbm, temps, runs in cases:
+        reports = []
+        for fork in (True, False):
+            monkeypatch.setattr(partition, "_FORK", fork)
+            reports.append(ais_logz(rbm, num_temps=temps, num_runs=runs, seed=34))
+            _no_child_left()
+        forked, inline = reports
+        assert forked.log_z == inline.log_z
+        assert forked.details["weight_std"] == inline.details["weight_std"]
+
+
+def test_ais_forks_no_child_beside_another_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    rbm = gen_hard_rbm(4, 3, pairs=0, seed=41)
+    forked = ais_logz(rbm, num_temps=20, num_runs=4, seed=42)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        inline = ais_logz(rbm, num_temps=20, num_runs=4, seed=42)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert inline.log_z == forked.log_z
+
+
+def test_ais_failed_child_raises(monkeypatch):
+    parent = os.getpid()
+    sweep = partition._tempered_block_sweep
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("child fails")
+        return sweep(*args)
+
+    monkeypatch.setattr(partition, "_tempered_block_sweep", failing_in_child)
+    rbm = gen_hard_rbm(4, 3, pairs=0, seed=35)
+    with pytest.raises(RuntimeError, match="AIS child exited with 1"):
+        ais_logz(rbm, num_temps=20, num_runs=4, seed=36)
+    _no_child_left()
+
+
+def test_ais_parent_failure_leaves_no_child(monkeypatch):
+    parent = os.getpid()
+    sweep = partition._tempered_block_sweep
+
+    def interrupted_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return sweep(*args)
+
+    monkeypatch.setattr(partition, "_tempered_block_sweep", interrupted_in_parent)
+    rbm = gen_hard_rbm(16, 484, pairs=0, seed=37)
+    with pytest.raises(KeyboardInterrupt):
+        ais_logz(rbm, num_temps=1000, num_runs=100, seed=38)
+    _no_child_left()
+
+
+def test_ais_child_flushes_no_inherited_buffer(capfd):
+    # the child leaves by os._exit, so a line still in a buffer of this
+    # process when it forks is written once, by the parent
+    with os.fdopen(os.dup(1), "w", buffering=1 << 16) as buffered:
+        buffered.write("before ais\n")
+        ais_logz(gen_hard_rbm(4, 3, pairs=0, seed=39), num_temps=20, num_runs=4, seed=40)
+    out, err = capfd.readouterr()
+    assert out.count("before ais") == 1
+    assert err == ""
 
 
 def test_ais_validation():
