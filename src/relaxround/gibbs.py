@@ -1,10 +1,10 @@
-"""Single-site and block Gibbs sampling with optional annealing, plus the
-relax-and-round warm start that feeds rounded samples into annealed chains.
+"""Single-site Gibbs sampling with optional annealing, plus the
+relax-and-round warm start that feeds rounded samples into annealed
+chains. AIS's RBM block sweep is in `partition._ais_runs`.
 
 Temperature always divides the score, so a conditional flip probability is
-a logistic in (score difference)/temperature. A single-site chain decides
-each site against a field threshold taken from its uniform before the
-sweep, which is the same decision as the logistic's up to rounding.
+a logistic in (score difference)/temperature. A chain decides each site
+against a field threshold from its uniform, the logistic's up to rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import Domain, MrfParams, RbmParams, _scan_spans, check_assignment, score
+from .models import Domain, MrfParams, _scan_spans, check_assignment, score
 from .rounding import rrr_sample_blocks
 
 # the largest argument math.exp takes without overflow
@@ -135,50 +135,6 @@ def _sweep(plan: tuple, thresholds: np.ndarray | None) -> np.ndarray:
         if site is not None:
             ls += 0.5 * site[2]
     return trace + 2.0 * np.einsum("ci,ci->c", X, L)
-
-
-def _resample_layer(layer, field, bias, scale, lo, u, rng) -> None:
-    """layer = 1 where u < 1 / (1 + exp(-(scale * (field + bias)))), else lo."""
-    field += bias
-    field *= -scale  # exactly -(scale * field): rounding is symmetric in sign
-    with np.errstate(over="ignore"):  # exp(-z) = inf where the probability is 0
-        np.exp(field, out=field)
-    field += 1.0
-    np.reciprocal(field, out=field)
-    rng.random(out=u)
-    np.less(u, field, out=layer)
-    layer *= 1 - lo
-    layer += lo
-
-
-def _tempered_block_sweep(
-    params: RbmParams,
-    V: np.ndarray,
-    H: np.ndarray,
-    beta: float,
-    rng: np.random.Generator,
-    work: tuple,
-) -> np.ndarray:
-    """Block sweep targeting exp(beta * score), in place on the float64
-    chain states V (runs x m) and H (runs x p), entries in {lo, 1}: H given
-    V, then V given the new H. Returns the scores of the input state, which
-    the hidden conditional's product V @ W also gives. `work` is a float64
-    (2, runs, p) and a (2, runs, m) buffer, a field and uniforms per layer,
-    allocated once by the caller; `rng.random(out=...)` fills the hidden
-    layer's uniforms, then the visible layer's. Each logistic takes the
-    operations of 1 / (1 + exp(-(gain * beta * (field + bias)))) in that
-    order (the sign inside the product, which is exact), so every
-    probability and decision is bit for bit that of the expression; another
-    order (say, gain * beta folded into the bias) moves probabilities by
-    ulps."""
-    gain, lo = (2.0, -1) if params.domain is Domain.PLUS_MINUS_ONE else (1.0, 0)
-    (field_h, u_h), (field_v, u_v) = work
-    np.matmul(V, params.W, out=field_h)
-    scores = np.einsum("rp,rp->r", field_h, H) + V @ params.a + H @ params.b
-    _resample_layer(H, field_h, params.b, gain * beta, lo, u_h, rng)
-    np.matmul(H, params.W.T, out=field_v)
-    _resample_layer(V, field_v, params.a, gain * beta, lo, u_v, rng)
-    return scores
 
 
 def _run_schedule(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import _tempered_block_sweep
 from .models import Domain, MrfParams, RbmParams, iter_corner_blocks, score_batch
 from .rounding import (
     SAMPLE_BLOCK_ROWS,
@@ -138,15 +137,44 @@ class _RowStream:
 _FORK = sys.platform.startswith("linux")
 
 
+def _resample_layer(layer, field, bias, scale, lo, u, rng) -> None:
+    """layer = 1 where u < 1 / (1 + exp(-(scale * (field + bias)))), else lo."""
+    field += bias
+    field *= -scale  # exactly -(scale * field): rounding is symmetric in sign
+    with np.errstate(over="ignore"):  # exp(-z) = inf where the probability is 0
+        np.exp(field, out=field)
+    field += 1.0
+    np.reciprocal(field, out=field)
+    rng.random(out=u)
+    np.less(u, field, out=layer)
+    layer *= 1 - lo
+    layer += lo
+
+
 def _ais_runs(params: RbmParams, betas: np.ndarray, V, H, rng) -> np.ndarray:
-    """The log weights of the AIS runs in the rows of V and H, advanced in
-    place, one block sweep per temperature, with their own work buffers."""
+    """The log weights of the AIS runs in the float64 rows of V (runs x m)
+    and H (runs x p), entries in {lo, 1}. Per temperature t >= 1 a run adds
+    (betas[t] - betas[t-1]) times its pre-sweep score, which V @ W also
+    gives, then takes one block sweep at beta = betas[t], in place: H given
+    V, then V given the new H. `rng.random(out=...)` fills the hidden
+    uniforms, then the visible ones, in buffers allocated once per call.
+    Each logistic keeps the operation order of 1 / (1 + exp(-(gain * beta *
+    (field + bias)))), the sign inside the exact product, so every decision
+    is bit for bit the expression's; another order (say, gain * beta folded
+    into the bias) moves probabilities by ulps."""
+    gain, lo = (2.0, -1) if params.domain is Domain.PLUS_MINUS_ONE else (1.0, 0)
     runs = V.shape[0]
-    work = np.empty((2, runs, params.p)), np.empty((2, runs, params.m))
+    field_h, u_h = np.empty((2, runs, params.p))
+    field_v, u_v = np.empty((2, runs, params.m))
     log_weights = np.zeros(runs)
     for t in range(1, betas.size):
-        scores = _tempered_block_sweep(params, V, H, float(betas[t]), rng, work)
+        scale = gain * float(betas[t])
+        np.matmul(V, params.W, out=field_h)
+        scores = np.einsum("rp,rp->r", field_h, H) + V @ params.a + H @ params.b
         log_weights += (betas[t] - betas[t - 1]) * scores
+        _resample_layer(H, field_h, params.b, scale, lo, u_h, rng)
+        np.matmul(H, params.W.T, out=field_v)
+        _resample_layer(V, field_v, params.a, scale, lo, u_v, rng)
     return log_weights
 
 

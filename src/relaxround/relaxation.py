@@ -140,7 +140,7 @@ def _row_maximizer(G: np.ndarray, d: np.ndarray, X: np.ndarray) -> np.ndarray:
     return G
 
 
-def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float):
+def _ascend(A: np.ndarray, X: np.ndarray):
     """Block-coordinate ascent on the restarts X[:, r] of an (n, R, k) stack.
 
     A sweep updates the spans S of `_scan_spans(A)` in order from their
@@ -151,10 +151,10 @@ def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float):
     from its last update. The objective sums <X_S, P + 2 A[S, :start]
     X[:start]> over the spans, so a dense A (one coupled span) costs one
     product per sweep. A restart stops once its objective has changed by
-    less than rel_tol (relative) over _STALL_WINDOW sweeps. Returns
+    less than _REL_TOL (relative) over _STALL_WINDOW sweeps. Returns
     (best_X, best_f, traces, capped, work): per restart its best iterate
     (the first wins ties), that objective and its trace, how many restarts
-    were still running after max_iters sweeps, and the entries of A read by
+    were still running after _MAX_ITERS sweeps, and the entries of A read by
     products times the columns they multiply, power iterations included.
     """
     n, d = X.shape[0], A.diagonal()[:, None, None]
@@ -212,7 +212,7 @@ def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float):
     traces = [[v] for v in f]
     best = [(v, X[:, r]) for r, v in enumerate(f)]
     run = list(range(len(f)))  # restart in each column of the block
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         X, f = sweep(X, True)
         keep = []
         for j, v in enumerate(f):
@@ -223,7 +223,7 @@ def _ascend(A: np.ndarray, X: np.ndarray, max_iters: int, rel_tol: float):
                 best[r] = (v, X[:, j])
             stalled = len(trace) > _STALL_WINDOW and abs(
                 v - trace[-1 - _STALL_WINDOW]
-            ) < rel_tol * max(1.0, abs(v))
+            ) < _REL_TOL * max(1.0, abs(v))
             if not stalled:
                 keep.append(j)
         if len(keep) < len(run):
@@ -254,9 +254,7 @@ def solve_lrp(params: MrfParams, opts: LrpOptions) -> RelaxedSolution:
         _init_rows_in_ball(params.n, opts.k, np.random.default_rng(child))
         for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts)
     ]
-    best_X, best_f, traces, capped, work = _ascend(
-        params.A, np.stack(starts, axis=1), _MAX_ITERS, _REL_TOL
-    )
+    best_X, best_f, traces, capped, work = _ascend(params.A, np.stack(starts, axis=1))
     if capped:
         logger.warning(
             "relaxation stopped at max_iters=%d in %d of %d restarts",

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from relaxround import Domain, MrfParams, iter_corner_blocks, score_batch
-from relaxround.gibbs import _tempered_block_sweep
+from relaxround.partition import _ais_runs
 
 
 class CountingMatrix(np.ndarray):
@@ -50,9 +50,9 @@ def reference_row_maximizer(G, d, X):
 def block_sweep(params, v, h, T, rng):
     """One block sweep of AIS's kernel, in place, on a single RBM chain at
     temperature T: the float64 hidden units h given v, then the float64
-    visible units v given the new h."""
-    work = np.empty((2, 1, params.p)), np.empty((2, 1, params.m))
-    _tempered_block_sweep(params, v[None], h[None], 1.0 / T, rng, work)
+    visible units v given the new h. It runs `partition._ais_runs` as one
+    run on the flat grid beta = (1/T, 1/T), whose weight increment is 0."""
+    _ais_runs(params, np.full(2, 1.0 / T), v[None], h[None], rng)
 
 
 def reference_sweep(A, x, temperature, rng):

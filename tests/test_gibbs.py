@@ -27,6 +27,7 @@ from relaxround import (
     solve_lrp,
 )
 from relaxround import gibbs as gibbs_module
+from relaxround import partition
 from relaxround.gibbs import (
     _linear_temperatures,
     _run_schedule,
@@ -520,11 +521,18 @@ def test_block_sweep_zero_weights_uniform():
 
 
 @pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
-def test_block_sweep_probabilities_match_the_expression(domain):
+def test_block_sweep_probabilities_match_the_expression(monkeypatch, domain):
     # the in-place logistic keeps the expression's operation order: the
-    # probabilities it leaves in the work buffers, and so every decision,
+    # probabilities it leaves in the field buffers, and so every decision,
     # are bit for bit those of 1 / (1 + exp(-(gain * beta * (field + bias))))
     gain, lo = (2.0, -1.0) if domain is Domain.PLUS_MINUS_ONE else (1.0, 0.0)
+    resample, probabilities = partition._resample_layer, []
+
+    def recording(layer, field, *args):
+        resample(layer, field, *args)
+        probabilities.append(field.copy())
+
+    monkeypatch.setattr(partition, "_resample_layer", recording)
     bench = gen_hard_rbm(16, 484, pairs=0, seed=1)
     hard = gen_hard_rbm(12, 10, pairs=3, couple=5000.0, bias=5.0, seed=3)
     for r, beta in ((bench, 0.37), (hard, 0.9)):
@@ -533,19 +541,21 @@ def test_block_sweep_probabilities_match_the_expression(domain):
         V0 = rng.choice([lo, 1.0], size=(50, rbm.m))
         H0 = rng.choice([lo, 1.0], size=(50, rbm.p))
         V, H = V0.copy(), H0.copy()
-        work = np.empty((2, 50, rbm.p)), np.empty((2, 50, rbm.m))
-        scores = gibbs_module._tempered_block_sweep(
-            rbm, V, H, beta, np.random.default_rng(22), work)
+        probabilities.clear()
+        # one sweep at beta, whose weight increment is beta times the score
+        weights = partition._ais_runs(
+            rbm, np.array([0.0, beta]), V, H, np.random.default_rng(22))
         ref = np.random.default_rng(22)
         with np.errstate(over="ignore"):
             ph = 1.0 / (1.0 + np.exp(-(gain * beta * (V0 @ rbm.W + rbm.b))))
             h = np.where(ref.random(ph.shape) < ph, 1.0, lo)
             pv = 1.0 / (1.0 + np.exp(-(gain * beta * (h @ rbm.W.T + rbm.a))))
             v = np.where(ref.random(pv.shape) < pv, 1.0, lo)
-        for got, want in ((work[0][0], ph), (H, h), (work[1][0], pv), (V, v)):
+        assert len(probabilities) == 2
+        for got, want in zip(probabilities + [H, V], (ph, pv, h, v)):
             assert np.array_equal(got, want)
         want = ((V0 @ rbm.W) * H0).sum(axis=1) + V0 @ rbm.a + H0 @ rbm.b
-        assert_allclose(scores, want, rtol=1e-12, atol=1e-9)
+        assert_allclose(weights / beta, want, rtol=1e-12, atol=1e-9)
 
 
 def test_block_conditional_value():

@@ -268,17 +268,15 @@ def test_ais_halves_draw_the_serial_uniforms(monkeypatch, domain, runs):
     rng = np.random.default_rng(32)
     rbm = RbmParams(rng.normal(size=(m, p)), rng.normal(size=m),
                     rng.normal(size=p), domain)
-    drawn = []
+    drawn = []  # each layer's uniforms per call: hidden, then visible
 
-    def recording(params, V, H, beta, stream, work):
-        scores = sweep(params, V, H, beta, stream, work)
-        (_, u_h), (_, u_v) = work
-        drawn.append((u_h.copy(), u_v.copy()))
-        return scores
+    def recording(layer, field, bias, scale, lo, u, stream):
+        resample(layer, field, bias, scale, lo, u, stream)
+        drawn.append(u.copy())
 
-    sweep = partition._tempered_block_sweep
+    resample = partition._resample_layer
     monkeypatch.setattr(partition, "_FORK", False)
-    monkeypatch.setattr(partition, "_tempered_block_sweep", recording)
+    monkeypatch.setattr(partition, "_resample_layer", recording)
     ais_logz(rbm, num_temps=temps, num_runs=runs, seed=seed)
 
     serial = np.random.default_rng(seed)
@@ -288,10 +286,11 @@ def test_ais_halves_draw_the_serial_uniforms(monkeypatch, domain, runs):
               for _ in range(temps - 1)]
     cut = (runs + 1) // 2
     halves = [(r0, r1) for r0, r1 in ((0, cut), (cut, runs)) if r1 > r0]
-    assert len(drawn) == len(halves) * (temps - 1)
+    assert len(drawn) == 2 * len(halves) * (temps - 1)
     for half, (r0, r1) in enumerate(halves):
         for t, (u_h, u_v) in enumerate(blocks):
-            got_h, got_v = drawn[half * (temps - 1) + t]
+            call = 2 * (half * (temps - 1) + t)
+            got_h, got_v = drawn[call], drawn[call + 1]
             assert got_h.tobytes() == u_h[r0:r1].tobytes()
             assert got_v.tobytes() == u_v[r0:r1].tobytes()
 
@@ -343,14 +342,14 @@ def test_ais_forks_no_child_beside_another_thread(monkeypatch):
 
 def test_ais_failed_child_raises(monkeypatch):
     parent = os.getpid()
-    sweep = partition._tempered_block_sweep
+    resample = partition._resample_layer
 
     def failing_in_child(*args):
         if os.getpid() != parent:
             raise ValueError("child fails")
-        return sweep(*args)
+        return resample(*args)
 
-    monkeypatch.setattr(partition, "_tempered_block_sweep", failing_in_child)
+    monkeypatch.setattr(partition, "_resample_layer", failing_in_child)
     rbm = gen_hard_rbm(4, 3, pairs=0, seed=35)
     with pytest.raises(RuntimeError, match="AIS child exited with 1"):
         ais_logz(rbm, num_temps=20, num_runs=4, seed=36)
@@ -359,14 +358,14 @@ def test_ais_failed_child_raises(monkeypatch):
 
 def test_ais_parent_failure_leaves_no_child(monkeypatch):
     parent = os.getpid()
-    sweep = partition._tempered_block_sweep
+    resample = partition._resample_layer
 
     def interrupted_in_parent(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return sweep(*args)
+        return resample(*args)
 
-    monkeypatch.setattr(partition, "_tempered_block_sweep", interrupted_in_parent)
+    monkeypatch.setattr(partition, "_resample_layer", interrupted_in_parent)
     rbm = gen_hard_rbm(16, 484, pairs=0, seed=37)
     with pytest.raises(KeyboardInterrupt):
         ais_logz(rbm, num_temps=1000, num_runs=100, seed=38)

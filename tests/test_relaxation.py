@@ -342,9 +342,7 @@ def test_batched_restarts_match_reference_loop():
             relaxation._init_rows_in_ball(m.n, 2, np.random.default_rng(child))
             for child in np.random.SeedSequence(seed).spawn(4)
         ]
-        best_X, best_f, _, _, _ = relaxation._ascend(
-            A, np.stack(starts, axis=1), 10_000, 1e-8
-        )
+        best_X, best_f, _, _, _ = relaxation._ascend(A, np.stack(starts, axis=1))
         for r, X0 in enumerate(starts):
             _, want_f, _ = reference_block_ascend(A, X0, 10_000, 1e-8)
             assert_allclose(best_f[r], want_f, rtol=1e-9)
@@ -362,9 +360,7 @@ def test_dense_restarts_match_fixed_step_reference():
             relaxation._init_rows_in_ball(n, 3, np.random.default_rng(child))
             for child in np.random.SeedSequence(n).spawn(4)
         ]
-        _, best_f, _, _, _ = relaxation._ascend(
-            A, np.stack(starts, axis=1), 10_000, 1e-8
-        )
+        _, best_f, _, _, _ = relaxation._ascend(A, np.stack(starts, axis=1))
         step = 1.0 / estimate_lipschitz(A)[0]
         for r, X0 in enumerate(starts):
             _, want_f, _ = reference_ascend(A, X0, 10_000, 1e-8, step)
@@ -380,9 +376,7 @@ def test_mixed_spans_match_reference_block_sweep():
             relaxation._init_rows_in_ball(12, 2, np.random.default_rng(child))
             for child in np.random.SeedSequence(seed).spawn(3)
         ]
-        _, best_f, traces, _, _ = relaxation._ascend(
-            m.A, np.stack(starts, axis=1), 10_000, 1e-8
-        )
+        _, best_f, traces, _, _ = relaxation._ascend(m.A, np.stack(starts, axis=1))
         for r, X0 in enumerate(starts):
             _, want_f, _ = reference_block_ascend(m.A, X0, 10_000, 1e-8)
             assert_allclose(best_f[r], want_f, rtol=1e-9)
