@@ -35,7 +35,7 @@ from .models import (
     score,
     score_batch,
 )
-from .partition import ais_logz, exact_logz_rbm, rrr_is, rrr_low
+from .partition import _fork_join, ais_logz, exact_logz_rbm, rrr_is, rrr_low
 from .relaxation import LrpOptions, solve_lrp
 from .rounding import rrr_sample_blocks
 
@@ -107,72 +107,87 @@ def _run_map(args) -> int:
     methods = _parse_methods(args.methods, MAP_METHODS)
     seed = args.seed
     chain_sweeps = max(1, args.sweeps // args.chains)
-    # rrr and rrr-ag round one solution; each entry's cost still counts the
-    # whole solve, as if its method ran alone.
-    if {"rrr", "rrr-ag"} & set(methods):
-        sol = _relax(mrf, args, _TAG_MAP_LRP)
 
-    entries = {}
-    for method in methods:
-        if method == "rrr":
-            # streamed a block at a time: only the scores and the first best
-            # row outlive their block; that row is reported with score(), as
-            # every method reports its best state, so equal states tie
-            blocks = rrr_sample_blocks(
-                mrf, sol.X, args.samples, _derive_seed(seed, _TAG_MAP_SAMPLE)
-            )
-            scores, best = [], None
-            for rows in blocks:
-                scores.append(score_batch(mrf, rows))
-                i = int(np.argmax(scores[-1]))
-                if best is None or scores[-1][i] > best[0]:
-                    best = scores[-1][i], rows[i].copy()
-            running = np.maximum.accumulate(np.concatenate(scores)) + prob.offset
-            entries[method] = {
-                "best_score": score(mrf, best[1]) + prob.offset,
-                "best_assignment": prob.to_native(best[1]),
-                "relaxation_objective": sol.objective,
-                "relaxation_iterations": sol.iterations,
-                "cost_sweep_equivalents": sol.matvecs
-                + math.ceil(args.samples * args.k / n),
-                "score_trace": [float(v) for v in running],
-            }
-        elif method == "ag":
-            init_rng = np.random.default_rng(_derive_seed(seed, _TAG_AG_INIT))
-            init = (2 * init_rng.integers(0, 2, size=n) - 1).astype(np.int8)
-            state = annealed_gibbs(
-                mrf, args.t_high, args.sweeps, init, _derive_seed(seed, _TAG_AG_RUN)
-            )
-            entries[method] = {
-                "best_score": state.best_score + prob.offset,
-                "best_assignment": prob.to_native(state.best_x),
-                "cost_sweep_equivalents": args.sweeps,
-                "score_trace": [v + prob.offset for v in state.score_trace],
-            }
-        elif method == "rrr-ag":
-            state = rrr_ag(
-                mrf, sol.X, args.t_high, chain_sweeps, args.chains,
-                _derive_seed(seed, _TAG_RRRAG_SAMPLE),
-            )
-            entries[method] = {
-                "best_score": state.best_score + prob.offset,
-                "best_assignment": prob.to_native(state.best_x),
-                "relaxation_objective": sol.objective,
-                "relaxation_iterations": sol.iterations,
-                "cost_sweep_equivalents": sol.matvecs
-                + math.ceil(args.chains * args.k / n)
-                + args.chains * chain_sweeps,
-                "chains": args.chains,
-                "chain_sweeps": chain_sweeps,
-                "score_trace": [v + prob.offset for v in state.score_trace],
-            }
-        elif method == "brute":
-            x, value = brute_force_map(mrf)
-            entries[method] = {
-                "best_score": value + prob.offset,
-                "best_assignment": prob.to_native(x),
-                "cost_sweep_equivalents": 1 << n,
-            }
+    def entries_of(names):
+        # rrr and rrr-ag round one solution; each entry's cost still counts
+        # the whole solve, as if its method ran alone.
+        if {"rrr", "rrr-ag"} & set(names):
+            sol = _relax(mrf, args, _TAG_MAP_LRP)
+        entries = {}
+        for method in names:
+            if method == "rrr":
+                # streamed a block at a time: only the scores and the first
+                # best row outlive their block; that row is reported with
+                # score(), as every method reports its best state, so equal
+                # states tie
+                blocks = rrr_sample_blocks(
+                    mrf, sol.X, args.samples, _derive_seed(seed, _TAG_MAP_SAMPLE)
+                )
+                scores, best = [], None
+                for rows in blocks:
+                    scores.append(score_batch(mrf, rows))
+                    i = int(np.argmax(scores[-1]))
+                    if best is None or scores[-1][i] > best[0]:
+                        best = scores[-1][i], rows[i].copy()
+                running = np.maximum.accumulate(np.concatenate(scores)) + prob.offset
+                entries[method] = {
+                    "best_score": score(mrf, best[1]) + prob.offset,
+                    "best_assignment": prob.to_native(best[1]),
+                    "relaxation_objective": sol.objective,
+                    "relaxation_iterations": sol.iterations,
+                    "cost_sweep_equivalents": sol.matvecs
+                    + math.ceil(args.samples * args.k / n),
+                    "score_trace": [float(v) for v in running],
+                }
+            elif method == "ag":
+                init_rng = np.random.default_rng(_derive_seed(seed, _TAG_AG_INIT))
+                init = (2 * init_rng.integers(0, 2, size=n) - 1).astype(np.int8)
+                state = annealed_gibbs(
+                    mrf, args.t_high, args.sweeps, init, _derive_seed(seed, _TAG_AG_RUN)
+                )
+                entries[method] = {
+                    "best_score": state.best_score + prob.offset,
+                    "best_assignment": prob.to_native(state.best_x),
+                    "cost_sweep_equivalents": args.sweeps,
+                    "score_trace": [v + prob.offset for v in state.score_trace],
+                }
+            elif method == "rrr-ag":
+                state = rrr_ag(
+                    mrf, sol.X, args.t_high, chain_sweeps, args.chains,
+                    _derive_seed(seed, _TAG_RRRAG_SAMPLE),
+                )
+                entries[method] = {
+                    "best_score": state.best_score + prob.offset,
+                    "best_assignment": prob.to_native(state.best_x),
+                    "relaxation_objective": sol.objective,
+                    "relaxation_iterations": sol.iterations,
+                    "cost_sweep_equivalents": sol.matvecs
+                    + math.ceil(args.chains * args.k / n)
+                    + args.chains * chain_sweeps,
+                    "chains": args.chains,
+                    "chain_sweeps": chain_sweeps,
+                    "score_trace": [v + prob.offset for v in state.score_trace],
+                }
+            elif method == "brute":
+                x, value = brute_force_map(mrf)
+                entries[method] = {
+                    "best_score": value + prob.offset,
+                    "best_assignment": prob.to_native(x),
+                    "cost_sweep_equivalents": 1 << n,
+                }
+        return entries
+
+    # ag's one chain shares nothing with the other methods, and each method
+    # draws from its own seed tag, so the chain runs here while the other
+    # methods and their one relaxation run beside it (`_fork_join`); the
+    # report takes the entries in methods' order
+    others = [method for method in methods if method != "ag"]
+    if "ag" in methods and others:
+        chain, entries = _fork_join(lambda: entries_of(["ag"]), lambda: entries_of(others))
+        entries.update(chain)
+        entries = {method: entries[method] for method in methods}
+    else:
+        entries = entries_of(methods)
 
     winner = max(methods, key=lambda name: entries[name]["best_score"])
     doc = {

@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import functools
 import os
+import pickle
 import sys
 import threading
 import time
@@ -131,9 +132,7 @@ class _RowStream:
         self._bits.advance(after * out.shape[1])
 
 
-# Whether ais_logz may run its second half of runs in a forked child. It
-# forks only while this thread is the process's one Python thread: a lock
-# another thread holds at the fork would stay held in the child.
+# Whether `_fork_join` may run its second lane in a forked child.
 _FORK = sys.platform.startswith("linux")
 
 
@@ -178,20 +177,30 @@ def _ais_runs(params: RbmParams, betas: np.ndarray, V, H, rng) -> np.ndarray:
     return log_weights
 
 
-def _fork_join(first, second, count: int) -> np.ndarray:
-    """np.concatenate([first(), second()]), second() run in a forked child
-    that writes its `count` float64 values to a pipe and leaves by
-    os._exit, so it runs no exit handler and flushes no inherited buffer.
-    The parent runs first(), reads to EOF and reaps the child: a failed
-    child or a short read raises RuntimeError. If first() raises, the
-    child is killed and reaped before the exception propagates."""
+def _fork_join(first, second) -> tuple:
+    """(first(), second()), second() run in a forked child on Linux while
+    this thread is the process's one Python thread (a lock another thread
+    holds at the fork would stay held in the child); otherwise first()
+    then second() run here. The child pickles (True, value), or (False,
+    exc) if second() raised, to a pipe and leaves by os._exit, so it runs
+    no exit handler and flushes no inherited buffer. The parent runs
+    first(), reads to EOF and reaps the child, then re-raises a
+    transported exception as it is; a failed child or an unreadable
+    result raises RuntimeError. If first() raises, the child is killed
+    and reaped before the exception propagates."""
+    if not (_FORK and threading.active_count() == 1):
+        return first(), second()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            data = memoryview(second()).cast("B")
+            try:
+                result = True, second()
+            except Exception as exc:
+                result = False, exc
+            data = memoryview(pickle.dumps(result))
             while data:
                 data = data[os.write(write_fd, data):]
             status = 0
@@ -209,11 +218,15 @@ def _fork_join(first, second, count: int) -> np.ndarray:
         os.waitpid(pid, 0)
         raise
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or len(data) != 8 * count:
-        raise RuntimeError(
-            f"AIS child exited with {status} after {len(data)} of {8 * count} bytes"
-        )
-    return np.concatenate([head, np.frombuffer(data)])
+    try:
+        ok, tail = pickle.loads(data)
+    except Exception:
+        ok = None
+    if status != 0 or ok is None:
+        raise RuntimeError(f"forked child exited with {status} after {len(data)} bytes")
+    if not ok:
+        raise tail
+    return head, tail
 
 
 def ais_logz(
@@ -227,12 +240,11 @@ def ais_logz(
     product V @ W also gives score(x_t). The runs are float64 state
     arrays, split into two fixed halves, rows [0, c) and [c, num_runs)
     with c = ceil(num_runs / 2). Each half runs the temperature loop by
-    itself, with work buffers allocated once per half. On Linux with two
-    or more runs, and no other Python thread, the second half runs in one
-    forked child process and the first in the caller; otherwise the halves
-    run here in turn, with the same arithmetic (one run has no second
-    half). The split does not depend on the CPU count, so neither does
-    the report.
+    itself, with work buffers allocated once per half. With two or more
+    runs the halves go through `_fork_join`: the first in the caller, the
+    second in a forked child where it may fork, else here after the first,
+    with the same arithmetic (one run has no second half). The split does
+    not depend on the CPU count, so neither does the report.
 
     One np.random.default_rng(seed) draws the int8 start states, then
     per temperature a (num_runs, p) block of uniforms for the hidden
@@ -262,10 +274,10 @@ def ais_logz(
         for r0, r1 in ((0, cut), (cut, num_runs))
         if r1 > r0
     ]
-    if _FORK and len(halves) == 2 and threading.active_count() == 1:
-        log_weights = _fork_join(*halves, num_runs - cut)
+    if len(halves) == 2:
+        log_weights = np.concatenate(_fork_join(*halves))
     else:
-        log_weights = np.concatenate([half() for half in halves])
+        log_weights = halves[0]()
     log_base = (params.m + params.p) * np.log(2.0)
     log_z = float(log_base + _streaming_logsumexp(log_weights) - np.log(num_runs))
     return EstimateReport(

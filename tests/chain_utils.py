@@ -1,7 +1,8 @@
 """Chain helpers for the tests: the per-site reference kernel, exact
 scores, a table-driven single-site chain for long stationarity runs, a
-coupling matrix that counts the entries its products read, and the
-reference form of the relaxation's row update.
+coupling matrix that counts the entries its products read, the
+reference form of the relaxation's row update, and a check that no
+forked child outlives a call.
 
 For n small enough to enumerate, all 2^n conditional probabilities are
 precomputed and the chain walks integer state codes, which makes million-
@@ -10,8 +11,10 @@ variable 0 is the most significant bit, bit 1 means +1.
 """
 
 import math
+import os
 
 import numpy as np
+import pytest
 from scipy.special import expit
 
 from relaxround import Domain, MrfParams, iter_corner_blocks, score_batch
@@ -177,3 +180,9 @@ def fast_chain_trajectory(table, n, sweeps, rng, code0=0):
                 state &= ~masks[i]
         out.append(state)
     return out
+
+
+def no_child_left():
+    """Assert that this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

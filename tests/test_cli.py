@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from relaxround import cli, gibbs, instances, models, partition, relaxation, rou
 from relaxround.cli import main
 from relaxround.instances import write_atomic
 
-from chain_utils import score_tolerance
+from chain_utils import no_child_left, score_tolerance
 
 
 def run(*argv):
@@ -320,11 +321,14 @@ def test_map_hard_ordering_over_seeds(tmp_path):
 
 
 def test_one_relaxation_per_command(tmp_path, monkeypatch):
-    calls = []
+    # a map that runs ag beside other methods solves in its forked lane, so
+    # the count is kept in a file that both processes append to
+    calls = tmp_path / "solves.txt"
     solve = cli.solve_lrp
 
     def counting_solve(*args, **kwargs):
-        calls.append(args)
+        with open(calls, "a") as fh:
+            fh.write("solve\n")
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_lrp", counting_solve)
@@ -336,9 +340,9 @@ def test_one_relaxation_per_command(tmp_path, monkeypatch):
         (["logz", "--methods", "exact,ais", "--num-temps", 20, "--num-runs", 5], 0),
         (["logz", "--methods", "rrr-low,rrr-is", "--samples", 200], 1),
     ]:
-        calls.clear()
+        calls.write_text("")
         assert run(*argv, "--instance", inst, "--seed", 7, "--out", out) == 0
-        assert len(calls) == want, argv
+        assert calls.read_text().count("solve\n") == want, argv
         if argv[2] == "rrr,ag,rrr-ag":
             doc = json.loads(out.read_text())
             rrr, combo = doc["methods"]["rrr"], doc["methods"]["rrr-ag"]
@@ -579,6 +583,112 @@ def test_map_reports_byte_identical(tmp_path):
         assert run("map", "--instance", inst, "--methods",
                    "rrr,ag,rrr-ag,brute", "--seed", 33, "--out", out) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+def test_map_lanes_forked_and_inline_agree(tmp_path, monkeypatch):
+    # ag's chain runs in the caller and every other method in one forked
+    # child; the report is the same, in JSON and CSV, and no child is left
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    rng = np.random.default_rng(35)
+    rbm01, mrf = tmp_path / "rbm01.json", tmp_path / "mrf.json"
+    write_atomic(rbm01, dumps_instance(RbmParams(
+        rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=3), Domain.ZERO_ONE)))
+    write_atomic(mrf, dumps_instance(MrfParams(rng.normal(size=(7, 7)))))
+    hard = gen_instance(tmp_path, "hard.json", kind="hard", m=7, p=4, seed=5)
+    for inst in (rbm01, mrf, hard):
+        for methods in ("rrr,ag,rrr-ag,brute", "ag,brute", "ag,rrr-ag"):
+            for fmt in ("json", "csv"):
+                reports = []
+                for lanes in (True, False):
+                    monkeypatch.setattr(partition, "_FORK", lanes)
+                    forks.clear()
+                    out = tmp_path / f"r.{fmt}"
+                    assert run("map", "--instance", inst, "--methods", methods,
+                               "--format", fmt, "--samples", 200, "--sweeps", 80,
+                               "--seed", 8, "--out", out) == 0
+                    assert len(forks) == lanes
+                    no_child_left()
+                    reports.append(out.read_bytes())
+                assert reports[0] == reports[1], (inst.name, methods, fmt)
+
+
+def test_map_forks_only_beside_ag(tmp_path, monkeypatch):
+    # ag alone, and a map without ag, runs in this process; so does a map
+    # started beside a second Python thread, with the forked report
+    inst = gen_instance(tmp_path, seed=36)
+    out = tmp_path / "r.json"
+    argv = ["map", "--instance", inst, "--samples", 200, "--sweeps", 80,
+            "--seed", 9, "--out", out]
+    assert run(*argv, "--methods", "ag,rrr-ag") == 0
+    forked = out.read_bytes()
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for methods in ("ag", "rrr", "rrr,rrr-ag,brute"):
+        assert run(*argv, "--methods", methods) == 0, methods
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert run(*argv, "--methods", "ag,rrr-ag") == 0
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert out.read_bytes() == forked
+
+
+def test_map_lane_errors_cross_unchanged(tmp_path, monkeypatch, capsys):
+    # a usage error and a cap error raised in the forked lane end the
+    # command with their exit code and one stderr line, as inline
+    inst = gen_instance(tmp_path, seed=38)
+    wide = gen_instance(tmp_path, "wide.json", m=20, p=12, seed=1)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    for lanes in (True, False):
+        monkeypatch.setattr(partition, "_FORK", lanes)
+        for argv, code, line in (
+            (["--instance", inst, "--methods", "rrr,ag", "--k", 99], 1,
+             "relaxround: error: width k=99 exceeds n=10\n"),
+            (["--instance", wide, "--methods", "ag,brute"], 3,
+             "relaxround: cap exceeded: n=33 exceeds enumeration cap 24\n"),
+        ):
+            assert run("map", *argv, "--seed", 1, "--out", out) == code, lanes
+            assert capsys.readouterr().err == line
+            no_child_left()
+    # an interrupt in the caller's chain kills and reaps the forked lane
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "annealed_gibbs", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run("map", "--instance", inst, "--methods", "rrr,ag", "--seed", 1, "--out", out)
+    no_child_left()
+    assert not out.exists()
+
+
+def test_map_lane_flushes_no_inherited_buffer(tmp_path, capfd):
+    # the forked lane leaves by os._exit, so a line still in a buffer of
+    # this process when it forks is written once, by the caller
+    inst = gen_instance(tmp_path, seed=37)
+    with os.fdopen(os.dup(1), "w", buffering=1 << 16) as buffered:
+        buffered.write("before map\n")
+        assert run("map", "--instance", inst, "--methods", "rrr,ag", "--seed", 1,
+                   "--out", tmp_path / "r.json") == 0
+    out, err = capfd.readouterr()
+    assert out.count("before map") == 1
+    assert err == ""
 
 
 def test_logz_reports_byte_identical(tmp_path):

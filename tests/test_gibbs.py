@@ -598,7 +598,7 @@ def test_block_conditional_matches_embedded_single_site():
             assert _decisions(A[np.ix_(order, order)], x[order], i, p) == [1, -1]
 
 
-def test_block_chain_marginals_match_enumeration():
+def test_block_chain_marginals_match_enumeration(monkeypatch):
     rng = np.random.default_rng(14)
     rbm = gen_hard_rbm(3, 3, pairs=0, seed=15)
     # exact marginals by enumerating all 64 (v, h) pairs
@@ -610,12 +610,21 @@ def test_block_chain_marginals_match_enumeration():
     w = np.exp(scores - scores.max())
     exact_marginals = (w / w.sum()) @ (states > 0)
 
-    v, h = np.ones(3), np.ones(3)
+    # the sweeps of block_sweep(rbm, v, h, 1.0, rng) in one run on a flat
+    # grid, with the same draws; each sweep's state is read as its layers
+    # are resampled: hidden after its call, visible after its call
+    v, h = np.ones((1, 3)), np.ones((1, 3))
     plus = np.zeros(6)
     sweeps = 400_000
-    for _ in range(sweeps):
-        block_sweep(rbm, v, h, 1.0, rng)
-        plus += np.concatenate([v, h]) > 0
+    resample = partition._resample_layer
+
+    def counting(layer, *args):
+        resample(layer, *args)
+        counts = plus[:3] if layer is v else plus[3:]
+        counts += layer[0] > 0
+
+    monkeypatch.setattr(partition, "_resample_layer", counting)
+    partition._ais_runs(rbm, np.full(sweeps + 1, 1.0), v, h, rng)
     assert np.abs(plus / sweeps - exact_marginals).max() <= 0.01
 
 

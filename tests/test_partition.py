@@ -43,6 +43,8 @@ from relaxround.rounding import (
     rrr_sample_blocks,
 )
 
+from chain_utils import no_child_left
+
 LOG2 = math.log(2.0)
 
 
@@ -295,11 +297,6 @@ def test_ais_halves_draw_the_serial_uniforms(monkeypatch, domain, runs):
             assert got_v.tobytes() == u_v[r0:r1].tobytes()
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("domain", [Domain.PLUS_MINUS_ONE, Domain.ZERO_ONE])
 def test_ais_forked_and_inline_halves_agree(monkeypatch, domain):
     # the forked child runs the same arithmetic as the inline second half,
@@ -315,7 +312,7 @@ def test_ais_forked_and_inline_halves_agree(monkeypatch, domain):
         for fork in (True, False):
             monkeypatch.setattr(partition, "_FORK", fork)
             reports.append(ais_logz(rbm, num_temps=temps, num_runs=runs, seed=34))
-            _no_child_left()
+            no_child_left()
         forked, inline = reports
         assert forked.log_z == inline.log_z
         assert forked.details["weight_std"] == inline.details["weight_std"]
@@ -341,19 +338,30 @@ def test_ais_forks_no_child_beside_another_thread(monkeypatch):
 
 
 def test_ais_failed_child_raises(monkeypatch):
+    # an exception raised in the child arrives as itself, with its message;
+    # a child that dies without a result raises RuntimeError naming its
+    # exit status
     parent = os.getpid()
     resample = partition._resample_layer
-
-    def failing_in_child(*args):
-        if os.getpid() != parent:
-            raise ValueError("child fails")
-        return resample(*args)
-
-    monkeypatch.setattr(partition, "_resample_layer", failing_in_child)
     rbm = gen_hard_rbm(4, 3, pairs=0, seed=35)
-    with pytest.raises(RuntimeError, match="AIS child exited with 1"):
-        ais_logz(rbm, num_temps=20, num_runs=4, seed=36)
-    _no_child_left()
+
+    def raising():
+        raise ValueError("child fails")
+
+    def dying():
+        os._exit(3)
+
+    for fail, error, match in ((raising, ValueError, "^child fails$"),
+                               (dying, RuntimeError, "exited with 3 after 0 bytes")):
+        def failing_in_child(*args, fail=fail):
+            if os.getpid() != parent:
+                fail()
+            return resample(*args)
+
+        monkeypatch.setattr(partition, "_resample_layer", failing_in_child)
+        with pytest.raises(error, match=match):
+            ais_logz(rbm, num_temps=20, num_runs=4, seed=36)
+        no_child_left()
 
 
 def test_ais_parent_failure_leaves_no_child(monkeypatch):
@@ -369,7 +377,7 @@ def test_ais_parent_failure_leaves_no_child(monkeypatch):
     rbm = gen_hard_rbm(16, 484, pairs=0, seed=37)
     with pytest.raises(KeyboardInterrupt):
         ais_logz(rbm, num_temps=1000, num_runs=100, seed=38)
-    _no_child_left()
+    no_child_left()
 
 
 def test_ais_child_flushes_no_inherited_buffer(capfd):
