@@ -23,16 +23,20 @@ _EXP_MAX = math.log(sys.float_info.max)
 # uniforms per buffer of `_run_schedule`, drawn and turned into thresholds
 # a chunk of sweeps at a time (at least one sweep per chunk)
 _CHUNK = 1 << 15
+# the magnitude of a decided site, as an array: a Python float would be
+# converted on every `np.copysign` call
+_ONE = np.array(1.0)
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
     """The end of a chain run: the final assignment, the score after each
     sweep, and the best state visited, the start state included, with its
     score (for `rrr_ag`, over all of its chains); the first visit wins
-    ties. `_sweep`'s scores fill the trace and choose the best state, and
-    best_score is `models.score(best_x)`: batched products round by batch
-    size, and every `map` method reports its best state's score this way,
-    so equal states tie bit for bit across methods."""
+    ties, also across chunks of sweeps. `_scores` fills the trace and
+    chooses the best state, and best_score is `models.score(best_x)`:
+    batched products round by batch size, and every `map` method reports
+    its best state's score this way, so equal states tie bit for bit
+    across methods."""
 
     x: np.ndarray
     score_trace: tuple
@@ -46,10 +50,13 @@ def _thresholds(u: np.ndarray, temperatures) -> np.ndarray:
     -_EXP_MAX; `temperatures` broadcasts against u. A site with field f
     takes +1 where f > its threshold, which is u < 1 / (1 + exp(-4 f / T))
     up to rounding. The clamp keeps u = 0 at -1 exactly where that
-    probability underflows to 0 (exp(-4 f / T) overflows), and a u above 1
-    gives nan, so -1, as the logistic's comparison does."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # log(0); u > 1
-        log_1mu = np.log1p(-u)
+    probability underflows to 0 (exp(-4 f / T) overflows). A u at or above
+    1 gives +inf, so -1, as the logistic's comparison does, and no
+    threshold is -0 (u = 1/2 gives +0)."""
+    np.minimum(u, 1.0, out=u)
+    with np.errstate(divide="ignore"):  # log(0), log1p(-1)
+        log_1mu = np.negative(u)
+        np.log1p(log_1mu, out=log_1mu)
         np.log(u, out=u)
         u -= log_1mu
         np.maximum(u, -_EXP_MAX, out=u)
@@ -57,84 +64,100 @@ def _thresholds(u: np.ndarray, temperatures) -> np.ndarray:
     return u
 
 
-def _sweep_plan(A: np.ndarray, X: np.ndarray) -> tuple:
-    """What `_sweep` reads and writes, taken once per run for the float64
-    chain states X (a row per chain): X, L, trace(A), and per span S of
-    `_scan_spans(A)` the slice S, the views of X and L on S, a field buffer,
-    the factors of lower_S and of upper_S (None where the block is empty:
-    the first span's lower, the last span's upper), and, where S is scanned
-    site by site, B = A[S, S] with zero diagonal, its rows and x_S B (else
-    None: a lone site is decided as a blocked span)."""
-    n, L, spans = A.shape[0], np.zeros(X.shape), []
+def _sweep_plan(A: np.ndarray, Y: np.ndarray, thresholds: np.ndarray) -> tuple:
+    """What `_sweep` reads and writes, taken once per run for the negated
+    float64 chain states Y = -X (a row per chain) and the buffer of one
+    sweep's thresholds (same shape): L, trace(A), and per span S of
+    `_scan_spans(A)` the views of Y, L and the thresholds on S, a field
+    buffer, the factors of lower_S and of upper_S (None where the block is
+    empty: the first span's lower, the last span's upper), and, where S is
+    scanned site by site, B = A[S, S] with zero diagonal, its rows and
+    y_S B (else None: a lone site is decided as a blocked span). L is
+    filled for the start states, so `_scores(trace, Y, L)` scores them as
+    it scores each sweep's."""
+    n, L, spans = A.shape[0], np.zeros(Y.shape), []
     for start, stop, blocked in _scan_spans(A):
         S, site = slice(start, stop), None
+        lower = (Y[:, :start], A[:start, S]) if start else None
+        upper = (Y[:, stop:], A[stop:, S]) if stop < n else None
+        if lower is not None:
+            np.matmul(*lower, out=L[:, S])
         if not blocked and stop - start > 1:
             B = A[S, S].copy()
             np.fill_diagonal(B, 0.0)
-            site = B, list(B), X[:, S] @ B
-        lower = (X[:, :start], A[:start, S]) if start else None
-        upper = (X[:, stop:], A[stop:, S]) if stop < n else None
-        spans.append((S, X[:, S], L[:, S], np.empty(L[:, S].shape), lower, upper, site))
-    return X, L, float(A.trace()), spans
+            site = B, list(B), Y[:, S] @ B
+            L[:, S] += 0.5 * site[2]
+        spans.append((Y[:, S], L[:, S], thresholds[:, S], np.empty(L[:, S].shape),
+                      lower, upper, site))
+    return L, float(A.trace()), spans
 
 
-def _sweep(plan: tuple, thresholds: np.ndarray | None) -> np.ndarray:
-    """One systematic scan over sites 0..n-1 of every chain (row) of X, in
-    place, site i of chain c deciding against thresholds[c, i]; returns the
-    new states' scores. With thresholds None it only scores X.
+def _sweep(spans: list) -> None:
+    """One systematic scan over sites 0..n-1 of every chain, in place, by
+    the spans of `_sweep_plan`; site i of chain c decides against entry
+    [c, i] of the plan's threshold buffer. It only decides: `_scores`
+    scores the states it leaves, from Y and L.
 
     Site i takes +1 where its field sum_{j != i} A[i, j] x[j] exceeds its
-    threshold, (T / 4) * logit(u) from `_thresholds`. The spans S of `plan`
-    (see `_sweep_plan`) take their fields in order from the off-diagonal
-    blocks of A, as `relaxation._ascend` does: lower_S = X[:, :start] @
-    A[:start, S] from this sweep's rows plus upper_S = X[:, stop:] @
-    A[stop:, S] from the last sweep's. A blocked span is decided at once
-    by one comparison (a span with no upper block compares lower_S itself).
-    A span of singleton runs goes site by site in Python floats, comparing
-    the half fields (lower_S + upper_S + x_S B) / 2 with half thresholds, a
-    flip of site i to s adding s B[i]; x_S B is then taken anew, for the
-    score and the next sweep.
+    threshold t, (T / 4) * logit(u) from `_thresholds`. The chains hold
+    y = -x: rounding is symmetric in sign, so a field f_y of y is -field
+    bit for bit (up to the sign of a zero), and t + f_y is t - field. The
+    spans S take their fields in order from the off-diagonal blocks of A,
+    as `relaxation._ascend` does: lower_S = Y[:, :start] @ A[:start, S]
+    from this sweep's rows plus upper_S = Y[:, stop:] @ A[stop:, S] from
+    the last sweep's. A blocked span is decided at once by two calls,
+    y_S = copysign(1, t + f_y) (a span with no upper block takes lower_S
+    itself as f_y): an exact tie cancels to +0, so y = +1 and x = -1, as
+    `field > t` decides, and since t is never -0 a zero field meets it as
+    +0 whatever its sign. A span of singleton runs goes site by site in
+    Python floats: y_i = -1 exactly where the half field
+    (lower_S + upper_S + y_S B) / 2 is below -t / 2, a flip of site i to
+    s adding s B[i]; y_S B is then taken anew, for the score and the next
+    sweep.
 
-    The score is sum_S <x_S, A[S, S] x_S + 2 lower_S> = trace(A) + 2 <x, L>
-    with L_S = lower_S + x_S B / 2, so it takes no product of its own. With
+    The score of a state is sum_S <y_S, A[S, S] y_S + 2 lower_S> =
+    trace(A) + 2 <y, L> with L_S = lower_S + y_S B / 2, so it takes no
+    product of its own, and y_i L_i is x_i times x's L_i exactly. With
     x in {-1,+1}^n every A_ij x_j is exact: a field differs from its exact
     value only by rounding, and a score from x'Ax by at most
     4 n eps sum_ij |A_ij| (eps the float64 machine epsilon). A decision can
     differ from a per-site kernel's, u < 1 / (1 + exp(-4 * field / T)),
     only where u lies within rounding of that probability.
     """
-    X, L, trace, spans = plan
-    for S, xs, ls, buffer, lower, upper, site in spans:
+    for ys, ls, ts, buffer, lower, upper, site in spans:
         if lower is not None:
             np.matmul(*lower, out=ls)
-        elif site is not None:  # L_S still holds the last sweep's x_S B / 2
+        elif site is not None:  # L_S still holds the last sweep's y_S B / 2
             ls[...] = 0.0
-        if thresholds is not None:
-            field = ls if upper is None else np.matmul(*upper, out=buffer)
-            if lower is not None and upper is not None:
-                field += ls
-            if site is None:
-                np.greater(field, thresholds[:, S], out=xs)  # 1.0 or 0.0
-                xs *= 2.0
-                xs -= 1.0
-                continue
-            B, rows, XB = site
-            half, half_thresholds = 0.5 * (field + XB), 0.5 * thresholds[:, S]
-            for x, h, t_row in zip(xs, half, half_thresholds):
-                field_of = h.item
-                old = x.tolist()  # indexed by site in S, read before any flip
-                for i, t in enumerate(t_row.tolist()):
-                    s = 1.0 if field_of(i) > t else -1.0
-                    if s != old[i]:
-                        x[i] = s
-                        if s > 0:
-                            h += rows[i]
-                        else:
-                            h -= rows[i]
-            np.matmul(xs, B, out=XB)
-        if site is not None:
-            ls += 0.5 * site[2]
-    return trace + 2.0 * np.einsum("ci,ci->c", X, L)
+        field = ls if upper is None else np.matmul(*upper, out=buffer)
+        if lower is not None and upper is not None:
+            field += ls
+        if site is None:
+            np.add(ts, field, out=ys)
+            np.copysign(_ONE, ys, out=ys)
+            continue
+        B, rows, YB = site
+        half, half_thresholds = 0.5 * (field + YB), -0.5 * ts
+        for y, h, t_row in zip(ys, half, half_thresholds):
+            field_of = h.item
+            old = y.tolist()  # indexed by site in S, read before any flip
+            for i, t in enumerate(t_row.tolist()):
+                s = -1.0 if field_of(i) < t else 1.0
+                if s != old[i]:
+                    y[i] = s
+                    if s > 0:
+                        h += rows[i]
+                    else:
+                        h -= rows[i]
+        np.matmul(ys, B, out=YB)
+        ls += 0.5 * YB
+
+
+def _scores(trace: float, Y: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The scores trace(A) + 2 <y, l> of the rows y of Y (see `_sweep`),
+    one einsum over all rows; a row's value does not depend on how many
+    rows are scored with it."""
+    return trace + 2.0 * np.einsum("ci,ci->c", Y, L)
 
 
 def _run_schedule(
@@ -145,26 +168,44 @@ def _run_schedule(
     rngs[c]. The uniforms of a chunk of sweeps, about _CHUNK for all chains
     together, are drawn at once, one rng.random((sweeps, n)) per chain (the
     same stream as n scalar draws per sweep), and turned into `_thresholds`
-    in one pass, so memory stays flat in the number of sweeps. Returns one
-    ChainState per chain, with the score `_sweep` returns after each sweep
-    and the best state visited by those scores, its start (scored by the
-    same sum) included, first visit winning ties."""
-    X = np.array(x0, dtype=float)
-    plan, traces = _sweep_plan(params.A, X), [[] for _ in rngs]
-    chunk = max(1, _CHUNK // max(1, X.size))
-    uniforms = np.empty((X.shape[0], min(chunk, len(temperatures)), X.shape[1]))
-    best_score, best_x = _sweep(plan, None).tolist(), X.copy()
+    in one pass. Each sweep copies its thresholds into the plan's buffer,
+    and its states and L into two chunk buffers of (sweeps, chains, n),
+    which `_scores` scores once per chunk. Like the uniforms, each buffer
+    holds at most _CHUNK floats (or one sweep's, if more), so memory stays
+    flat in the number of sweeps. Returns one ChainState per chain, with
+    its score after each sweep and the best state visited by those scores,
+    its start (scored by the same sum) included: a chunk's first maximum
+    replaces the best state only where it is strictly greater, so the
+    first visit wins ties across chunks too."""
+    Y = np.negative(x0, dtype=float)
+    chains, n = Y.shape
+    sweep_thresholds = np.empty(Y.shape)
+    L, trace, spans = _sweep_plan(params.A, Y, sweep_thresholds)
+    chunk = max(1, _CHUNK // max(1, Y.size))
+    uniforms = np.empty((chains, min(chunk, len(temperatures)), n))
+    states, fields = np.empty((2, uniforms.shape[1], chains, n))
+    best_score, best_y, traces = _scores(trace, Y, L), Y.copy(), [[] for _ in rngs]
     for start in range(0, len(temperatures), chunk):
         temps = temperatures[start:start + chunk]
-        thresholds = uniforms[:, :len(temps)]
+        k = len(temps)
+        thresholds = uniforms[:, :k]
         for rng, u in zip(rngs, thresholds):
             rng.random(out=u)
         _thresholds(thresholds, temps[:, None])
-        for sweep in range(len(temps)):
-            for c, value in enumerate(_sweep(plan, thresholds[:, sweep]).tolist()):
-                traces[c].append(value)
-                if value > best_score[c]:
-                    best_x[c], best_score[c] = X[c], value
+        for sweep in range(k):
+            sweep_thresholds[...] = thresholds[:, sweep]
+            _sweep(spans)
+            states[sweep], fields[sweep] = Y, L
+        rows = states[:k].reshape(k * chains, n), fields[:k].reshape(k * chains, n)
+        scores = _scores(trace, *rows).reshape(k, chains)
+        for t, column in zip(traces, scores.T.tolist()):
+            t.extend(column)
+        first = scores.argmax(axis=0)
+        top = scores[first, range(chains)]
+        better = np.flatnonzero(top > best_score)
+        best_score[better] = top[better]
+        best_y[better] = states[first[better], better]
+    X, best_x = -Y, -best_y
     return [
         ChainState(x.astype(np.int8), tuple(t), b.astype(np.int8), score(params, b))
         for x, t, b in zip(X, traces, best_x)

@@ -32,6 +32,7 @@ from relaxround.gibbs import (
     _linear_temperatures,
     _run_schedule,
     _scan_spans,
+    _scores,
     _sweep,
     _sweep_plan,
     _thresholds,
@@ -160,12 +161,13 @@ def test_single_site_marginals_match_enumeration():
 def _sweep_rows(A, X, U, temperature=1.0):
     """One library sweep of the chains in the rows of the int8 X, in place,
     with the uniforms U turned into thresholds as `_run_schedule` turns
-    them; returns the new states' scores."""
-    Xf = X.astype(float)
+    them; returns the new states' scores, from the chunk scorer."""
+    Y = np.negative(X, dtype=float)  # the chains hold y = -x
     thresholds = _thresholds(np.array(U, dtype=float), temperature)
-    scores = _sweep(_sweep_plan(A, Xf), thresholds)
-    X[...] = Xf
-    return scores
+    L, trace, spans = _sweep_plan(A, Y, thresholds)
+    _sweep(spans)
+    X[...] = -Y
+    return _scores(trace, Y, L)
 
 
 def test_uncoupled_runs_of_rbm_embedding():
@@ -375,6 +377,50 @@ def test_chunk_size_changes_no_bit(case, monkeypatch):
             assert got.best_score == ref.best_score
 
 
+def test_first_visit_wins_ties_across_chunks(monkeypatch):
+    # zero couplings: every state scores trace(A), so each chain's best
+    # state is its start, whether its sweeps are scored one per chunk, 7
+    # per chunk or all in one
+    m = MrfParams(np.diag([0.5, -2.0, 1.0, 0.25, 3.0]))
+    x0 = (2 * np.random.default_rng(44).integers(0, 2, (3, m.n)) - 1).astype(np.int8)
+    temperatures = _linear_temperatures(10.0, 50)
+    for chunk in (None, 1, 7 * x0.size):
+        if chunk is not None:
+            monkeypatch.setattr(gibbs_module, "_CHUNK", chunk)
+        states = _run_schedule(m, temperatures, x0,
+                               [np.random.default_rng(45 + c) for c in range(3)])
+        assert any(not np.array_equal(state.x, start) for state, start in zip(states, x0))
+        for state, start in zip(states, x0):
+            assert state.score_trace == (float(m.A.trace()),) * 50
+            assert np.array_equal(state.best_x, start)
+            assert state.best_score == score(m, start)
+
+
+def test_first_visit_wins_a_maximum_recurring_in_a_later_chunk(monkeypatch):
+    # x and -x score alike: from an anti-aligned start the chain first
+    # reaches the maximum at one aligned state and meets it again at the
+    # other in a later chunk of 7 sweeps; the first keeps the best state
+    m = MrfParams(np.array([[0.0, 0.1], [0.1, 0.0]]))
+    x0, temperatures = _pm([[1, -1]]), np.ones(30)
+
+    def run(sweeps):
+        return _run_schedule(m, temperatures[:sweeps], x0,
+                             [np.random.default_rng(46)])[0]
+
+    path = [run(sweeps).x for sweeps in range(1, 31)]
+    trace = run(30).score_trace
+    first = trace.index(max(trace))
+    assert any(trace[s] == trace[first] and not np.array_equal(path[s], path[first])
+               for s in range(7 * (first // 7 + 1), 30))
+    for chunk in (None, 1, 7 * x0.size):
+        if chunk is not None:
+            monkeypatch.setattr(gibbs_module, "_CHUNK", chunk)
+        state = run(30)
+        assert state.score_trace == trace
+        assert np.array_equal(state.best_x, path[first])
+        assert state.best_score == score(m, path[first])
+
+
 def test_chain_peak_memory_flat_in_sweeps():
     # 3000 more sweeps of 8 chains at n = 161 may raise the traced peak by
     # the score traces (a float per chain and sweep), not by a uniform or
@@ -473,21 +519,30 @@ _THRESHOLD_END_CASES = {
     "zero-u-overflow": (-1e3, [1, 1, 1], 0.0, -1),
     # u = 1/2 at a zero field: p is exactly 1/2, and u < p fails
     "half-u-zero-field": (1.0, [1, 1, -1], 0.5, -1),
+    # u = 1/2 at a zero field of products 0 * -1, which may sum to -0.0
+    # (or to +0.0 where the chains hold y = -x): either zero is the tie
+    "half-u-signed-zero": (0.0, [-1, -1, -1], 0.5, -1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_THRESHOLD_END_CASES))
-def test_threshold_end_cases_match_reference(case):
+def test_threshold_end_cases_match_reference(case, monkeypatch):
     # the clamped logit of a zero uniform, and the exact tie, decide as the
     # per-site logistic does, site by site and in a blocked span, and no
     # log(0) RuntimeWarning escapes
     coupling, x, u, want = _THRESHOLD_END_CASES[case]
     A = coupling * (1.0 - np.eye(3))
-    for A_, x_ in _both_span_kinds(A, x, 0):
+    kinds = _both_span_kinds(A, x, 0) if coupling else [(A, _pm(x))] * 2
+    for site_by_site, (A_, x_) in zip((True, False), kinds):
         uniforms = [u] + [0.3] * (len(x_) - 1)
         X = x_[None, :].copy()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), monkeypatch.context() as patch:
             warnings.simplefilter("error")
+            if site_by_site and not coupling:
+                # zero couplings make one uncoupled run, so no site is
+                # scanned site by site; the same sites go through that
+                # loop under a patched scan plan
+                patch.setattr(gibbs_module, "_scan_spans", lambda _: [(0, 3, False)])
             _sweep_rows(A_, X, [uniforms])
         assert X[0, 0] == want
         x_ref = x_.copy()
@@ -654,6 +709,14 @@ def test_constant_schedule_equals_plain_gibbs():
     x, trace = reference_chain(m.A, np.ones(12), x0, np.random.default_rng(17))
     assert np.array_equal(annealed.x, x)
     assert_scores_match(m.A, annealed.score_trace, trace)
+
+
+def test_chain_of_no_sites():
+    # n = 0: every sweep scores the empty trace, and the chunk buffers
+    # hold no entry
+    state = annealed_gibbs(MrfParams(np.zeros((0, 0))), 1.0, 3, np.zeros(0, np.int8), seed=1)
+    assert state.x.shape == state.best_x.shape == (0,)
+    assert state.score_trace == (0.0,) * 3 and state.best_score == 0.0
 
 
 def test_annealing_traps_planted_pairs():
